@@ -2,8 +2,8 @@
 
 Exit codes: 0 for success / true / theorem / clean reports, 1 for false /
 non-theorem / reported violations, 2 for errors (bad input, schema
-violations, exceeded envelopes).  ``--json`` switches stdout to a stable
-machine-readable form.
+violations, exceeded envelopes) and for any unexpected exception.
+``--json`` switches stdout to a stable machine-readable form.
 """
 
 from __future__ import annotations
@@ -23,7 +23,13 @@ from provmod.decide import (
 )
 from provmod.glp import check_glp_model, glp_forces, glp_soundness_suite
 from provmod.interpret import t_interpretation
-from provmod.kripke import check_frame, forces, unravel, veltman_forces
+from provmod.kripke import (
+    ModelError,
+    check_frame,
+    forces,
+    unravel,
+    veltman_forces,
+)
 from provmod.provability import (
     check_oracles_classical,
     countermodel_pipeline_gl,
@@ -98,38 +104,40 @@ def cmd_decide(args) -> int:
     return 0 if verdict.is_theorem else 1
 
 
+def _forcing(loaded, model, world, family):
+    """Truth at the world, as a one-argument test, under the forcing
+    relation of the document's model kind."""
+    if loaded.kind == "kripke":
+        memo: dict = {}
+        return lambda g: forces(model, world, g, _memo=memo)
+    if loaded.kind == "veltman":
+        memo = {}
+        return lambda g: veltman_forces(model, world, g, _memo=memo)
+    if loaded.kind == "poly":
+        return lambda g: glp_forces(model, world, g)
+    if loaded.language == RHD:
+        return lambda g: pm_forces_rhd(model, world, g, family)
+    return lambda g: pm_forces(model, world, g)
+
+
 def cmd_eval(args) -> int:
     loaded = _load_model(args.model)
     family = _read_family(args.family, loaded.language) if args.family else None
     model = _materialize(loaded, family)
     f = parse(args.formula, loaded.language)
-    world = args.world
-    if loaded.kind == "kripke":
-        value = forces(model, world, f)
-    elif loaded.kind == "veltman":
-        value = veltman_forces(model, world, f)
-    elif loaded.kind == "poly":
-        value = glp_forces(model, world, f)
-    elif loaded.language == RHD:
-        value = pm_forces_rhd(model, world, f, family)
-    else:
-        value = pm_forces(model, world, f)
+    holds = _forcing(loaded, model, args.world, family)
+    value = holds(f)
+    # the inputs of the boolean skeleton: each atom and each outermost
+    # modal subformula, at the world
     trace = {}
-    for sub in fm.subformulas(f):
+    for x in fm.extended_atoms([f]):
+        g = fm.atom(x) if isinstance(x, str) else x
         try:
-            if loaded.kind == "kripke":
-                trace[to_text(sub)] = forces(model, world, sub)
-            elif loaded.kind == "veltman":
-                trace[to_text(sub)] = veltman_forces(model, world, sub)
-            elif loaded.kind == "poly":
-                trace[to_text(sub)] = glp_forces(model, world, sub)
-            elif loaded.language == RHD:
-                trace[to_text(sub)] = pm_forces_rhd(model, world, sub, family)
-            else:
-                trace[to_text(sub)] = pm_forces(model, world, sub)
-        except Exception:  # pragma: no cover - trace stays best-effort
+            trace[to_text(g)] = holds(g)
+        except ModelError:
+            # left unevaluated by the lazy walk, and undefined on this model
             continue
-    _emit(args, {"value": value, "world": str(world), "trace": trace},
+    _emit(args, {"value": value, "world": str(args.world), "trace": trace},
           f"{value}")
     return 0 if value else 1
 
@@ -340,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="provability-model semantics for modal logics")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized sampling (fixed default)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("decide", help="decide theoremhood")
@@ -414,6 +420,13 @@ def main(argv=None) -> int:
     except (CliError, fm.FormulaError, docio.DocumentError, ValueError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # a crash must not exit 1, which reads as "false"; traceback is
+        # imported here to keep it off every command's start-up path
+        import traceback
+        traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -535,6 +535,17 @@ def _gl_type_model(types, i) -> KripkeModel:
     return KripkeModel(worlds, edges, valuation)
 
 
+def _representative_set(logic, n, atom_names, types, chars,
+                        models) -> RepresentativeSet:
+    """One class per set of types, represented by the disjunction of their
+    characteristic formulas."""
+    classes = tuple(frozenset(i for i in range(len(types)) if mask >> i & 1)
+                    for mask in range(1 << len(types)))
+    members = tuple(disj([chars[i] for i in sorted(cls)]) for cls in classes)
+    return RepresentativeSet(logic, n, atom_names, members, classes,
+                             tuple(types), tuple(chars), models)
+
+
 def representatives_gl(n: int, atom_names) -> RepresentativeSet:
     """One member per equivalence class of the height-bounded fragment,
     built as disjunctions of tree-type characteristic formulas."""
@@ -551,15 +562,7 @@ def representatives_gl(n: int, atom_names) -> RepresentativeSet:
                             f"{_CLASS_CAP} classes")
     chars = _gl_char_formulas(types, atom_names)
     models = tuple(_gl_type_model(types, i) for i in range(len(types)))
-    members = []
-    classes = []
-    for mask in range(1 << len(types)):
-        cls = frozenset(i for i in range(len(types)) if mask >> i & 1)
-        classes.append(cls)
-        members.append(disj([chars[i] for i in sorted(cls)]))
-    return RepresentativeSet(GL_LOGIC, n, atom_names, tuple(members),
-                             tuple(classes), tuple(types), tuple(chars),
-                             models)
+    return _representative_set(GL_LOGIC, n, atom_names, types, chars, models)
 
 
 def representatives_ilm(n: int, atom_names) -> RepresentativeSet:
@@ -578,14 +581,7 @@ def representatives_ilm(n: int, atom_names) -> RepresentativeSet:
     models = tuple(VeltmanModel(["v0"], [], {},
                                 [("v0", a) for a in t.valuation])
                    for t in types)
-    members = []
-    classes = []
-    for mask in range(1 << len(types)):
-        cls = frozenset(i for i in range(len(types)) if mask >> i & 1)
-        classes.append(cls)
-        members.append(disj([chars[i] for i in sorted(cls)]))
-    return RepresentativeSet(ILM_LOGIC, n, atom_names, tuple(members),
-                             tuple(classes), types, tuple(chars), models)
+    return _representative_set(ILM_LOGIC, n, atom_names, types, chars, models)
 
 
 def certify_pairwise(rep: RepresentativeSet, pairs=None, bound: int = 2) -> bool:

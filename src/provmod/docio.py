@@ -237,11 +237,7 @@ def to_dot(model, designated=None) -> str:
     atoms_at: dict[str, list] = {}
     for (w, a) in model.valuation:
         atoms_at.setdefault(_world_id(w), []).append(a)
-    if isinstance(model, PolyModel):
-        worlds = sorted(_world_id(w) for w in model.worlds)
-    else:
-        worlds = sorted(_world_id(w) for w in model.worlds)
-    for w in worlds:
+    for w in sorted(_world_id(w) for w in model.worlds):
         label = w
         if atoms_at.get(w):
             label += r"\n" + ",".join(sorted(atoms_at[w]))

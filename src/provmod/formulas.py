@@ -452,10 +452,6 @@ def sort_key(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # structural analysis
 
-def language(f: Formula) -> str | None:
-    return f.lang
-
-
 @lru_cache(maxsize=None)
 def atoms(f: Formula) -> frozenset[str]:
     if isinstance(f, Atom):
@@ -483,19 +479,6 @@ def free_atoms(f: Formula) -> frozenset[str]:
 
 def is_purely_modal(f: Formula) -> bool:
     return not free_atoms(f)
-
-
-@lru_cache(maxsize=None)
-def modal_depth(f: Formula) -> int:
-    if isinstance(f, (Atom, Bot)):
-        return 0
-    if isinstance(f, Imp):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    if isinstance(f, Box):
-        return 1 + modal_depth(f.sub)
-    if isinstance(f, Rhd):
-        return 1 + max(modal_depth(f.left), modal_depth(f.right))
-    return 1 + modal_depth(f.sub)
 
 
 def subformulas(f: Formula) -> list[Formula]:
@@ -706,10 +689,6 @@ def classical_entails(gamma: Iterable[Formula], a: Formula) -> bool:
 
 def tautology(a: Formula) -> bool:
     return classical_entails((), a)
-
-
-def classically_equivalent(a: Formula, b: Formula) -> bool:
-    return classical_entails((a,), b) and classical_entails((b,), a)
 
 
 # ---------------------------------------------------------------------------

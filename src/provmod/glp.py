@@ -7,15 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from provmod import formulas as fm
 from provmod.formulas import (
     FALSUM,
     OMEGA,
-    Atom,
-    Bot,
-    BoxN,
     Formula,
-    Imp,
     atom,
     boxn,
     imp,
@@ -23,7 +18,7 @@ from provmod.formulas import (
     neg,
     top,
 )
-from provmod.kripke import ModelError
+from provmod.kripke import ModelError, _check_query, evaluate
 from provmod.theories import TheoryOracle, classicality_violations
 
 
@@ -121,35 +116,16 @@ class PolyModel:
 def glp_forces(model: PolyModel, world, f: Formula) -> bool:
     """Truth at a world; an index-n box asks the level-n theories of the
     level-n successors."""
-    if world not in model.worlds:
-        raise PolyModelError(f"unknown world {world!r}")
-    if f.lang not in (None, OMEGA):
-        raise PolyModelError("poly evaluation takes omega-language formulas")
-    memo = model._memo
+    _check_query(model, world, f, OMEGA, PolyModelError)
 
-    def ev(w, g) -> bool:
-        key = (w, g)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(g, Atom):
-            val = (w, g.name) in model.valuation
-        elif isinstance(g, Bot):
-            val = False
-        elif isinstance(g, Imp):
-            val = (not ev(w, g.left)) or ev(w, g.right)
-        elif isinstance(g, BoxN):
-            if g.index > model.max_index:
-                raise PolyModelError(
-                    f"box index {g.index} above max index {model.max_index}")
-            val = all(model.theory(u, g.index).derives(g.sub)
-                      for u in model.successors(w, g.index))
-        else:
-            raise PolyModelError(f"cannot evaluate {g!r} here")
-        memo[key] = val
-        return val
+    def box(w, g):
+        if g.index > model.max_index:
+            raise PolyModelError(
+                f"box index {g.index} above max index {model.max_index}")
+        return all(model.theory(u, g.index).derives(g.sub)
+                   for u in model.successors(w, g.index))
 
-    return ev(world, f)
+    return evaluate(model, world, f, box, model._memo)
 
 
 def glp_forces_plus_0(model: PolyModel, world, f: Formula) -> bool:

@@ -1,5 +1,11 @@
 """Finite Kripke and Veltman models: forcing, frame analysis, unravelling.
 
+Every semantics in the package shares the boolean clauses and differs only
+in its modal clause, so there is one evaluator, ``evaluate``, and each
+forcing relation (here and in ``provability`` and ``glp``) is a world and
+language check plus a modal clause handed to it.  Plus-forcing is likewise
+one function, ``plus``, over a per-world truth test.
+
 Worlds are arbitrary hashable ids (strings in documents).  Models are
 immutable after construction and evaluation is pure, so instances can be
 shared freely between threads.
@@ -10,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from provmod import formulas as fm
-from provmod.formulas import Atom, Bot, Box, BoxN, Formula, Imp, Rhd
+from provmod.formulas import Atom, Bot, Formula, Imp
 
 
 class ModelError(ValueError):
@@ -100,33 +106,76 @@ class KripkeModel:
                 f"{len(self.edges)} edges)")
 
 
+def evaluate(model, world, f: Formula, modal, memo: dict) -> bool:
+    """Truth of ``f`` at a world, shared by every semantics in the package.
+
+    Implication, atom and falsum nodes are walked with an explicit stack, so
+    long boolean chains need no recursion; the right side of an implication
+    is looked at only when its left side holds.  Atoms are read from
+    ``model.valuation``.  Every modal node goes to ``modal(world, node)``,
+    the one clause in which the semantics differ.  ``memo`` maps each world
+    to its own table from formulas to truth values, and callers share it
+    across calls on one model.
+    """
+    table = memo.get(world)
+    if table is None:
+        table = memo[world] = {}
+    val = table.get(f)
+    if val is not None:
+        return val
+    get = table.get
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        kind = type(g)
+        if kind is Imp:
+            val = get(g.left)
+            if val is None:
+                stack.append(g.left)
+                continue
+            if val:
+                val = get(g.right)
+                if val is None:
+                    stack.append(g.right)
+                    continue
+            else:
+                val = True
+        elif kind is Atom:
+            val = (world, g.name) in model.valuation
+        elif kind is Bot:
+            val = False
+        else:
+            val = modal(world, g)
+        table[g] = val
+        stack.pop()
+    return val
+
+
+def plus(model, world, holds) -> bool:
+    """Plus-forcing: ``holds`` at every strict descendant of some
+    predecessor of the world; false when the world has no predecessor."""
+    return any(all(holds(v) for v in model.descendants(u))
+               for u in model.predecessors(world))
+
+
+def _check_query(model, world, f: Formula, language: str, error=ModelError):
+    if world not in model.worlds:
+        raise error(f"unknown world {world!r}")
+    if f.lang not in (None, language):
+        raise error(f"{type(model).__name__} evaluation takes "
+                    f"{language}-language formulas")
+
+
 def forces(model: KripkeModel, world, f: Formula, _memo=None) -> bool:
     """Truth at a world; boxes quantify over one-step successors."""
-    if world not in model.worlds:
-        raise ModelError(f"unknown world {world!r}")
-    if f.lang not in (None, fm.BOX):
-        raise ModelError("Kripke forcing is defined for the box language")
+    _check_query(model, world, f, fm.BOX)
     memo = {} if _memo is None else _memo
 
-    def ev(w, g) -> bool:
-        key = (w, g)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(g, Atom):
-            val = g.name in model._true_atoms[w]
-        elif isinstance(g, Bot):
-            val = False
-        elif isinstance(g, Imp):
-            val = (not ev(w, g.left)) or ev(w, g.right)
-        elif isinstance(g, Box):
-            val = all(ev(u, g.sub) for u in model._succ[w])
-        else:
-            raise ModelError(f"cannot evaluate {g!r} on a Kripke model")
-        memo[key] = val
-        return val
+    def box(w, g):
+        return all(evaluate(model, u, g.sub, box, memo)
+                   for u in model._succ[w])
 
-    return ev(world, f)
+    return evaluate(model, world, f, box, memo)
 
 
 def forces_all(model: KripkeModel, formulas, worlds=None) -> dict:
@@ -147,10 +196,7 @@ def forces_plus(model: KripkeModel, world, f: Formula) -> bool:
     if world not in model.worlds:
         raise ModelError(f"unknown world {world!r}")
     memo: dict = {}
-    for u in model.predecessors(world):
-        if all(forces(model, v, f, _memo=memo) for v in model.descendants(u)):
-            return True
-    return False
+    return plus(model, world, lambda v: forces(model, v, f, _memo=memo))
 
 
 # ---------------------------------------------------------------------------
@@ -406,67 +452,34 @@ class VeltmanModel:
 def veltman_forces(model: VeltmanModel, world, f: Formula, _memo=None) -> bool:
     """Truth at a world.  A rhd B holds when every successor satisfying A
     has a preorder-successor satisfying B."""
-    if world not in model.worlds:
-        raise ModelError(f"unknown world {world!r}")
-    if f.lang not in (None, fm.RHD):
-        raise ModelError("Veltman forcing is defined for the rhd language")
+    _check_query(model, world, f, fm.RHD)
     memo = {} if _memo is None else _memo
 
-    def ev(w, g) -> bool:
-        key = (w, g)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(g, Atom):
-            val = g.name in model._true_atoms[w]
-        elif isinstance(g, Bot):
-            val = False
-        elif isinstance(g, Imp):
-            val = (not ev(w, g.left)) or ev(w, g.right)
-        elif isinstance(g, Rhd):
-            val = all((not ev(v, g.left))
-                      or any(ev(z, g.right) for z in model.above(w, v))
-                      for v in model._succ[w])
-        else:
-            raise ModelError(f"cannot evaluate {g!r} on a Veltman model")
-        memo[key] = val
-        return val
+    def rhd(w, g):
+        return all(not evaluate(model, v, g.left, rhd, memo)
+                   or any(evaluate(model, z, g.right, rhd, memo)
+                          for z in model.above(w, v))
+                   for v in model._succ[w])
 
-    return ev(world, f)
+    return evaluate(model, world, f, rhd, memo)
 
 
 def veltman_forces_alt(model: VeltmanModel, world, f: Formula) -> bool:
     """Symmetric variant of the rhd clause; agrees with ``veltman_forces``
     on valid Veltman models."""
-    if world not in model.worlds:
-        raise ModelError(f"unknown world {world!r}")
+    _check_query(model, world, f, fm.RHD)
     memo: dict = {}
 
-    def ev(w, g) -> bool:
-        key = (w, g)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(g, Atom):
-            val = g.name in model._true_atoms[w]
-        elif isinstance(g, Bot):
-            val = False
-        elif isinstance(g, Imp):
-            val = (not ev(w, g.left)) or ev(w, g.right)
-        elif isinstance(g, Rhd):
-            val = True
-            for v in model._succ[w]:
-                up = model.above(w, v)
-                if any(ev(z, g.left) for z in up) and \
-                        not any(ev(z, g.right) for z in up):
-                    val = False
-                    break
-        else:
-            raise ModelError(f"cannot evaluate {g!r} on a Veltman model")
-        memo[key] = val
-        return val
+    def rhd(w, g):
+        for v in model._succ[w]:
+            up = model.above(w, v)
+            if any(evaluate(model, z, g.left, rhd, memo) for z in up) and \
+                    not any(evaluate(model, z, g.right, rhd, memo)
+                            for z in up):
+                return False
+        return True
 
-    return ev(world, f)
+    return evaluate(model, world, f, rhd, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -533,32 +546,16 @@ def unravelled_forces(u_model: UnravelledVeltman, sigma, f: Formula,
                       _memo=None) -> bool:
     """rhd clause on the unravelling, with the preorder witness on both
     sides of the implication."""
-    if sigma not in u_model.worlds:
-        raise ModelError(f"unknown path {sigma!r}")
+    _check_query(u_model, sigma, f, fm.RHD)
     memo = {} if _memo is None else _memo
 
-    def ev(s, g) -> bool:
-        key = (s, g)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(g, Atom):
-            val = (s, g.name) in u_model.valuation
-        elif isinstance(g, Bot):
-            val = False
-        elif isinstance(g, Imp):
-            val = (not ev(s, g.left)) or ev(s, g.right)
-        elif isinstance(g, Rhd):
-            val = True
-            for tau in u_model.successors(s):
-                up = u_model.above(tau)
-                if any(ev(eta, g.left) for eta in up) and \
-                        not any(ev(eta, g.right) for eta in up):
-                    val = False
-                    break
-        else:
-            raise ModelError(f"cannot evaluate {g!r} on an unravelling")
-        memo[key] = val
-        return val
+    def rhd(s, g):
+        for tau in u_model.successors(s):
+            up = u_model.above(tau)
+            if any(evaluate(u_model, eta, g.left, rhd, memo) for eta in up) \
+                    and not any(evaluate(u_model, eta, g.right, rhd, memo)
+                                for eta in up):
+                return False
+        return True
 
-    return ev(sigma, f)
+    return evaluate(u_model, sigma, f, rhd, memo)

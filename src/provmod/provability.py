@@ -1,13 +1,19 @@
 """Provability models: frames whose accessible worlds carry theories.
 
-A boxed formula holds at a world when every successor's theory derives the
-argument; the binary modal operator of the interpretability language is
-evaluated through diamond-consequence over a finite witness family.  On
-top of plain evaluation this module builds the two central constructions:
-lifting a Kripke model into an equivalent provability model, and
-generating the minimum necessitation-closed provability model over a
-bi-finite tree pre-model, which is what makes the countermodel pipelines
-produce decidable models.
+A provability model is a Kripke model whose modal clause asks a theory: a
+boxed formula holds at a world when every successor's theory derives the
+argument, and the binary modal operator of the interpretability language is
+evaluated through diamond-consequence over a finite witness family.  Both
+clauses run on ``kripke.evaluate``, which shares the boolean clauses and the
+per-world memo with every other semantics.
+
+On top of evaluation this module builds the two central constructions:
+lifting a Kripke model into an equivalent provability model, and generating
+the minimum necessitation-closed provability model over a bi-finite tree
+pre-model, which is what makes the countermodel pipelines produce decidable
+models.  A generated theory decides derivability by plus-forcing in the
+model it belongs to, so generated models stay lazy: evaluation reaches only
+the worlds and formulas a query needs.
 """
 
 from __future__ import annotations
@@ -21,12 +27,7 @@ from provmod.formulas import (
     BOX,
     FALSUM,
     RHD,
-    Atom,
-    Bot,
-    Box,
     Formula,
-    Imp,
-    Rhd,
     boxdot,
     boxes,
     conj,
@@ -40,8 +41,11 @@ from provmod.kripke import (
     KripkeModel,
     ModelError,
     VeltmanModel,
+    _check_query,
     check_frame,
+    evaluate,
     forces,
+    plus,
     unravel,
     unravelled_forces,
 )
@@ -62,7 +66,10 @@ from provmod.decide import (
     representatives_ilm,
 )
 
-# generated models evaluate deeply right-folded conjunctions
+# Evaluation walks boolean structure iteratively, but parse, to_text,
+# subformulas and free_atoms still recurse over formula depth, about three
+# frames per conjunct of a right-folded conjunction; generated models build
+# such conjunctions from whole axiom sets.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
 
@@ -95,7 +102,6 @@ class PreModel:
         self.language = language
         self._base = base
         self._succ = base._succ
-        self._true_atoms = base._true_atoms
         accessible = base.accessible_worlds()
         if set(theories) != set(accessible):
             missing = accessible - set(theories)
@@ -186,31 +192,12 @@ def _pre(model) -> PreModel:
 def pm_forces(model, world, f: Formula) -> bool:
     """Truth in a box-language provability model."""
     P = _pre(model)
-    if world not in P.worlds:
-        raise PreModelError(f"unknown world {world!r}")
-    if f.lang not in (None, BOX):
-        raise PreModelError("box-language evaluation only")
-    memo = P._memo
+    _check_query(P, world, f, BOX, PreModelError)
 
-    def ev(w, g) -> bool:
-        key = (w, g)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(g, Atom):
-            val = g.name in P._true_atoms[w]
-        elif isinstance(g, Bot):
-            val = False
-        elif isinstance(g, Imp):
-            val = (not ev(w, g.left)) or ev(w, g.right)
-        elif isinstance(g, Box):
-            val = all(P.theory(u).derives(g.sub) for u in P._succ[w])
-        else:
-            raise PreModelError(f"cannot evaluate {g!r} here")
-        memo[key] = val
-        return val
+    def box(w, g):
+        return all(P.theory(u).derives(g.sub) for u in P._succ[w])
 
-    return ev(world, f)
+    return evaluate(P, world, f, box, P._memo)
 
 
 def pm_forces_plus(model, world, f: Formula) -> bool:
@@ -219,14 +206,7 @@ def pm_forces_plus(model, world, f: Formula) -> bool:
     P = _pre(model)
     if world not in P.worlds:
         raise PreModelError(f"unknown world {world!r}")
-    for u in P.predecessors(world):
-        if all(pm_forces(P, v, f) for v in P.descendants(u)):
-            return True
-    return False
-
-
-def _family_key(e_family) -> tuple:
-    return tuple(e_family)
+    return plus(P, world, lambda v: pm_forces(P, v, f))
 
 
 def pm_forces_rhd(model, world, f: Formula, e_family=None) -> bool:
@@ -243,42 +223,16 @@ def pm_forces_rhd(model, world, f: Formula, e_family=None) -> bool:
         e_family = model.e_family
     if not e_family:
         raise PreModelError("rhd evaluation needs a nonempty witness family")
-    if world not in P.worlds:
-        raise PreModelError(f"unknown world {world!r}")
-    if f.lang not in (None, RHD):
-        raise PreModelError("rhd-language evaluation only")
-    key = _family_key(e_family)
-    memo = P._rhd_memos.setdefault(key, {})
+    _check_query(P, world, f, RHD, PreModelError)
     dia = [rdiamond(e) for e in e_family]
 
-    def ev(w, g) -> bool:
-        k = (w, g)
-        got = memo.get(k)
-        if got is not None:
-            return got
-        if isinstance(g, Atom):
-            val = g.name in P._true_atoms[w]
-        elif isinstance(g, Bot):
-            val = False
-        elif isinstance(g, Imp):
-            val = (not ev(w, g.left)) or ev(w, g.right)
-        elif isinstance(g, Rhd):
-            val = True
-            for u in P._succ[w]:
-                th = P.theory(u)
-                for de in dia:
-                    if th.derives(imp(g.right, de)) and \
-                            not th.derives(imp(g.left, de)):
-                        val = False
-                        break
-                if not val:
-                    break
-        else:
-            raise PreModelError(f"cannot evaluate {g!r} here")
-        memo[k] = val
-        return val
+    def rhd(w, g):
+        return not any(th.derives(imp(g.right, de))
+                       and not th.derives(imp(g.left, de))
+                       for th in map(P.theory, P._succ[w]) for de in dia)
 
-    return ev(world, f)
+    return evaluate(P, world, f, rhd,
+                    P._rhd_memos.setdefault(tuple(e_family), {}))
 
 
 def pm_forces_plus_rhd(model, world, f: Formula, e_family=None) -> bool:
@@ -287,10 +241,7 @@ def pm_forces_plus_rhd(model, world, f: Formula, e_family=None) -> bool:
         e_family = model.e_family
     if world not in P.worlds:
         raise PreModelError(f"unknown world {world!r}")
-    for u in P.predecessors(world):
-        if all(pm_forces_rhd(P, v, f, e_family) for v in P.descendants(u)):
-            return True
-    return False
+    return plus(P, world, lambda v: pm_forces_rhd(P, v, f, e_family))
 
 
 def is_purely_modal_family_complete(model, family, e_family=None) -> list:
@@ -553,9 +504,6 @@ def l_isomorphism_witness(m1, m2, family):
                 return (w, f)
     return None
 
-
-# ---------------------------------------------------------------------------
-# countermodel pipelines
 
 # ---------------------------------------------------------------------------
 # axiom soundness suites

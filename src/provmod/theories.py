@@ -51,9 +51,9 @@ class TheoryError(ValueError):
 class TheoryOracle:
     """A theory with a derivability decision method.
 
-    ``derives`` is pure; results are memoized under the canonical print
-    string, and the cache is idempotent, so concurrent use behaves as if
-    the oracle were stateless.
+    ``derives`` is pure; results are memoized under the interned formula
+    (one entry per call of the decision method), and the cache is
+    idempotent, so concurrent use behaves as if the oracle were stateless.
     """
 
     language: str
@@ -69,11 +69,10 @@ class TheoryOracle:
         if f.lang not in (None, self.language):
             raise TheoryError(
                 f"formula {to_text(f)} is outside the {self.language} language")
-        key = to_text(f)
-        got = self._memo.get(key)
+        got = self._memo.get(f)
         if got is None:
             got = bool(self.decide(f))
-            self._memo[key] = got
+            self._memo[f] = got
         return got
 
     def __repr__(self):

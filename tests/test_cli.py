@@ -68,6 +68,30 @@ def test_eval_on_kripke_document(capsys, tmp_path):
     assert code == 1
 
 
+def test_eval_trace_holds_skeleton_inputs(capsys, tmp_path):
+    k = KripkeModel(["w0", "w1"], [("w0", "w1")], [("w1", "p")])
+    path = tmp_path / "model.json"
+    docio.save_path(path, docio.model_to_doc(k))
+    code, out, _ = run(capsys, "--json", "eval", "--model", str(path),
+                       "--world", "w0", "(p -> []p) & [][]bot")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] is True
+    assert payload["trace"] == {"p": False, "[]p": True, "[][]bot": True}
+
+
+def test_eval_trace_skips_what_the_model_cannot_evaluate(capsys, tmp_path):
+    finite = finite_axioms_mp([p], language="omega")
+    m = PolyModel(["w", "u"], {0: [("w", "u")]}, {"u": {0: finite}},
+                  [("u", "p")])
+    path = tmp_path / "poly.json"
+    docio.save_path(path, docio.model_to_doc(m))
+    code, out, _ = run(capsys, "--json", "eval", "--model", str(path),
+                       "--world", "w", "p -> [3]p")
+    assert code == 0
+    assert json.loads(out)["trace"] == {"p": False}
+
+
 def test_eval_on_premodel_document(capsys, tmp_path):
     pre = PreModel(["w0", "w1"], [("w0", "w1")], [],
                    {"w1": finite_axioms_mp([p])})
@@ -175,6 +199,19 @@ def test_error_exit_code(capsys):
     code, _, err = run(capsys, "eval", "--model", "/nonexistent.json",
                        "--world", "w", "p")
     assert code == 2
+
+
+def test_unexpected_exception_exits_two(capsys, monkeypatch):
+    from provmod import cli
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_reps", crash)
+    code, out, err = run(capsys, "reps", "--logic", "gl", "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert err.rstrip().splitlines()[-1] == "error: RuntimeError: boom"
 
 
 def test_json_output_is_deterministic(capsys):

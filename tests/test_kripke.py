@@ -36,6 +36,9 @@ from provmod.kripke import (
     veltman_forces,
     veltman_forces_alt,
 )
+from provmod.glp import PolyModel, glp_forces
+from provmod.provability import PreModel, pm_forces, pm_forces_rhd
+from provmod.theories import finite_axioms_mp
 
 p = atom("p")
 q = atom("q")
@@ -81,12 +84,60 @@ def test_forces_commutes_with_booleans():
             assert forces(k, w, neg(a)) == (not forces(k, w, a))
 
 
-def test_forces_rejects_unknown_world_and_language():
-    k = chain(1)
+def _entry_point(name):
+    """(holds(world, f), a world, the language) for one forcing relation,
+    on two worlds w0 -> w1 where p holds at both and every theory has p
+    as its axiom."""
+    worlds, edges = ["w0", "w1"], [("w0", "w1")]
+    val = [("w0", "p"), ("w1", "p")]
+    veltman = VeltmanModel(worlds, edges, {"w0": [("w1", "w1")]}, val)
+    if name == "forces":
+        k = KripkeModel(worlds, edges, val)
+        return (lambda w, f: forces(k, w, f)), "w0", fm.BOX
+    if name == "veltman_forces":
+        return (lambda w, f: veltman_forces(veltman, w, f)), "w0", RHD
+    if name == "veltman_forces_alt":
+        return (lambda w, f: veltman_forces_alt(veltman, w, f)), "w0", RHD
+    if name == "unravelled_forces":
+        u = unravel(veltman)
+        return (lambda w, f: unravelled_forces(u, w, f)), ("w0",), RHD
+    if name == "pm_forces":
+        pre = PreModel(worlds, edges, val, {"w1": finite_axioms_mp([p])})
+        return (lambda w, f: pm_forces(pre, w, f)), "w0", fm.BOX
+    if name == "pm_forces_rhd":
+        pre = PreModel(worlds, edges, val,
+                       {"w1": finite_axioms_mp([p], language=RHD)}, RHD)
+        return (lambda w, f: pm_forces_rhd(pre, w, f, [p])), "w0", RHD
+    poly = PolyModel(worlds, {0: edges},
+                     {"w1": {0: finite_axioms_mp([p], language=fm.OMEGA)}},
+                     val)
+    return (lambda w, f: glp_forces(poly, w, f)), "w0", fm.OMEGA
+
+
+ENTRY_POINTS = ("forces", "veltman_forces", "veltman_forces_alt",
+                "unravelled_forces", "pm_forces", "pm_forces_rhd",
+                "glp_forces")
+UNARY_BOX = {fm.BOX: box, RHD: rbox, fm.OMEGA: lambda f: fm.boxn(0, f)}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_forces_rejects_unknown_world_and_language(name):
+    holds, world, lang = _entry_point(name)
+    other = rhd(p, q) if lang == fm.BOX else box(p)
+    assert holds(world, UNARY_BOX[lang](p))
     with pytest.raises(ModelError):
-        forces(k, "nope", p)
+        holds("nope", p)
     with pytest.raises(ModelError):
-        forces(k, "w0", rhd(p, q))
+        holds(world, other)
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_long_conjunctions_evaluate_without_recursion(name):
+    holds, world, lang = _entry_point(name)
+    for item in (p, UNARY_BOX[lang](p)):
+        items = [item] * 7000
+        assert holds(world, fm.conj(items))
+        assert not holds(world, fm.conj(items + [FALSUM]))
 
 
 def test_forces_all_matches_forces():
