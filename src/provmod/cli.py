@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success / true / theorem / clean reports, 1 for false /
 non-theorem / reported violations, 2 for errors (bad input, schema
-violations, exceeded envelopes) and for any unexpected exception.
+violations, exceeded envelopes) and for any unexpected exception, 3 for
+"unknown up to the bound" (a bounded ILM search found no countermodel).
 ``--json`` switches stdout to a stable machine-readable form.
 """
 
@@ -16,6 +17,7 @@ from provmod import formulas as fm
 from provmod.formulas import BOX, OMEGA, RHD, parse, to_text
 from provmod import docio
 from provmod.decide import (
+    NO_COUNTERMODEL_UP_TO_BOUND,
     NON_THEOREM,
     decide,
     representatives_gl,
@@ -101,6 +103,8 @@ def cmd_decide(args) -> int:
             sys.stdout.write(docio.to_dot(verdict.countermodel,
                                           designated=verdict.world))
     _emit(args, payload, verdict.status)
+    if verdict.status == NO_COUNTERMODEL_UP_TO_BOUND:
+        return 3
     return 0 if verdict.is_theorem else 1
 
 

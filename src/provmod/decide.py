@@ -491,9 +491,6 @@ class RepresentativeSet:
         return veltman_forces(model, "v0", f)
 
 
-_CLASS_CAP = 4096
-
-
 def _gl_types(n: int, atom_names: tuple[str, ...]) -> list[TreeType]:
     vals = [frozenset(c) for k in range(len(atom_names) + 1)
             for c in itertools.combinations(atom_names, k)]
@@ -550,16 +547,15 @@ def representatives_gl(n: int, atom_names) -> RepresentativeSet:
     """One member per equivalence class of the height-bounded fragment,
     built as disjunctions of tree-type characteristic formulas."""
     atom_names = tuple(sorted(atom_names))
-    if n > 2 or len(atom_names) > 2:
-        raise EnvelopeError("representatives are supported for n <= 2 and "
-                            "at most 2 atoms")
+    # one class per set of types; n = 2 over 2 atoms has 64 types
+    k = len(atom_names)
+    if not (n <= 1 and k <= 2 or n == 2 and k <= 1):
+        raise EnvelopeError("representatives are supported for n <= 1 with "
+                            "at most 2 atoms, or n = 2 with at most 1 atom")
     if n == 0:
         return RepresentativeSet(GL_LOGIC, 0, atom_names, (FALSUM,),
                                  (frozenset(),), (), (), ())
     types = _gl_types(n, atom_names)
-    if 1 << len(types) > _CLASS_CAP:
-        raise EnvelopeError(f"{len(types)} types give more than "
-                            f"{_CLASS_CAP} classes")
     chars = _gl_char_formulas(types, atom_names)
     models = tuple(_gl_type_model(types, i) for i in range(len(types)))
     return _representative_set(GL_LOGIC, n, atom_names, types, chars, models)

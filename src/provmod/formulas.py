@@ -452,29 +452,68 @@ def sort_key(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # structural analysis
 
+def _children(g: Formula) -> tuple[Formula, ...]:
+    if isinstance(g, (Imp, Rhd)):
+        return (g.left, g.right)
+    if isinstance(g, (Box, BoxN)):
+        return (g.sub,)
+    return ()
+
+
+def _boolean_children(g: Formula) -> tuple[Formula, ...]:
+    return (g.left, g.right) if isinstance(g, Imp) else ()
+
+
+def _fold(f: Formula, descend, combine, done: dict | None = None):
+    """Value of ``f`` computed children-first (left-first post-order), each
+    distinct node once: ``combine(g, values)`` gets the values of the
+    children ``descend(g)`` lists.  ``done`` holds the values found so far,
+    keyed by node, in the order they were found."""
+    done = {} if done is None else done
+    stack = [(f, None)]
+    while stack:
+        g, kids = stack.pop()
+        if kids is not None:
+            done[g] = combine(g, [done[k] for k in kids])
+        elif g not in done:
+            kids = descend(g)
+            stack.append((g, kids))
+            for k in reversed(kids):
+                if k not in done:
+                    stack.append((k, None))
+    return done[f]
+
+
+def _leaves(f: Formula, descend) -> list[Formula]:
+    """Distinct nodes that ``descend`` lists no children of, reached from
+    ``f`` in left-first order of first occurrence, each node visited once."""
+    out: list[Formula] = []
+    seen: set[Formula] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        kids = descend(g)
+        if kids:
+            stack.extend(reversed(kids))
+        else:
+            out.append(g)
+    return out
+
+
 @lru_cache(maxsize=None)
 def atoms(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset((f.name,))
-    if isinstance(f, Bot):
-        return frozenset()
-    if isinstance(f, Imp):
-        return atoms(f.left) | atoms(f.right)
-    if isinstance(f, Box):
-        return atoms(f.sub)
-    if isinstance(f, Rhd):
-        return atoms(f.left) | atoms(f.right)
-    return atoms(f.sub)
+    return frozenset(g.name for g in _leaves(f, _children)
+                     if isinstance(g, Atom))
 
 
 @lru_cache(maxsize=None)
 def free_atoms(f: Formula) -> frozenset[str]:
     """Atoms occurring outside the scope of every modal operator."""
-    if isinstance(f, Atom):
-        return frozenset((f.name,))
-    if isinstance(f, Imp):
-        return free_atoms(f.left) | free_atoms(f.right)
-    return frozenset()
+    return frozenset(g.name for g in _leaves(f, _boolean_children)
+                     if isinstance(g, Atom))
 
 
 def is_purely_modal(f: Formula) -> bool:
@@ -482,44 +521,18 @@ def is_purely_modal(f: Formula) -> bool:
 
 
 def subformulas(f: Formula) -> list[Formula]:
-    """All distinct subformulas, children before parents."""
+    """All distinct subformulas, children before parents (left-first
+    post-order)."""
     seen: dict[Formula, None] = {}
-
-    def walk(g: Formula):
-        if g in seen:
-            return
-        if isinstance(g, Imp):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, Box):
-            walk(g.sub)
-        elif isinstance(g, Rhd):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, BoxN):
-            walk(g.sub)
-        seen[g] = None
-
-    walk(f)
+    _fold(f, _children, lambda g, kids: None, seen)
     return list(seen)
 
 
 def outer_modal_subformulas(f: Formula) -> list[Formula]:
-    """Outermost modal subformulas, in first-occurrence order."""
-    out: list[Formula] = []
-    seen: set[Formula] = set()
-
-    def walk(g: Formula):
-        if isinstance(g, (Box, Rhd, BoxN)):
-            if g not in seen:
-                seen.add(g)
-                out.append(g)
-        elif isinstance(g, Imp):
-            walk(g.left)
-            walk(g.right)
-
-    walk(f)
-    return out
+    """Outermost modal subformulas, in first-occurrence (left-first
+    pre-order) order."""
+    return [g for g in _leaves(f, _boolean_children)
+            if not isinstance(g, (Atom, Bot))]
 
 
 def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
@@ -527,20 +540,20 @@ def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
     if not mapping:
         return f
 
-    def walk(g: Formula) -> Formula:
+    def combine(g, kids):
         if isinstance(g, Atom):
             return mapping.get(g.name, g)
-        if isinstance(g, Bot):
-            return g
         if isinstance(g, Imp):
-            return imp(walk(g.left), walk(g.right))
+            return imp(*kids)
         if isinstance(g, Box):
-            return box(walk(g.sub))
+            return box(*kids)
         if isinstance(g, Rhd):
-            return rhd(walk(g.left), walk(g.right))
-        return boxn(g.index, walk(g.sub))
+            return rhd(*kids)
+        if isinstance(g, BoxN):
+            return boxn(g.index, *kids)
+        return g
 
-    return walk(f)
+    return _fold(f, _children, combine)
 
 
 # ---------------------------------------------------------------------------
@@ -583,15 +596,8 @@ def skeleton(f: Formula) -> Skeleton:
     mods = outer_modal_subformulas(f)
     names = _fresh_names(len(mods), atoms(f))
     replacement = {m: atom(n) for m, n in zip(mods, names)}
-
-    def walk(g: Formula) -> Formula:
-        if g in replacement:
-            return replacement[g]
-        if isinstance(g, Imp):
-            return imp(walk(g.left), walk(g.right))
-        return g
-
-    sk = walk(f)
+    sk = _fold(f, _boolean_children,
+               lambda g, kids: imp(*kids) if kids else replacement.get(g, g))
     return Skeleton(
         skeleton=sk,
         p_atoms=tuple(sorted(free_atoms(f))),
@@ -606,16 +612,21 @@ def pre_interpolant(f: Formula) -> Formula:
 
     Conjunction, over every true/false assignment to the free atoms, of the
     skeleton instantiated with that assignment and with the abstracted modal
-    subformulas put back.  Assignments are enumerated with top first, in
+    subformulas put back; that is, of ``f`` with the assignment put in for
+    its free atoms.  Assignments are enumerated with top first, in
     lexicographic atom order.
     """
-    sk = skeleton(f)
-    binding = sk.binding_map
+    names = sorted(free_atoms(f))
     instances = []
-    for bits in itertools.product((top(), FALSUM), repeat=len(sk.p_atoms)):
-        subst = dict(binding)
-        subst.update(zip(sk.p_atoms, bits))
-        instances.append(substitute(sk.skeleton, subst))
+    for bits in itertools.product((top(), FALSUM), repeat=len(names)):
+        value = dict(zip(names, bits))
+
+        def combine(g, kids):
+            if kids:
+                return imp(*kids)
+            return value.get(g.name, g) if isinstance(g, Atom) else g
+
+        instances.append(_fold(f, _boolean_children, combine))
     return conj(instances)
 
 
@@ -655,22 +666,16 @@ def _tables(fs: list[Formula], limit: int = 22) -> tuple[list[int], int]:
         assign[x] = _var_pattern(i, nvals)
     memo: dict[Formula, int] = {}
 
-    def table(g: Formula) -> int:
-        got = memo.get(g)
-        if got is not None:
-            return got
+    def table(g: Formula, kids: list) -> int:
+        if kids:
+            return (~kids[0] | kids[1]) & full
         if isinstance(g, Atom):
-            val = assign[g.name]
-        elif isinstance(g, Bot):
-            val = 0
-        elif isinstance(g, Imp):
-            val = (~table(g.left) | table(g.right)) & full
-        else:
-            val = assign[g]
-        memo[g] = val
-        return val
+            return assign[g.name]
+        if isinstance(g, Bot):
+            return 0
+        return assign[g]
 
-    return [table(f) for f in fs], full
+    return [_fold(f, _boolean_children, table, memo) for f in fs], full
 
 
 def classical_entails(gamma: Iterable[Formula], a: Formula) -> bool:

@@ -66,10 +66,11 @@ from provmod.decide import (
     representatives_ilm,
 )
 
-# Evaluation walks boolean structure iteratively, but parse, to_text,
-# subformulas and free_atoms still recurse over formula depth, about three
-# frames per conjunct of a right-folded conjunction; generated models build
-# such conjunctions from whole axiom sets.
+# Evaluation and the formula walks are iterative, but parse and to_text
+# still recurse over formula depth, one to three frames per conjunct of a
+# right-folded conjunction; generated models build such conjunctions from
+# whole axiom sets, and print them as sort keys.  (The tableaux in decide
+# also recurse, once per branching implication.)
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
 
@@ -117,6 +118,7 @@ class PreModel:
                     f"speaks {language}")
         self.theories = dict(theories)
         self._memo: dict = {}
+        # per witness family: its diamonds and its memo of truth values
         self._rhd_memos: dict = {}
 
     def successors(self, w):
@@ -224,15 +226,18 @@ def pm_forces_rhd(model, world, f: Formula, e_family=None) -> bool:
     if not e_family:
         raise PreModelError("rhd evaluation needs a nonempty witness family")
     _check_query(P, world, f, RHD, PreModelError)
-    dia = [rdiamond(e) for e in e_family]
+    key = tuple(e_family)
+    family = P._rhd_memos.get(key)
+    if family is None:
+        family = P._rhd_memos[key] = ([rdiamond(e) for e in key], {})
+    dia, memo = family
 
     def rhd(w, g):
         return not any(th.derives(imp(g.right, de))
                        and not th.derives(imp(g.left, de))
                        for th in map(P.theory, P._succ[w]) for de in dia)
 
-    return evaluate(P, world, f, rhd,
-                    P._rhd_memos.setdefault(tuple(e_family), {}))
+    return evaluate(P, world, f, rhd, memo)
 
 
 def pm_forces_plus_rhd(model, world, f: Formula, e_family=None) -> bool:

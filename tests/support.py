@@ -16,7 +16,9 @@ from provmod.formulas import (
     Bot,
     Box,
     Imp,
+    Rhd,
     box,
+    boxn,
     diamond,
     imp,
     land,
@@ -59,6 +61,94 @@ def random_purely_modal(rng, depth, atom_pool):
     if kind == "and":
         return land(sub(), sub())
     return lor(sub(), sub())
+
+
+# ---------------------------------------------------------------------------
+# tree-walk references for the formula rewriting: each walks every
+# occurrence, shared subterms again, so they suit small formulas only
+
+def tree_substitute(f, mapping):
+    if isinstance(f, Atom):
+        return mapping.get(f.name, f)
+    if isinstance(f, Bot):
+        return f
+    if isinstance(f, Imp):
+        return imp(tree_substitute(f.left, mapping),
+                   tree_substitute(f.right, mapping))
+    if isinstance(f, Box):
+        return box(tree_substitute(f.sub, mapping))
+    if isinstance(f, Rhd):
+        return rhd(tree_substitute(f.left, mapping),
+                   tree_substitute(f.right, mapping))
+    return boxn(f.index, tree_substitute(f.sub, mapping))
+
+
+def tree_atoms(f, free_only=False):
+    """Atom names, or with ``free_only`` those outside every modal operator."""
+    if isinstance(f, Atom):
+        return {f.name}
+    if isinstance(f, Imp):
+        return tree_atoms(f.left, free_only) | tree_atoms(f.right, free_only)
+    if isinstance(f, Bot) or free_only:
+        return set()
+    if isinstance(f, Rhd):
+        return tree_atoms(f.left) | tree_atoms(f.right)
+    return tree_atoms(f.sub)
+
+
+def tree_subformulas(f, out=None):
+    """Distinct subformulas in left-first post-order."""
+    out = {} if out is None else out
+    if isinstance(f, (Imp, Rhd)):
+        tree_subformulas(f.left, out)
+        tree_subformulas(f.right, out)
+    elif not isinstance(f, (Atom, Bot)):
+        tree_subformulas(f.sub, out)
+    out.setdefault(f)
+    return list(out)
+
+
+def tree_outer_modal_subformulas(f):
+    """Outermost modal subformulas in left-first order of first occurrence."""
+    if isinstance(f, Imp):
+        out = tree_outer_modal_subformulas(f.left)
+        out += [m for m in tree_outer_modal_subformulas(f.right)
+                if m not in out]
+        return out
+    if isinstance(f, (Atom, Bot)):
+        return []
+    return [f]
+
+
+def tree_skeleton(f):
+    """(skeleton, p_atoms, q_atoms, bindings), as ``fm.skeleton`` returns."""
+    mods = tree_outer_modal_subformulas(f)
+    used = tree_atoms(f)
+    names = [n for n in (f"q{i}" for i in range(len(mods) + len(used)))
+             if n not in used][:len(mods)]
+    replacement = dict(zip(mods, map(fm.atom, names)))
+
+    def walk(g):
+        if g in replacement:
+            return replacement[g]
+        if isinstance(g, Imp):
+            return imp(walk(g.left), walk(g.right))
+        return g
+
+    return (walk(f), tuple(sorted(tree_atoms(f, free_only=True))),
+            tuple(names), tuple(zip(names, mods)))
+
+
+def tree_pre_interpolant(f):
+    """The skeleton instantiated with each assignment to the free atoms, top
+    first, with the modal subformulas put back, conjoined."""
+    sk, p_atoms, _, bindings = tree_skeleton(f)
+    instances = []
+    for bits in itertools.product((top(), FALSUM), repeat=len(p_atoms)):
+        mapping = dict(bindings)
+        mapping.update(zip(p_atoms, bits))
+        instances.append(tree_substitute(sk, mapping))
+    return fm.conj(instances)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 from provmod import docio
 from provmod.cli import main
+from provmod.decide import NO_COUNTERMODEL_UP_TO_BOUND
 from provmod.formulas import atom, box, parse
 from provmod.kripke import KripkeModel, VeltmanModel
 from provmod.glp import PolyModel
@@ -41,6 +42,14 @@ def test_decide_ilm(capsys):
     code, out, _ = run(capsys, "decide", "--logic", "ilm", "--bound", "2",
                        "p |> q")
     assert code == 1
+
+
+def test_decide_ilm_unknown_up_to_bound_exits_three(capsys):
+    # no countermodel up to the bound is not a refutation, so not exit 1
+    code, out, _ = run(capsys, "--json", "decide", "--logic", "ilm",
+                       "--bound", "3", "p |> p")
+    assert code == 3
+    assert json.loads(out)["status"] == NO_COUNTERMODEL_UP_TO_BOUND
 
 
 def test_interpret_exit_codes(capsys):
@@ -90,6 +99,17 @@ def test_eval_trace_skips_what_the_model_cannot_evaluate(capsys, tmp_path):
                        "--world", "w", "p -> [3]p")
     assert code == 0
     assert json.loads(out)["trace"] == {"p": False}
+
+
+def test_eval_of_a_long_conjunction_answers(capsys, tmp_path):
+    # evaluation and the trace's atom walk no longer recurse per conjunct
+    path = tmp_path / "one.json"
+    docio.save_path(path, docio.model_to_doc(KripkeModel(["w"], [], [])))
+    code, out, _ = run(capsys, "--json", "eval", "--model", str(path),
+                       "--world", "w", " & ".join(["p"] * 7000))
+    assert code == 1
+    assert json.loads(out) == {"value": False, "world": "w",
+                               "trace": {"p": False}}
 
 
 def test_eval_on_premodel_document(capsys, tmp_path):

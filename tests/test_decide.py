@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -288,6 +289,23 @@ def test_representatives_gl_envelope():
         representatives_gl(3, ["p"])
     with pytest.raises(EnvelopeError):
         representatives_gl(2, ["p", "q"])
+
+
+def test_representatives_gl_envelope_is_checked_up_front(monkeypatch):
+    # the declared envelope is the real one: what it admits builds, what it
+    # refuses is refused before any type is built
+    assert len(representatives_gl(1, ["p", "q"]).members) == 16
+    assert len(representatives_gl(2, []).members) == 1 << 2
+
+    def no_types(*args):
+        raise AssertionError("types built outside the envelope")
+
+    # the package re-exports the function decide under the module's name
+    monkeypatch.setattr(importlib.import_module("provmod.decide"),
+                        "_gl_types", no_types)
+    for n, names in [(2, ["p", "q"]), (1, ["p", "q", "r"]), (3, [])]:
+        with pytest.raises(EnvelopeError, match="n = 2 with at most 1 atom"):
+            representatives_gl(n, names)
 
 
 def test_representatives_cover_generated_formulas():

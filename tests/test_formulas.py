@@ -1,12 +1,15 @@
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import support
 from provmod import formulas as fm
 from provmod.formulas import (
     BOX,
     FALSUM,
+    LANGUAGES,
     OMEGA,
     RHD,
     Phrase,
@@ -345,8 +348,11 @@ def _formula_st(lang):
     base = st.one_of(_atom_st, st.just(FALSUM), st.just(top()))
     if lang == BOX:
         modal = lambda c: st.one_of(c.map(box), c.map(diamond))
-    else:
+    elif lang == RHD:
         modal = lambda c: st.tuples(c, c).map(lambda ab: rhd(*ab))
+    else:
+        modal = lambda c: st.tuples(st.integers(0, 2), c).map(
+            lambda ia: boxn(*ia))
     return st.recursive(
         base,
         lambda c: st.one_of(
@@ -390,3 +396,67 @@ def test_pre_interpolant_is_strongest(f):
 @given(_formula_st(BOX))
 def test_skeleton_roundtrip(f):
     assert skeleton(f).restore() is f
+
+
+# ---------------------------------------------------------------------------
+# the rewriting walks each distinct node once, and agrees with a tree walk
+
+@st.composite
+def _formula_and_mapping(draw):
+    lang = draw(st.sampled_from(LANGUAGES))
+    f = draw(_formula_st(lang))
+    names = draw(st.lists(st.sampled_from(["p", "q", "r"]), unique=True))
+    return f, {n: draw(_formula_st(lang)) for n in names}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_formula_and_mapping())
+def test_rewriting_matches_a_tree_walk(case):
+    f, mapping = case
+    assert substitute(f, mapping) is support.tree_substitute(f, mapping)
+    sk = skeleton(f)
+    assert (sk.skeleton, sk.p_atoms, sk.q_atoms, sk.bindings) == \
+        support.tree_skeleton(f)
+    assert fm.outer_modal_subformulas(f) == \
+        support.tree_outer_modal_subformulas(f)
+    assert fm.subformulas(f) == support.tree_subformulas(f)
+    assert fm.atoms(f) == support.tree_atoms(f)
+    assert fm.free_atoms(f) == support.tree_atoms(f, free_only=True)
+    assert pre_interpolant(f) is support.tree_pre_interpolant(f)
+
+
+def _within(seconds, fn):
+    """fn(), failing with TimeoutError once it runs ``seconds``: a walk that
+    revisits shared nodes fails instead of running for days."""
+    def expire(signum, frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _doubling(g, levels=40):
+    for _ in range(levels):
+        g = imp(g, g)
+    return g
+
+
+def test_rewriting_a_doubling_dag_visits_each_node_once():
+    # 44 distinct nodes, about 5 * 2**40 read as a tree
+    f = _doubling(imp(p, box(q)))
+    assert len(fm.subformulas(f)) == 44
+    got = _within(1.0, lambda: substitute(f, {"p": box(r), "q": p}))
+    assert got is _doubling(imp(box(r), box(p)))
+    sk = _within(1.0, lambda: skeleton(f))
+    assert sk.skeleton is _doubling(imp(p, atom("q0")))
+    assert sk.bindings == (("q0", box(q)),)
+    assert sk.p_atoms == ("p",)
+    assert fm.outer_modal_subformulas(f) == [box(q)]
+    star = _within(1.0, lambda: pre_interpolant(f))
+    assert star is land(_doubling(imp(top(), box(q))),
+                        _doubling(imp(FALSUM, box(q))))

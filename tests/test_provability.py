@@ -277,6 +277,29 @@ def test_rhd_box_encoding_matches_direct_derivability():
         assert encoded == direct, str(f)
 
 
+def test_pm_forces_rhd_answers_alike_before_and_after_its_memo_is_warm():
+    def generated():
+        seed = PreModel(["r", "a", "b"], [("r", "a"), ("a", "b")],
+                        [("a", "p")],
+                        {"a": finite_axioms_mp([p], language=RHD),
+                         "b": finite_axioms_mp([], language=RHD)}, RHD)
+        return generate_ilm(seed, e_family=[top(), FALSUM, p, q])
+
+    queries = [(w, parse(t, RHD)) for w in ("r", "a", "b") for t in (
+        "p |> q", "q |> p", "p |> bot", "[]p", "<>q |> q",
+        "[](p -> q) -> (p |> q)", "(p |> q) & (q |> bot) -> (p |> bot)")]
+    cold = [pm_forces_rhd(generated(), w, f) for w, f in queries]
+    model = generated()
+    warming = [pm_forces_rhd(model, w, f) for w, f in queries]
+    # one entry per witness family: its diamonds, built once, and its memo
+    (dia, _), = model.pre._rhd_memos.values()
+    assert dia == [rdiamond(e) for e in model.e_family]
+    warm = [pm_forces_rhd(model, w, f) for w, f in queries]
+    assert model.pre._rhd_memos[model.e_family][0] is dia
+    assert cold == warming == warm
+    assert True in cold and False in cold
+
+
 def test_rhd_needs_family():
     model = rhd_two_chain()
     with pytest.raises(PreModelError):
