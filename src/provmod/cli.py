@@ -14,7 +14,7 @@ import json
 import sys
 
 from provmod import formulas as fm
-from provmod.formulas import BOX, OMEGA, RHD, parse, to_text
+from provmod.formulas import BOX, RHD, parse, to_text
 from provmod import docio
 from provmod.decide import (
     NO_COUNTERMODEL_UP_TO_BOUND,
@@ -266,16 +266,9 @@ def cmd_check(args) -> int:
     model = _materialize(loaded, family)
 
     if args.suite == "frame":
-        holder = model
-        if hasattr(holder, "pre"):
-            holder = holder.pre
-        if hasattr(holder, "kripke_part"):
-            holder = holder.kripke_part()
         if loaded.kind == "poly":
-            from provmod.kripke import KripkeModel
-            holder = KripkeModel(model.worlds, model.edges[0],
-                                 model.valuation)
-        report = check_frame(holder)
+            model = model.levels[0]
+        report = check_frame(getattr(model, "pre", model))
         payload = {
             name: {"holds": bool(getattr(report, name)),
                    "witness": list(map(str, getattr(report, name).witness))

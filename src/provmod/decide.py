@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from provmod import formulas as fm
 from provmod.formulas import (
@@ -187,14 +186,9 @@ def _materialize(logic: str, root: _Node):
     root_id = build(root, {})
     edges = set(raw_edges)
     if logic in (K4_LOGIC, S4_LOGIC, GL_LOGIC):
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(edges):
-                for (c, d) in list(edges):
-                    if b == c and (a, d) not in edges:
-                        edges.add((a, d))
-                        changed = True
+        # the transitive closure: every strict descendant in the raw frame
+        frame = KripkeModel(worlds, raw_edges, ())
+        edges = {(w, u) for w in worlds for u in frame.descendants(w)}
     if logic == S4_LOGIC:
         edges |= {(w, w) for w in worlds}
     return KripkeModel(worlds, edges, valuation), root_id

@@ -14,10 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from provmod import formulas as fm
-from provmod.formulas import BOX, OMEGA, RHD, parse, to_text
+from provmod.formulas import BOX, OMEGA, RHD, parse
 from provmod.glp import PolyModel
-from provmod.kripke import KripkeModel, UnravelledVeltman, VeltmanModel
+from provmod.kripke import KripkeModel, VeltmanModel
 from provmod.provability import PreModel, ProvabilityModel
 from provmod.theories import (
     TheoryOracle,
@@ -86,8 +85,6 @@ def model_to_doc(model, meta: dict | None = None) -> dict:
     doc: dict = {"version": SCHEMA_VERSION}
     if isinstance(model, ProvabilityModel):
         model = model.pre
-    if isinstance(model, UnravelledVeltman):
-        model = model.as_kripke()
 
     if isinstance(model, PolyModel):
         doc["language"] = OMEGA

@@ -9,8 +9,9 @@ re-sugars a fixed set of abbreviations.
 
 All formulas are interned: build them through the factory functions
 (``atom``, ``imp``, ``box``, ``rhd``, ``boxn`` and the derived helpers),
-never by calling the node classes directly.  Interning makes equality an
-identity check and lets evaluators use formulas as fast dictionary keys.
+never by calling the node classes directly.  Interning makes Python's
+default identity equality and hash the structural ones, so formulas are
+fast dictionary keys with no Python-level ``__hash__`` or ``__eq__``.
 """
 
 from __future__ import annotations
@@ -57,16 +58,7 @@ def _merge_lang(a: str | None, b: str | None, what: str) -> str | None:
 class Formula:
     """Base node.  Immutable; lang is None for purely boolean trees."""
 
-    __slots__ = ("lang", "_hash", "_text")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return self is other
-
-    def __ne__(self, other) -> bool:
-        return self is not other
+    __slots__ = ("lang", "_text")
 
     def __str__(self) -> str:
         return to_text(self)
@@ -111,7 +103,6 @@ def _make(cls, key: tuple, lang: str | None, **attrs) -> Formula:
         for name, value in attrs.items():
             setattr(node, name, value)
         node.lang = lang
-        node._hash = hash(key)
         node._text = None
         _intern[key] = node
     return node

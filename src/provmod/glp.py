@@ -1,6 +1,9 @@
 """Poly-modal provability models: indexed accessibility relations with one
 theory per accessible world and level, plus the property checker and the
 axiom-soundness harness for the poly-modal provability logic.
+
+A poly model holds one ``kripke.KripkeModel`` per index over shared worlds
+and valuation; its successors and descendants are read from those levels.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from provmod.formulas import (
     neg,
     top,
 )
-from provmod.kripke import ModelError, _check_query, evaluate
+from provmod.kripke import KripkeModel, ModelError, _check_query, evaluate
 from provmod.theories import TheoryOracle, classicality_violations
 
 
@@ -29,37 +32,30 @@ class PolyModelError(ModelError):
 class PolyModel:
     """Finite frame with accessibility relations indexed 0..max_index.
 
-    Theories are attached to every level-0-accessible world at every level.
-    Worlds reachable on a higher level but not on level 0 would have no
-    theory to consult, so such edges are rejected outright.
+    ``levels[n]`` is the level-n ``KripkeModel``; every level has the same
+    worlds and valuation, so the generic frame checks raise ``ModelError``
+    from there.  Theories are attached to every level-0-accessible world at
+    every level.  Worlds reachable on a higher level but not on level 0
+    would have no theory to consult, so such edges are rejected outright.
     """
 
     def __init__(self, worlds, edges, theories, valuation, max_index=None):
-        self.worlds = frozenset(worlds)
-        if not self.worlds:
-            raise PolyModelError("a model needs at least one world")
-        levels = {int(n): frozenset(tuple(e) for e in es)
-                  for n, es in edges.items()}
+        by_level = {int(n): es for n, es in edges.items()}
         if max_index is None:
-            max_index = max(levels, default=0)
+            max_index = max(by_level, default=0)
         self.max_index = int(max_index)
-        self.edges = {n: levels.get(n, frozenset())
-                      for n in range(self.max_index + 1)}
-        for n, es in levels.items():
-            if n > self.max_index:
-                raise PolyModelError(f"edge level {n} above max index "
-                                     f"{self.max_index}")
-        for n, es in self.edges.items():
-            for (w, u) in es:
-                if w not in self.worlds or u not in self.worlds:
-                    raise PolyModelError(f"edge {(w, u)!r} leaves the world set")
-        self.valuation = frozenset((w, a) for (w, a) in valuation)
-        for w, a in self.valuation:
-            if w not in self.worlds:
-                raise PolyModelError(f"valuation entry {(w, a)!r} leaves "
-                                     f"the world set")
+        if self.max_index < 0 or \
+                not all(0 <= n <= self.max_index for n in by_level):
+            raise PolyModelError(f"edge levels {sorted(by_level)} must lie "
+                                 f"in 0..{self.max_index}")
+        base = KripkeModel(worlds, by_level.get(0, ()), valuation)
+        self.levels = (base,) + tuple(
+            KripkeModel(base.worlds, by_level.get(n, ()), base.valuation)
+            for n in range(1, self.max_index + 1))
+        self.worlds, self.valuation = base.worlds, base.valuation
+        self.edges = {n: level.edges for n, level in enumerate(self.levels)}
 
-        accessible = frozenset(u for (_, u) in self.edges[0])
+        accessible = base.accessible_worlds()
         self.accessible0 = accessible
         for n, es in self.edges.items():
             for (w, u) in es:
@@ -83,14 +79,10 @@ class PolyModel:
                 raise PolyModelError(f"theory at {(w, n)!r} speaks "
                                      f"{oracle.language}")
         self._theories = flat
-        self._succ = {n: {w: tuple(sorted((u for (x, u) in self.edges[n]
-                                           if x == w), key=str))
-                          for w in self.worlds}
-                      for n in range(self.max_index + 1)}
         self._memo: dict = {}
 
     def successors(self, w, n=0):
-        return self._succ[n][w]
+        return self.levels[n].successors(w)
 
     def theory(self, w, n) -> TheoryOracle:
         try:
@@ -99,14 +91,7 @@ class PolyModel:
             raise PolyModelError(f"no theory at {(w, n)!r}") from None
 
     def descendants0(self, w):
-        seen = set()
-        stack = list(self._succ[0][w])
-        while stack:
-            u = stack.pop()
-            if u not in seen:
-                seen.add(u)
-                stack.extend(self._succ[0][u])
-        return frozenset(seen)
+        return self.levels[0].descendants(w)
 
     def __repr__(self):
         return (f"PolyModel({len(self.worlds)} worlds, "

@@ -1,5 +1,11 @@
 """Finite Kripke and Veltman models: forcing, frame analysis, unravelling.
 
+``KripkeModel`` is the one frame class: it alone validates a frame and
+indexes its successors, predecessors and descendants.  Veltman models,
+their unravellings and provability pre-models are Kripke models with more
+structure on top, and a poly model holds one Kripke model per level, so
+``check_frame`` takes any of them as it is (a poly model level by level).
+
 Every semantics in the package shares the boolean clauses and differs only
 in its modal clause, so there is one evaluator, ``evaluate``, and each
 forcing relation (here and in ``provability`` and ``glp``) is a world and
@@ -48,28 +54,31 @@ class KripkeModel:
         if not self.worlds:
             raise ModelError("a model needs at least one world")
         self.edges = frozenset((w, u) for (w, u) in edges)
+        succ = {w: [] for w in self.worlds}
+        pred = {w: [] for w in self.worlds}
         for w, u in self.edges:
-            if w not in self.worlds or u not in self.worlds:
+            if w not in succ or u not in succ:
                 raise ModelError(f"edge {(w, u)!r} leaves the world set")
+            succ[w].append(u)
+            pred[u].append(w)
         self.valuation = frozenset((w, a) for (w, a) in valuation)
         for w, a in self.valuation:
             if w not in self.worlds:
                 raise ModelError(f"valuation entry {(w, a)!r} leaves the world set")
-        self._succ = {w: tuple(sorted((u for (x, u) in self.edges if x == w),
-                                      key=_world_key))
-                      for w in self.worlds}
-        self._true_atoms = {w: frozenset(a for (x, a) in self.valuation if x == w)
-                            for w in self.worlds}
+        self._succ = {w: tuple(sorted(us, key=_world_key))
+                      for w, us in succ.items()}
+        self._pred = {w: tuple(sorted(xs, key=_world_key))
+                      for w, xs in pred.items()}
         self._descendants = None
 
     def successors(self, w):
         return self._succ[w]
 
     def predecessors(self, w):
-        return tuple(sorted((x for (x, u) in self.edges if u == w), key=_world_key))
+        return self._pred[w]
 
     def true_atoms(self, w):
-        return self._true_atoms[w]
+        return frozenset(a for (x, a) in self.valuation if x == w)
 
     def descendants(self, w):
         """Worlds reachable in one or more steps (strict)."""
@@ -248,54 +257,22 @@ def _find_cycle(worlds, succ):
 
 
 def check_frame(model) -> FrameReport:
-    """Frame properties with witnesses.  In the finite case converse
+    """Frame properties with witnesses, read off the model's own successor,
+    predecessor and descendant tables.  In the finite case converse
     well-foundedness is exactly acyclicity."""
     worlds = sorted(model.worlds, key=_world_key)
-    edges = model.edges
-    succ = {w: [u for u in worlds if (w, u) in edges] for w in worlds}
+    edges, succ, desc = model.edges, model._succ, model.descendants
 
     refl_w = next((w for w in worlds if (w, w) not in edges), None)
     irr_w = next((w for w in worlds if (w, w) in edges), None)
-
-    trans_w = None
-    for w in worlds:
-        for u in succ[w]:
-            for v in succ[u]:
-                if (w, v) not in edges:
-                    trans_w = (w, u, v)
-                    break
-            if trans_w:
-                break
-        if trans_w:
-            break
-
+    trans_w = next(((w, u, v) for w in worlds for u in succ[w]
+                    for v in succ[u] if (w, v) not in edges), None)
     cycle = _find_cycle(worlds, succ)
-
-    # strict reachability, for the comparability condition below
-    desc = {}
-    for start in worlds:
-        seen = set()
-        stack = list(succ[start])
-        while stack:
-            u = stack.pop()
-            if u not in seen:
-                seen.add(u)
-                stack.extend(succ[u])
-        desc[start] = seen
-
-    tree_w = None
-    for v in worlds:
-        preds = [w for w in worlds if (w, v) in edges]
-        for i, w in enumerate(preds):
-            for u in preds[i + 1:]:
-                if w is u or u in desc[w] or w in desc[u]:
-                    continue
-                tree_w = (w, u, v)
-                break
-            if tree_w:
-                break
-        if tree_w:
-            break
+    # two predecessors of one world must be comparable
+    tree_w = next(((w, u, v) for v in worlds
+                   for i, w in enumerate(model.predecessors(v))
+                   for u in model.predecessors(v)[i + 1:]
+                   if u not in desc(w) and w not in desc(u)), None)
 
     return FrameReport(
         reflexive=PropertyCheck(refl_w is None,
@@ -354,7 +331,7 @@ def hat_less(model, w, u) -> bool:
 # ---------------------------------------------------------------------------
 # Veltman models
 
-class VeltmanModel:
+class VeltmanModel(KripkeModel):
     """Frame with one preorder per world, over that world's successors.
 
     The frame clauses are checked eagerly and violations carry a witness.
@@ -363,19 +340,15 @@ class VeltmanModel:
     """
 
     def __init__(self, worlds, edges, preorders, valuation):
-        base = KripkeModel(worlds, edges, valuation)
-        self.worlds = base.worlds
-        self.edges = base.edges
-        self.valuation = base.valuation
-        self._succ = base._succ
-        self._true_atoms = base._true_atoms
-        self._descendants = None
-        self._base = base
-
+        super().__init__(worlds, edges, valuation)
+        for w in preorders:
+            if w not in self.worlds:
+                raise VeltmanFrameError(f"preorder at unknown world {w!r}",
+                                        (w,))
         pre = {}
         for w in self.worlds:
             pairs = frozenset(tuple(p) for p in preorders.get(w, ()))
-            succ = set(base._succ[w])
+            succ = set(self._succ[w])
             for (u, v) in pairs:
                 if u not in succ or v not in succ:
                     raise VeltmanFrameError(
@@ -392,38 +365,25 @@ class VeltmanModel:
             pre[w] = pairs
         self.preorders = pre
 
-        cycle = _find_cycle(self.worlds,
-                            {w: list(base._succ[w]) for w in self.worlds})
+        cycle = _find_cycle(self.worlds, self._succ)
         if cycle is not None:
             raise VeltmanFrameError("accessibility is not converse well-founded",
                                     cycle)
 
         for w in self.worlds:
-            for u in base._succ[w]:
-                for v in base._succ[u]:
-                    if (u, v) not in pre.get(w, frozenset()):
+            for u in self._succ[w]:
+                for v in self._succ[u]:
+                    if (u, v) not in pre[w]:
                         raise VeltmanFrameError(
                             "two accessibility steps must land preorder-above",
                             (w, u, v))
         for w in self.worlds:
             for (u, v) in pre[w]:
-                for z in base._succ[v]:
+                for z in self._succ[v]:
                     if (u, z) not in self.edges:
                         raise VeltmanFrameError(
                             "preorder-below a world must reach its successors",
                             (w, u, v, z))
-
-    def successors(self, w):
-        return self._succ[w]
-
-    def descendants(self, w):
-        return self._base.descendants(w)
-
-    def accessible_worlds(self):
-        return self._base.accessible_worlds()
-
-    def true_atoms(self, w):
-        return self._true_atoms[w]
 
     def above(self, w, v):
         """Worlds z with v preorder-below z at w."""
@@ -485,11 +445,11 @@ def veltman_forces_alt(model: VeltmanModel, world, f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # unravelling
 
-class UnravelledVeltman:
+class UnravelledVeltman(KripkeModel):
     """Tree of strictly ascending paths through a Veltman model.
 
     Worlds are tuples of original worlds; the per-world preorders collapse
-    into a single sibling preorder.  Not itself a Veltman model, but rhd
+    into a single sibling preorder.  A Kripke model, not a Veltman one: rhd
     evaluation is defined on it and matches the source model at path ends.
     """
 
@@ -501,36 +461,26 @@ class UnravelledVeltman:
             worlds.append(sigma)
             for u in source.successors(sigma[-1]):
                 stack.append(sigma + (u,))
+        super().__init__(
+            worlds,
+            ((sigma, sigma + (u,)) for sigma in worlds
+             for u in source.successors(sigma[-1])),
+            ((sigma, a) for sigma in worlds
+             for a in source.true_atoms(sigma[-1])))
         self.source = source
-        self.worlds = frozenset(worlds)
-        self.edges = frozenset((sigma, sigma + (u,))
-                               for sigma in self.worlds
-                               for u in source.successors(sigma[-1]))
         pre = set()
         for eta in self.worlds:
             w = eta[-1]
             for (u, v) in source.preorders[w]:
                 pre.add((eta + (u,), eta + (v,)))
         self.preorder = frozenset(pre)
-        self.valuation = frozenset((sigma, a)
-                                   for sigma in self.worlds
-                                   for a in source.true_atoms(sigma[-1]))
-        self._succ = {sigma: tuple(sorted((tau for (s, tau) in self.edges
-                                           if s == sigma), key=str))
-                      for sigma in self.worlds}
         self._above = {}
         for (s, t) in self.preorder:
             self._above.setdefault(s, []).append(t)
 
-    def successors(self, sigma):
-        return self._succ[sigma]
-
     def above(self, sigma):
         """Paths preorder-above sigma (as a sibling of its parent)."""
         return tuple(sorted(self._above.get(sigma, ()), key=str))
-
-    def accessible_worlds(self):
-        return frozenset(t for (_, t) in self.edges)
 
     def as_kripke(self) -> KripkeModel:
         return KripkeModel(self.worlds, self.edges, self.valuation)

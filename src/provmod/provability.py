@@ -5,7 +5,10 @@ boxed formula holds at a world when every successor's theory derives the
 argument, and the binary modal operator of the interpretability language is
 evaluated through diamond-consequence over a finite witness family.  Both
 clauses run on ``kripke.evaluate``, which shares the boolean clauses and the
-per-world memo with every other semantics.
+per-world memo with every other semantics.  A pre-model (``PreModel``) is
+a ``KripkeModel`` with a theory at each accessible world, so frame checks
+and plus-forcing take it as it is; a ``ProvabilityModel`` wraps one with
+the certificate for its modal completeness.
 
 On top of evaluation this module builds the two central constructions:
 lifting a Kripke model into an equivalent provability model, and generating
@@ -92,18 +95,20 @@ class ProjectionError(ModelError):
         self.witness = witness
 
 
-class PreModel:
-    """Frame, valuation and one theory per accessible world."""
+class PreModel(KripkeModel):
+    """Frame, valuation and one theory per accessible world.
+
+    Equality is identity: two pre-models on one frame with different
+    theories are different models.
+    """
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, worlds, edges, valuation, theories, language=BOX):
-        base = KripkeModel(worlds, edges, valuation)
-        self.worlds = base.worlds
-        self.edges = base.edges
-        self.valuation = base.valuation
+        super().__init__(worlds, edges, valuation)
         self.language = language
-        self._base = base
-        self._succ = base._succ
-        accessible = base.accessible_worlds()
+        accessible = self.accessible_worlds()
         if set(theories) != set(accessible):
             missing = accessible - set(theories)
             extra = set(theories) - accessible
@@ -121,20 +126,9 @@ class PreModel:
         # per witness family: its diamonds and its memo of truth values
         self._rhd_memos: dict = {}
 
-    def successors(self, w):
-        return self._succ[w]
-
-    def predecessors(self, w):
-        return self._base.predecessors(w)
-
-    def descendants(self, w):
-        return self._base.descendants(w)
-
-    def accessible_worlds(self):
-        return self._base.accessible_worlds()
-
     def kripke_part(self) -> KripkeModel:
-        return self._base
+        """The bare frame and valuation, without the theories."""
+        return KripkeModel(self.worlds, self.edges, self.valuation)
 
     def theory(self, w) -> TheoryOracle:
         try:
@@ -338,9 +332,9 @@ def project_and_check(model, family) -> tuple[KripkeModel, ProjectionReport]:
     P = _pre(model)
     if P.language != BOX:
         raise PreModelError("projection is defined for box-language models")
-    if not check_frame(P.kripke_part()).transitive:
-        raise ProjectionError("frame is not transitive",
-                              check_frame(P.kripke_part()).transitive.witness)
+    transitive = check_frame(P).transitive
+    if not transitive:
+        raise ProjectionError("frame is not transitive", transitive.witness)
     closed: dict[Formula, None] = {}
     for f in family:
         for g in fm.subformulas(f):
@@ -394,7 +388,7 @@ class GeneratedTheory:
 def _check_seed(seed: PreModel, language: str):
     if seed.language != language:
         raise GenerationError(f"seed model must speak {language}")
-    report = check_frame(seed.kripke_part())
+    report = check_frame(seed)
     if not report.converse_well_founded:
         raise GenerationError(
             f"seed frame has a cycle: {report.converse_well_founded.witness}")

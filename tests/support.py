@@ -152,6 +152,23 @@ def tree_pre_interpolant(f):
 
 
 # ---------------------------------------------------------------------------
+# reference closure for the tableau countermodels
+
+def fixpoint_closure(edges) -> frozenset:
+    """Transitive closure by adding composed pairs until nothing changes."""
+    closed = set(edges)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(closed):
+            for (c, d) in list(closed):
+                if b == c and (a, d) not in closed:
+                    closed.add((a, d))
+                    changed = True
+    return frozenset(closed)
+
+
+# ---------------------------------------------------------------------------
 # exhaustive pointed-model enumeration for the lift sweep (one atom)
 
 def canonical_model_codes(n: int) -> np.ndarray:

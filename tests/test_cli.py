@@ -212,6 +212,57 @@ def test_check_glp(capsys, tmp_path):
     assert code == 1  # finite axiom theories are not nec-closed
 
 
+def _frame_payload(capsys, path):
+    code, out, err = run(capsys, "--json", "check", "--model", str(path),
+                         "--suite", "frame")
+    assert (code, err) == (0, "")
+    return json.loads(out)
+
+
+def test_check_frame_on_poly_document(capsys, tmp_path):
+    finite = finite_axioms_mp([p], language="omega")
+    m = PolyModel(["w", "u", "v"], {0: [("w", "u"), ("u", "v")], 1: []},
+                  {"u": {0: finite, 1: finite}, "v": {0: finite, 1: finite}},
+                  [], max_index=1)
+    path = tmp_path / "poly.json"
+    docio.save_path(path, docio.model_to_doc(m))
+    payload = _frame_payload(capsys, path)
+    assert payload["transitive"] == {"holds": False,
+                                     "witness": ["w", "u", "v"]}
+    assert payload["tree"]["holds"]
+    assert payload["reflexive"]["witness"] == ["u"]
+
+
+def test_check_frame_on_veltman_document(capsys, tmp_path):
+    v = VeltmanModel(["a", "b", "c"], [("a", "b"), ("a", "c")],
+                     {"a": [("b", "b"), ("c", "c"), ("b", "c")]}, [])
+    path = tmp_path / "veltman.json"
+    docio.save_path(path, docio.model_to_doc(v))
+    payload = _frame_payload(capsys, path)
+    assert payload["transitive"]["holds"]
+    assert payload["irreflexive"]["holds"]
+    assert payload["converse_well_founded"]["holds"]
+    assert payload["reflexive"]["witness"] == ["a"]
+
+
+def test_malformed_model_documents_are_rejected(capsys, tmp_path):
+    docs = {
+        "poly": {"language": "omega", "worlds": ["w"],
+                 "edges": {"-1": [["w", "w"]]}, "theories": {}},
+        "veltman": {"language": "rhd", "worlds": ["q", "r"],
+                    "edges": [["q", "r"]],
+                    "preorders": {"q": [["r", "r"]], "zz": [["q", "r"]]}},
+    }
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", "--model", str(path),
+                             "--suite", "frame")
+        assert code == 2, name
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err, err
+
+
 def test_error_exit_code(capsys):
     code, _, err = run(capsys, "decide", "--logic", "gl", "p |> q")
     assert code == 2

@@ -182,6 +182,27 @@ def test_countermodels_verified_in_class():
             assert not forces(verdict.countermodel, verdict.world, parse(text))
 
 
+@pytest.mark.parametrize("logic", ["k4", "s4", "gl"])
+def test_countermodel_edges_are_the_closure_of_the_tableau_edges(logic):
+    import support
+
+    decide_mod = importlib.import_module("provmod.decide")
+    refuted = 0
+    for text in GL_THEOREMS + GL_NON_THEOREMS:
+        root = decide_mod._search(logic, frozenset({(parse(text), False)}),
+                                  ())
+        if root is None:
+            continue
+        raw, _ = decide_mod._materialize("k", root)
+        model, _ = decide_mod._materialize(logic, root)
+        expected = support.fixpoint_closure(raw.edges)
+        if logic == "s4":
+            expected |= {(w, w) for w in raw.worlds}
+        assert model.edges == expected, text
+        refuted += 1
+    assert refuted >= len(GL_NON_THEOREMS)
+
+
 def test_decide_rejects_wrong_language():
     with pytest.raises(DecisionError):
         decide_gl(rhd(p, q))

@@ -93,6 +93,8 @@ def test_unravelled_worlds_serialize_as_paths():
     u = unravel(v)
     doc = docio.model_to_doc(u)
     assert "w/u" in doc["worlds"]
+    assert doc == docio.model_to_doc(u.as_kripke())
+    assert doc["language"] == "box"
 
 
 def test_generated_theories_refuse_direct_serialization():

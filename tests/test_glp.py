@@ -54,6 +54,25 @@ def test_poly_model_structural_validation():
                   {"u": {0: leaf}}, [], max_index=1)
 
 
+def test_poly_model_rejects_negative_levels():
+    for max_index in (None, 0, 1):
+        with pytest.raises(PolyModelError):
+            PolyModel(["w"], {0: [], -1: [("w", "w")]}, {}, [],
+                      max_index=max_index)
+    with pytest.raises(PolyModelError):
+        PolyModel(["w"], {-1: [("w", "w")]}, {}, [])
+
+
+def test_poly_model_levels_share_worlds_and_valuation():
+    m = fixture_chain()
+    assert [level.worlds for level in m.levels] == \
+        [m.worlds] * (m.max_index + 1)
+    assert all(level.valuation == m.valuation for level in m.levels)
+    assert m.edges == {n: level.edges for n, level in enumerate(m.levels)}
+    for w in m.worlds:
+        assert m.descendants0(w) == m.levels[0].descendants(w)
+
+
 def test_vacuous_boxes():
     m = fixture_empty()
     for n in range(3):

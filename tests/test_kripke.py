@@ -397,3 +397,77 @@ def test_alt_clause_agrees_on_enumerated_corpus():
                     veltman_forces_alt(m, w, f)
         count += 1
     assert count > 50
+
+
+# ---------------------------------------------------------------------------
+# one frame class: every model kind checks its frame through KripkeModel
+
+def _kripke_frames():
+    import support
+
+    return [support.decode_model(int(code), 3)
+            for code in support.canonical_model_codes(3)[::7]]
+
+
+def _veltman_models():
+    from provmod.decide import enumerate_veltman_models
+
+    return list(enumerate_veltman_models(3, ["p"]))
+
+
+def _premodels():
+    return [PreModel(k.worlds, k.edges, k.valuation,
+                     {w: finite_axioms_mp([p]) for w in k.accessible_worlds()})
+            for k in _kripke_frames()]
+
+
+def _poly_levels():
+    out = []
+    for k in _kripke_frames():
+        theory = finite_axioms_mp([], language=fm.OMEGA)
+        level1 = [(w, u) for (w, u) in k.edges if w <= u]
+        m = PolyModel(k.worlds, {0: k.edges, 1: level1},
+                      {w: {0: theory, 1: theory}
+                       for w in k.accessible_worlds()},
+                      k.valuation)
+        out.extend(m.levels)
+    return out
+
+
+@pytest.mark.parametrize("models", [
+    _veltman_models,
+    lambda: [unravel(v) for v in _veltman_models()],
+    _premodels,
+    _poly_levels,
+], ids=["veltman", "unravelled", "premodel", "poly_level"])
+def test_check_frame_reads_the_same_frame_for_every_model_kind(models):
+    found = models()
+    assert len(found) > 10
+    witnessed = 0
+    for m in found:
+        report = check_frame(m)
+        assert report == check_frame(KripkeModel(m.worlds, m.edges,
+                                                 m.valuation))
+        witnessed += sum(check.witness is not None for check in
+                         (report.reflexive, report.transitive, report.tree))
+    assert witnessed > 0
+
+
+def test_premodels_on_one_frame_are_different_models():
+    frame = chain(2)
+    one = PreModel(frame.worlds, frame.edges, (),
+                   {"w1": finite_axioms_mp([p])})
+    other = PreModel(frame.worlds, frame.edges, (),
+                     {"w1": finite_axioms_mp([q])})
+    assert one != other
+    assert one == one
+    assert len({one, other}) == 2
+    assert one.kripke_part() == frame
+    assert type(one.kripke_part()) is KripkeModel
+
+
+def test_veltman_preorder_at_an_unknown_world_is_rejected():
+    with pytest.raises(VeltmanFrameError) as info:
+        VeltmanModel(["q", "r"], [("q", "r")],
+                     {"q": [("r", "r")], "zz": [("q", "r")]}, [])
+    assert info.value.witness == ("zz",)
