@@ -263,12 +263,12 @@ def cmd_reps(args) -> int:
 def cmd_check(args) -> int:
     loaded = _load_model(args.model)
     family = _read_family(args.family, loaded.language) if args.family else None
-    model = _materialize(loaded, family)
 
     if args.suite == "frame":
-        if loaded.kind == "poly":
-            model = model.levels[0]
-        report = check_frame(getattr(model, "pre", model))
+        # generating a seed adds theories, never worlds or edges, so the
+        # frame is read off the document as it was loaded
+        model = loaded.model.levels[0] if loaded.kind == "poly" else loaded.model
+        report = check_frame(model)
         payload = {
             name: {"holds": bool(getattr(report, name)),
                    "witness": list(map(str, getattr(report, name).witness))
@@ -279,6 +279,7 @@ def cmd_check(args) -> int:
               "\n".join(f"{k}: {v['holds']}" for k, v in payload.items()))
         return 0
 
+    model = _materialize(loaded, family)
     if args.suite == "classical":
         if loaded.kind == "poly":
             from provmod.theories import classicality_violations

@@ -386,32 +386,52 @@ def _model_height(n: int, rel: set) -> int:
     return max((d(i) for i in range(n)), default=0)
 
 
+def _minimizers(perms, code):
+    """The least ``code(pi)`` over ``perms``, and the permutations reaching it."""
+    codes = [code(pi) for pi in perms]
+    least = min(codes)
+    return least, [pi for pi, c in zip(perms, codes) if c == least]
+
+
 def enumerate_veltman_models(n: int, atom_names, max_height: int | None = None):
     """All valid Veltman models on n worlds over the given atoms, pruned to
-    one representative per isomorphism class."""
+    one representative per isomorphism class.
+
+    A labelled model is kept when its canonical code is new.  The code is
+    the lexicographic least, over all n! relabellings pi, of the triple
+    (frame code, preorder code, valuation code), each the sorted image of
+    that part under pi.  A lexicographic minimum is reached only by the
+    relabellings that minimize the first part, and among those only by the
+    ones that minimize the second.  So the frame code is minimized once per
+    strict poset over all n! relabellings, the preorder code once per
+    preorder combination over the frame's minimizers, and each valuation
+    only over what is left: one relabelling, or a few when the frame has
+    automorphisms.  The code, and so every yielded model and its order, is
+    the one a minimum over all n! full triples gives.
+    """
     atom_names = sorted(atom_names)
     worlds = [f"v{i}" for i in range(n)]
     perms = list(itertools.permutations(range(n)))
+    cells = [(i, a) for i in range(n) for a in atom_names]
     seen = set()
     for rel in _strict_posets(n):
         if max_height is not None and _model_height(n, rel) >= max_height:
             continue
+        frame_code, frame_perms = _minimizers(
+            perms, lambda pi: tuple(sorted((pi[a], pi[b]) for (a, b) in rel)))
         options = [list(_preorder_options(rel, n, w)) for w in range(n)]
         for combo in itertools.product(*options):
-            cells = [(i, a) for i in range(n) for a in atom_names]
+            preorder_code, preorder_perms = _minimizers(
+                frame_perms,
+                lambda pi: tuple(sorted(
+                    (pi[w], tuple(sorted((pi[x], pi[y])
+                                         for (x, y) in combo[w])))
+                    for w in range(n))))
             for bits in itertools.product((False, True), repeat=len(cells)):
                 val = {cell for cell, b in zip(cells, bits) if b}
-                code = min(
-                    (
-                        tuple(sorted((pi[a], pi[b]) for (a, b) in rel)),
-                        tuple(sorted(
-                            (pi[w], tuple(sorted((pi[x], pi[y])
-                                                 for (x, y) in combo[w])))
-                            for w in range(n))),
-                        tuple(sorted((pi[i], a) for (i, a) in val)),
-                    )
-                    for pi in perms
-                )
+                code = (frame_code, preorder_code,
+                        min(tuple(sorted((pi[i], a) for (i, a) in val))
+                            for pi in preorder_perms))
                 if code in seen:
                     continue
                 seen.add(code)

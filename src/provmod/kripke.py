@@ -230,29 +230,29 @@ class FrameReport:
 
 
 def _find_cycle(worlds, succ):
+    """The first cycle ``(w, ..., w)`` met by a depth-first search from the
+    worlds in order, or None.  The search keeps its path and one successor
+    iterator per path world on explicit stacks, so a long chain needs no
+    recursion."""
     color = {w: 0 for w in worlds}
-    stack_path: list = []
-
-    def dfs(w):
-        color[w] = 1
-        stack_path.append(w)
-        for u in succ[w]:
-            if color[u] == 1:
-                i = stack_path.index(u)
-                return tuple(stack_path[i:] + [u])
-            if color[u] == 0:
-                got = dfs(u)
-                if got:
-                    return got
-        color[w] = 2
-        stack_path.pop()
-        return None
-
-    for w in sorted(worlds, key=_world_key):
-        if color[w] == 0:
-            got = dfs(w)
-            if got:
-                return got
+    for start in sorted(worlds, key=_world_key):
+        if color[start]:
+            continue
+        color[start] = 1
+        path = [start]
+        pending = [iter(succ[start])]
+        while pending:
+            for u in pending[-1]:
+                if color[u] == 1:
+                    return tuple(path[path.index(u):] + [u])
+                if color[u] == 0:
+                    color[u] = 1
+                    path.append(u)
+                    pending.append(iter(succ[u]))
+                    break
+            else:
+                color[path.pop()] = 2
+                pending.pop()
     return None
 
 

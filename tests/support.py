@@ -1,10 +1,12 @@
 """Shared helpers for the acceptance suite: seeded formula generators,
-exhaustive model enumerations with isomorphism pruning, and a vectorized
-dual evaluator for the lift-equivalence sweep."""
+exhaustive model enumerations with isomorphism pruning, slow reference
+versions of optimized library code, and a vectorized dual evaluator for
+the lift-equivalence sweep."""
 
 from __future__ import annotations
 
 import itertools
+import signal
 
 import numpy as np
 
@@ -151,6 +153,52 @@ def tree_pre_interpolant(f):
     return fm.conj(instances)
 
 
+def within(seconds, fn):
+    """fn(), failing with TimeoutError once it runs ``seconds``: a search
+    that does the work it was meant to skip fails instead of running for
+    days."""
+    def expire(signum, frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# ---------------------------------------------------------------------------
+# reference depth-first cycle search, one recursion per path world
+
+def recursive_find_cycle(worlds, succ):
+    color = {w: 0 for w in worlds}
+    stack_path: list = []
+
+    def dfs(w):
+        color[w] = 1
+        stack_path.append(w)
+        for u in succ[w]:
+            if color[u] == 1:
+                i = stack_path.index(u)
+                return tuple(stack_path[i:] + [u])
+            if color[u] == 0:
+                got = dfs(u)
+                if got:
+                    return got
+        color[w] = 2
+        stack_path.pop()
+        return None
+
+    for w in sorted(worlds, key=str):
+        if color[w] == 0:
+            got = dfs(w)
+            if got:
+                return got
+    return None
+
+
 # ---------------------------------------------------------------------------
 # reference closure for the tableau countermodels
 
@@ -166,6 +214,51 @@ def fixpoint_closure(edges) -> frozenset:
                     closed.add((a, d))
                     changed = True
     return frozenset(closed)
+
+
+# ---------------------------------------------------------------------------
+# reference Veltman enumeration: the full triple minimized over all n!
+# relabellings for every labelled candidate
+
+def reference_veltman_models(n: int, atom_names, max_height: int | None = None):
+    """All valid Veltman models on n worlds over the given atoms, pruned to
+    one representative per isomorphism class."""
+    from provmod.decide import _model_height, _preorder_options, _strict_posets
+    from provmod.kripke import VeltmanModel
+
+    atom_names = sorted(atom_names)
+    worlds = [f"v{i}" for i in range(n)]
+    perms = list(itertools.permutations(range(n)))
+    seen = set()
+    for rel in _strict_posets(n):
+        if max_height is not None and _model_height(n, rel) >= max_height:
+            continue
+        options = [list(_preorder_options(rel, n, w)) for w in range(n)]
+        for combo in itertools.product(*options):
+            cells = [(i, a) for i in range(n) for a in atom_names]
+            for bits in itertools.product((False, True), repeat=len(cells)):
+                val = {cell for cell, b in zip(cells, bits) if b}
+                code = min(
+                    (
+                        tuple(sorted((pi[a], pi[b]) for (a, b) in rel)),
+                        tuple(sorted(
+                            (pi[w], tuple(sorted((pi[x], pi[y])
+                                                 for (x, y) in combo[w])))
+                            for w in range(n))),
+                        tuple(sorted((pi[i], a) for (i, a) in val)),
+                    )
+                    for pi in perms
+                )
+                if code in seen:
+                    continue
+                seen.add(code)
+                yield VeltmanModel(
+                    worlds,
+                    [(worlds[a], worlds[b]) for (a, b) in rel],
+                    {worlds[w]: [(worlds[x], worlds[y]) for (x, y) in combo[w]]
+                     for w in range(n)},
+                    [(worlds[i], a) for (i, a) in val],
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,31 @@ def test_check_frame_on_veltman_document(capsys, tmp_path):
     assert payload["reflexive"]["witness"] == ["a"]
 
 
+def test_check_frame_on_a_seed_document_does_not_generate(capsys, tmp_path,
+                                                        monkeypatch):
+    pre = PreModel(["w0", "w1", "w2"], [("w0", "w1"), ("w0", "w2")], [],
+                   {"w1": finite_axioms_mp([p]), "w2": finite_axioms_mp([])})
+    seed_path = tmp_path / "seed.json"
+    docio.save_path(seed_path, docio.model_to_doc(pre, meta={"generate": True}))
+    expected = _frame_payload(capsys, seed_path)
+    assert expected["reflexive"] == {"holds": False, "witness": ["w0"]}
+    assert all(expected[name] == {"holds": True, "witness": None}
+               for name in ("irreflexive", "transitive",
+                            "converse_well_founded", "tree"))
+
+    from provmod import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the frame suite generated the model")
+
+    monkeypatch.setattr(cli, "generate_gl", refuse)
+    assert _frame_payload(capsys, seed_path) == expected
+    # the other suites still read the generated model
+    code, _, err = run(capsys, "check", "--model", str(seed_path),
+                       "--suite", "classical")
+    assert code == 2 and "the frame suite generated the model" in err
+
+
 def test_malformed_model_documents_are_rejected(capsys, tmp_path):
     docs = {
         "poly": {"language": "omega", "worlds": ["w"],

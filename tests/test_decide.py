@@ -267,14 +267,35 @@ def test_ilm_box_encoding_refutable():
 
 
 def test_veltman_enumeration_is_deduplicated():
+    import support
+
     models = list(enumerate_veltman_models(2, ["p"]))
     codes = set()
     for m in models:
         assert m not in codes
         codes.add(m)
-    # 2 worlds, poset empty or one edge, valuations over 2 cells
-    # up to iso: empty frame: 3 valuations-classes... just sanity-check count
-    assert 5 <= len(models) <= 12
+    counts = {(n, tuple(names)): len(list(enumerate_veltman_models(n, names)))
+              for n in (1, 2, 3) for names in (["p"], ["p", "q"])}
+    assert counts == {(1, ("p",)): 2, (2, ("p",)): 7, (3, ("p",)): 46,
+                      (1, ("p", "q")): 4, (2, ("p", "q")): 26,
+                      (3, ("p", "q")): 332}
+    # on a 2-vCPU VM, minimizing each labelled candidate over all 4!
+    # relabellings took about 4 s, minimizing level by level about 0.25 s
+    four = support.within(
+        2.0, lambda: sum(1 for _ in enumerate_veltman_models(4, ["p"])))
+    assert four == 683
+
+
+@pytest.mark.parametrize("n, names, max_height", [
+    (1, ["p"], None), (2, ["p"], None), (3, ["p"], None),
+    (1, ["p", "q"], None), (2, ["p", "q"], None), (3, ["p", "q"], None),
+    (3, ["p", "q"], 2), (3, ["p", "q"], 3)])
+def test_veltman_enumeration_matches_the_reference(n, names, max_height):
+    import support
+
+    got = list(enumerate_veltman_models(n, names, max_height=max_height))
+    assert got == list(support.reference_veltman_models(
+        n, names, max_height=max_height))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import random
-import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -425,21 +424,6 @@ def test_rewriting_matches_a_tree_walk(case):
     assert pre_interpolant(f) is support.tree_pre_interpolant(f)
 
 
-def _within(seconds, fn):
-    """fn(), failing with TimeoutError once it runs ``seconds``: a walk that
-    revisits shared nodes fails instead of running for days."""
-    def expire(signum, frame):
-        raise TimeoutError(f"not done within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return fn()
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _doubling(g, levels=40):
     for _ in range(levels):
         g = imp(g, g)
@@ -450,13 +434,13 @@ def test_rewriting_a_doubling_dag_visits_each_node_once():
     # 44 distinct nodes, about 5 * 2**40 read as a tree
     f = _doubling(imp(p, box(q)))
     assert len(fm.subformulas(f)) == 44
-    got = _within(1.0, lambda: substitute(f, {"p": box(r), "q": p}))
+    got = support.within(1.0, lambda: substitute(f, {"p": box(r), "q": p}))
     assert got is _doubling(imp(box(r), box(p)))
-    sk = _within(1.0, lambda: skeleton(f))
+    sk = support.within(1.0, lambda: skeleton(f))
     assert sk.skeleton is _doubling(imp(p, atom("q0")))
     assert sk.bindings == (("q0", box(q)),)
     assert sk.p_atoms == ("p",)
     assert fm.outer_modal_subformulas(f) == [box(q)]
-    star = _within(1.0, lambda: pre_interpolant(f))
+    star = support.within(1.0, lambda: pre_interpolant(f))
     assert star is land(_doubling(imp(top(), box(q))),
                         _doubling(imp(FALSUM, box(q))))

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from provmod import formulas as fm
+from provmod import kripke
 from provmod.formulas import (
     FALSUM,
     RHD,
@@ -207,6 +209,33 @@ def test_longer_cycle_detected():
     assert not report.converse_well_founded
     w = report.converse_well_founded.witness
     assert w[0] == w[-1] and len(w) == 4
+
+
+def test_long_chains_and_cycles_need_no_recursion():
+    # longer than the recursion limit of 20000 that importing provmod sets
+    worlds = [f"w{i}" for i in range(25000)]
+    steps = list(zip(worlds, worlds[1:]))
+    loop = steps + [(worlds[-1], "w0")]
+    assert check_frame(KripkeModel(worlds, steps, [])).converse_well_founded
+    report = check_frame(KripkeModel(worlds, loop, []))
+    assert report.converse_well_founded.witness == tuple(worlds) + ("w0",)
+    with pytest.raises(VeltmanFrameError) as info:
+        VeltmanModel(worlds, loop, {w: [(u, u)] for (w, u) in loop}, [])
+    assert info.value.witness == tuple(worlds) + ("w0",)
+
+
+def test_cycle_search_matches_a_recursive_search():
+    import support
+
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        worlds = [f"w{i}" for i in range(n)]
+        edges = [(a, b) for a in worlds for b in worlds
+                 if rng.random() < 0.2]
+        k = KripkeModel(worlds, edges, [])
+        assert kripke._find_cycle(k.worlds, k._succ) == \
+            support.recursive_find_cycle(k.worlds, k._succ)
 
 
 # ---------------------------------------------------------------------------
