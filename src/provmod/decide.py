@@ -34,7 +34,9 @@ from provmod.formulas import (
 from provmod.kripke import (
     KripkeModel,
     VeltmanModel,
+    _rhd,
     check_frame,
+    evaluate_mask,
     forces,
     veltman_forces,
     veltman_forces_alt,
@@ -344,16 +346,31 @@ def gl_valid_brute(f: Formula, max_nodes: int = 4):
 # ---------------------------------------------------------------------------
 # bounded countermodel search for the interpretability logic
 
-def _strict_posets(n: int):
+def _strict_posets(n: int) -> list:
+    """All strict partial orders on range(n), as sets of pairs, ordered by
+    their indicator vectors over the pairs (i, j), i != j, in row-major
+    order, absent before present.
+
+    Each order on n elements is an order on the first n - 1 extended by
+    element n - 1, with a down-closed set below it and an up-closed set
+    above it, every element below lying below every element above."""
+    if n <= 1:
+        return [set()]
+    last = n - 1
+    subsets = [frozenset(c) for k in range(n)
+               for c in itertools.combinations(range(last), k)]
+    out = []
+    for rel in _strict_posets(last):
+        downs = [s for s in subsets if all(a in s for (a, b) in rel if b in s)]
+        ups = [s for s in subsets if all(b in s for (a, b) in rel if a in s)]
+        for below in downs:
+            for above in ups:
+                if all((a, b) in rel for a in below for b in above):
+                    out.append(rel | {(a, last) for a in below}
+                               | {(last, b) for b in above})
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for bits in itertools.product((False, True), repeat=len(pairs)):
-        rel = {p for p, b in zip(pairs, bits) if b}
-        if any((a, b) in rel and (b, a) in rel for (a, b) in rel):
-            continue
-        if any((a, b) in rel and (b, c) in rel and (a, c) not in rel
-               for (a, b) in rel for (b2, c) in rel if b == b2):
-            continue
-        yield rel
+    out.sort(key=lambda rel: [p in rel for p in pairs])
+    return out
 
 
 def _preorder_options(rel: set, n: int, w: int):
@@ -455,14 +472,17 @@ def decide_ilm(f: Formula, size_bound: int = 3,
     names = fm.atoms(f)
     for n in range(1, size_bound + 1):
         for model in enumerate_veltman_models(n, names, max_height=max_height):
-            for w in sorted(model.worlds, key=str):
-                if not veltman_forces(model, w, f):
-                    if veltman_forces_alt(model, w, f):
-                        raise DecisionError(
-                            "internal error: countermodel failed verification")
-                    return DecisionVerdict(status=NON_THEOREM,
-                                           countermodel=model, world=w,
-                                           bound=size_bound)
+            # bit i of a mask is the i-th world in str order, so the
+            # lowest failing bit is the first failing world
+            failing = model._full ^ evaluate_mask(model, f, _rhd)
+            if failing:
+                w = model._order[(failing & -failing).bit_length() - 1]
+                if veltman_forces_alt(model, w, f):
+                    raise DecisionError(
+                        "internal error: countermodel failed verification")
+                return DecisionVerdict(status=NON_THEOREM,
+                                       countermodel=model, world=w,
+                                       bound=size_bound)
     return DecisionVerdict(status=NO_COUNTERMODEL_UP_TO_BOUND,
                            bound=size_bound)
 

@@ -7,13 +7,26 @@ structure on top, and a poly model holds one Kripke model per level, so
 ``check_frame`` takes any of them as it is (a poly model level by level).
 
 Every semantics in the package shares the boolean clauses and differs only
-in its modal clause, so there is one evaluator, ``evaluate``, and each
-forcing relation (here and in ``provability`` and ``glp``) is a world and
-language check plus a modal clause handed to it.  Plus-forcing is likewise
-one function, ``plus``, over a per-world truth test.
+in its modal clause, so there are two evaluators, each taking a modal
+clause:
+
+- ``evaluate_mask`` decides a formula at every world of a Kripke model,
+  Veltman model or unravelling at once.  Each subformula gets one integer
+  mask with bit i set when it holds at the i-th world in ``str`` order.
+  ``forces``, ``forces_all``, ``forces_plus``, ``veltman_forces``,
+  ``veltman_forces_alt`` and ``unravelled_forces`` read it.
+- ``evaluate`` decides a formula at one world, lazily.  Pre-models and
+  poly models (``provability``, ``glp``) use it: their modal clauses ask
+  theories that may recurse into the model, so they evaluate only what a
+  query needs.
+
+Plus-forcing is likewise one function, ``plus``, over a per-world truth
+test.
 
 Worlds are arbitrary hashable ids (strings in documents).  Models are
-immutable after construction and evaluation is pure, so instances can be
+immutable after construction.  A model keeps one mask table per modal
+clause for the calls that pass no memo; the tables are filled on demand,
+each entry written once and always to the same value, so instances can be
 shared freely between threads.
 """
 
@@ -22,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from provmod import formulas as fm
-from provmod.formulas import Atom, Bot, Formula, Imp
+from provmod.formulas import Atom, Bot, Box, Formula, Imp
 
 
 class ModelError(ValueError):
@@ -70,6 +83,17 @@ class KripkeModel:
         self._pred = {w: tuple(sorted(xs, key=_world_key))
                       for w, xs in pred.items()}
         self._descendants = None
+        # world masks: bit i stands for the i-th world in ``str`` order
+        self._order = tuple(sorted(self.worlds, key=_world_key))
+        bit = self._bit = {w: 1 << i for i, w in enumerate(self._order)}
+        self._full = (1 << len(self._order)) - 1
+        atoms: dict = {}
+        for w, a in self.valuation:
+            atoms[a] = atoms.get(a, 0) | bit[w]
+        self._atom_masks = atoms
+        self._box_table = tuple([(bit[w], sum([bit[u] for u in self._succ[w]]))
+                                 for w in self._order])
+        self._masks: dict = {}
 
     def successors(self, w):
         return self._succ[w]
@@ -116,7 +140,8 @@ class KripkeModel:
 
 
 def evaluate(model, world, f: Formula, modal, memo: dict) -> bool:
-    """Truth of ``f`` at a world, shared by every semantics in the package.
+    """Truth of ``f`` at one world, for the models whose modal clause asks
+    theories (pre-models and poly models).
 
     Implication, atom and falsum nodes are walked with an explicit stack, so
     long boolean chains need no recursion; the right side of an implication
@@ -160,6 +185,91 @@ def evaluate(model, world, f: Formula, modal, memo: dict) -> bool:
     return val
 
 
+def evaluate_mask(model, f: Formula, modal, memo: dict | None = None) -> int:
+    """The worlds of a finite model where ``f`` holds, as a mask: bit i is
+    set when ``f`` holds at ``model._order[i]``.
+
+    The subformula DAG is walked children-first with an explicit stack, so
+    long boolean chains need no recursion.  ``memo`` maps formulas to
+    masks; without one, the model's own table for ``modal`` is used.  A box
+    node goes to ``modal(model, sub)`` and an rhd node to
+    ``modal(model, left, right)``, with the masks of its arguments.
+    """
+    if memo is None:
+        memo = model._masks.get(modal)
+        if memo is None:
+            memo = model._masks[modal] = {}
+    val = memo.get(f)
+    if val is not None:
+        return val
+    get = memo.get
+    full = model._full
+    atoms = model._atom_masks
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        kind = type(g)
+        if kind is Atom:
+            val = atoms.get(g.name, 0)
+        elif kind is Bot:
+            val = 0
+        elif kind is Box:
+            a = get(g.sub)
+            if a is None:
+                stack.append(g.sub)
+                continue
+            val = modal(model, a)
+        else:
+            a = get(g.left)
+            if a is None:
+                stack.append(g.left)
+                continue
+            b = get(g.right)
+            if b is None:
+                stack.append(g.right)
+                continue
+            val = (full ^ a) | b if kind is Imp else modal(model, a, b)
+        memo[g] = val
+        stack.pop()
+    return val
+
+
+def _box(model, sub: int) -> int:
+    """Worlds all of whose successors lie in ``sub``."""
+    out = 0
+    miss = model._full ^ sub
+    for bit, succ in model._box_table:
+        if not succ & miss:
+            out |= bit
+    return out
+
+
+def _rhd(model, left: int, right: int) -> int:
+    """Worlds where every successor in ``left`` has a preorder-successor in
+    ``right``."""
+    out = 0
+    for bit, edges in model._rhd_table:
+        for v, up in edges:
+            if v & left and not up & right:
+                break
+        else:
+            out |= bit
+    return out
+
+
+def _sibling_rhd(model, left: int, right: int) -> int:
+    """Worlds where every successor whose preorder-successors meet ``left``
+    has a preorder-successor in ``right``."""
+    out = 0
+    for bit, edges in model._rhd_table:
+        for _, up in edges:
+            if up & left and not up & right:
+                break
+        else:
+            out |= bit
+    return out
+
+
 def plus(model, world, holds) -> bool:
     """Plus-forcing: ``holds`` at every strict descendant of some
     predecessor of the world; false when the world has no predecessor."""
@@ -178,24 +288,17 @@ def _check_query(model, world, f: Formula, language: str, error=ModelError):
 def forces(model: KripkeModel, world, f: Formula, _memo=None) -> bool:
     """Truth at a world; boxes quantify over one-step successors."""
     _check_query(model, world, f, fm.BOX)
-    memo = {} if _memo is None else _memo
-
-    def box(w, g):
-        return all(evaluate(model, u, g.sub, box, memo)
-                   for u in model._succ[w])
-
-    return evaluate(model, world, f, box, memo)
+    return bool(evaluate_mask(model, f, _box, _memo) & model._bit[world])
 
 
 def forces_all(model: KripkeModel, formulas, worlds=None) -> dict:
-    """Evaluate many formulas with one shared memo table.
+    """Evaluate many formulas on the model's own mask table.
     Returns {(world, formula): bool}."""
-    memo: dict = {}
     out = {}
     targets = model.worlds if worlds is None else worlds
     for f in formulas:
         for w in targets:
-            out[(w, f)] = forces(model, w, f, _memo=memo)
+            out[(w, f)] = forces(model, w, f)
     return out
 
 
@@ -204,8 +307,7 @@ def forces_plus(model: KripkeModel, world, f: Formula) -> bool:
     False whenever the world has no predecessor."""
     if world not in model.worlds:
         raise ModelError(f"unknown world {world!r}")
-    memo: dict = {}
-    return plus(model, world, lambda v: forces(model, v, f, _memo=memo))
+    return plus(model, world, lambda v: forces(model, v, f))
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +487,13 @@ class VeltmanModel(KripkeModel):
                             "preorder-below a world must reach its successors",
                             (w, u, v, z))
 
-    def above(self, w, v):
-        """Worlds z with v preorder-below z at w."""
-        return tuple(sorted((z for (x, z) in self.preorders[w] if x == v),
-                            key=_world_key))
+        # per world: (its bit, ((successor bit, preorder-above mask), ...))
+        bit = self._bit
+        self._rhd_table = tuple([
+            (bit[w], tuple([(bit[v], sum([bit[z] for (x, z) in pre[w]
+                                          if x == v]))
+                            for v in self._succ[w]]))
+            for w in self._order])
 
     def __eq__(self, other):
         return (isinstance(other, VeltmanModel)
@@ -413,33 +518,15 @@ def veltman_forces(model: VeltmanModel, world, f: Formula, _memo=None) -> bool:
     """Truth at a world.  A rhd B holds when every successor satisfying A
     has a preorder-successor satisfying B."""
     _check_query(model, world, f, fm.RHD)
-    memo = {} if _memo is None else _memo
-
-    def rhd(w, g):
-        return all(not evaluate(model, v, g.left, rhd, memo)
-                   or any(evaluate(model, z, g.right, rhd, memo)
-                          for z in model.above(w, v))
-                   for v in model._succ[w])
-
-    return evaluate(model, world, f, rhd, memo)
+    return bool(evaluate_mask(model, f, _rhd, _memo) & model._bit[world])
 
 
 def veltman_forces_alt(model: VeltmanModel, world, f: Formula) -> bool:
     """Symmetric variant of the rhd clause; agrees with ``veltman_forces``
-    on valid Veltman models."""
+    on valid Veltman models.  It keeps its own mask table on the model, so
+    it re-checks ``veltman_forces`` independently."""
     _check_query(model, world, f, fm.RHD)
-    memo: dict = {}
-
-    def rhd(w, g):
-        for v in model._succ[w]:
-            up = model.above(w, v)
-            if any(evaluate(model, z, g.left, rhd, memo) for z in up) and \
-                    not any(evaluate(model, z, g.right, rhd, memo)
-                            for z in up):
-                return False
-        return True
-
-    return evaluate(model, world, f, rhd, memo)
+    return bool(evaluate_mask(model, f, _sibling_rhd) & model._bit[world])
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +561,15 @@ class UnravelledVeltman(KripkeModel):
             for (u, v) in source.preorders[w]:
                 pre.add((eta + (u,), eta + (v,)))
         self.preorder = frozenset(pre)
-        self._above = {}
+        # per path: the mask of the paths preorder-above it as a sibling
+        bit = self._bit
+        above = dict.fromkeys(self._order, 0)
         for (s, t) in self.preorder:
-            self._above.setdefault(s, []).append(t)
-
-    def above(self, sigma):
-        """Paths preorder-above sigma (as a sibling of its parent)."""
-        return tuple(sorted(self._above.get(sigma, ()), key=str))
+            above[s] |= bit[t]
+        self._above = above
+        self._rhd_table = tuple(
+            (bit[s], tuple((bit[t], above[t]) for t in self._succ[s]))
+            for s in self._order)
 
     def as_kripke(self) -> KripkeModel:
         return KripkeModel(self.worlds, self.edges, self.valuation)
@@ -497,15 +586,5 @@ def unravelled_forces(u_model: UnravelledVeltman, sigma, f: Formula,
     """rhd clause on the unravelling, with the preorder witness on both
     sides of the implication."""
     _check_query(u_model, sigma, f, fm.RHD)
-    memo = {} if _memo is None else _memo
-
-    def rhd(s, g):
-        for tau in u_model.successors(s):
-            up = u_model.above(tau)
-            if any(evaluate(u_model, eta, g.left, rhd, memo) for eta in up) \
-                    and not any(evaluate(u_model, eta, g.right, rhd, memo)
-                                for eta in up):
-                return False
-        return True
-
-    return evaluate(u_model, sigma, f, rhd, memo)
+    return bool(evaluate_mask(u_model, f, _sibling_rhd, _memo)
+                & u_model._bit[sigma])

@@ -4,8 +4,9 @@ A provability model is a Kripke model whose modal clause asks a theory: a
 boxed formula holds at a world when every successor's theory derives the
 argument, and the binary modal operator of the interpretability language is
 evaluated through diamond-consequence over a finite witness family.  Both
-clauses run on ``kripke.evaluate``, which shares the boolean clauses and the
-per-world memo with every other semantics.  A pre-model (``PreModel``) is
+clauses run on ``kripke.evaluate``, the lazy per-world evaluator that poly
+models use too; plain Kripke and Veltman models and unravellings are
+evaluated over all worlds at once instead.  A pre-model (``PreModel``) is
 a ``KripkeModel`` with a theory at each accessible world, so frame checks
 and plus-forcing take it as it is; a ``ProvabilityModel`` wraps one with
 the certificate for its modal completeness.
@@ -45,12 +46,13 @@ from provmod.kripke import (
     ModelError,
     VeltmanModel,
     _check_query,
+    _sibling_rhd,
     check_frame,
     evaluate,
+    evaluate_mask,
     forces,
     plus,
     unravel,
-    unravelled_forces,
 )
 from provmod.theories import (
     MP,
@@ -714,13 +716,13 @@ def countermodel_pipeline_ilm(f: Formula, size_bound: int = 3) -> PipelineResult
         rep = None
         family = pipeline_family_rhd(names, n)
 
-    memo: dict = {}
     theories = {}
     for sigma in unravelled.accessible_worlds():
+        # b holds at every path preorder-above sigma
+        up = unravelled._above[sigma]
         stable = tuple(
             b for b in family
-            if all(unravelled_forces(unravelled, tau, b, _memo=memo)
-                   for tau in unravelled.above(sigma)))
+            if evaluate_mask(unravelled, b, _sibling_rhd) & up == up)
         theories[sigma] = finite_axioms_mp(stable, language=RHD)
     seed = PreModel(unravelled.worlds, unravelled.edges,
                     unravelled.valuation, theories, RHD)

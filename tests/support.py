@@ -29,7 +29,7 @@ from provmod.formulas import (
     rhd,
     top,
 )
-from provmod.kripke import KripkeModel
+from provmod.kripke import KripkeModel, _check_query
 
 
 def random_formula(rng, lang, depth, atom_pool):
@@ -200,6 +200,117 @@ def recursive_find_cycle(worlds, succ):
 
 
 # ---------------------------------------------------------------------------
+# reference forcing: the per-world lazy walk that finite models used before
+# world masks, verbatim but for the names, the imports and the ``above``
+# lookups, which the models no longer offer
+
+def reference_above(model, w, v):
+    """Worlds z with v preorder-below z at w."""
+    return tuple(sorted((z for (x, z) in model.preorders[w] if x == v),
+                        key=str))
+
+
+def reference_unravelled_above(u_model, sigma):
+    """Paths preorder-above sigma (as a sibling of its parent)."""
+    return tuple(sorted((t for (s, t) in u_model.preorder if s == sigma),
+                        key=str))
+
+
+def reference_evaluate(model, world, f, modal, memo: dict) -> bool:
+    table = memo.get(world)
+    if table is None:
+        table = memo[world] = {}
+    val = table.get(f)
+    if val is not None:
+        return val
+    get = table.get
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        kind = type(g)
+        if kind is Imp:
+            val = get(g.left)
+            if val is None:
+                stack.append(g.left)
+                continue
+            if val:
+                val = get(g.right)
+                if val is None:
+                    stack.append(g.right)
+                    continue
+            else:
+                val = True
+        elif kind is Atom:
+            val = (world, g.name) in model.valuation
+        elif kind is Bot:
+            val = False
+        else:
+            val = modal(world, g)
+        table[g] = val
+        stack.pop()
+    return val
+
+
+def reference_forces(model, world, f, _memo=None) -> bool:
+    _check_query(model, world, f, fm.BOX)
+    memo = {} if _memo is None else _memo
+
+    def box(w, g):
+        return all(reference_evaluate(model, u, g.sub, box, memo)
+                   for u in model._succ[w])
+
+    return reference_evaluate(model, world, f, box, memo)
+
+
+def reference_veltman_forces(model, world, f, _memo=None) -> bool:
+    _check_query(model, world, f, fm.RHD)
+    memo = {} if _memo is None else _memo
+
+    def rhd(w, g):
+        return all(not reference_evaluate(model, v, g.left, rhd, memo)
+                   or any(reference_evaluate(model, z, g.right, rhd, memo)
+                          for z in reference_above(model, w, v))
+                   for v in model._succ[w])
+
+    return reference_evaluate(model, world, f, rhd, memo)
+
+
+def reference_veltman_forces_alt(model, world, f) -> bool:
+    _check_query(model, world, f, fm.RHD)
+    memo: dict = {}
+
+    def rhd(w, g):
+        for v in model._succ[w]:
+            up = reference_above(model, w, v)
+            if any(reference_evaluate(model, z, g.left, rhd, memo)
+                   for z in up) and \
+                    not any(reference_evaluate(model, z, g.right, rhd, memo)
+                            for z in up):
+                return False
+        return True
+
+    return reference_evaluate(model, world, f, rhd, memo)
+
+
+def reference_unravelled_forces(u_model, sigma, f, _memo=None) -> bool:
+    _check_query(u_model, sigma, f, fm.RHD)
+    memo = {} if _memo is None else _memo
+
+    def rhd(s, g):
+        for tau in u_model.successors(s):
+            up = reference_unravelled_above(u_model, tau)
+            if any(reference_evaluate(u_model, eta, g.left, rhd, memo)
+                   for eta in up) \
+                    and not any(reference_evaluate(u_model, eta, g.right,
+                                                   rhd, memo)
+                                for eta in up):
+                return False
+        return True
+
+    return reference_evaluate(u_model, sigma, f, rhd, memo)
+
+
+# ---------------------------------------------------------------------------
 # reference closure for the tableau countermodels
 
 def fixpoint_closure(edges) -> frozenset:
@@ -217,8 +328,21 @@ def fixpoint_closure(edges) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# reference Veltman enumeration: the full triple minimized over all n!
+# reference Veltman enumeration: every relation on n worlds filtered down to
+# the strict partial orders, and the full triple minimized over all n!
 # relabellings for every labelled candidate
+
+def reference_strict_posets(n: int):
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for bits in itertools.product((False, True), repeat=len(pairs)):
+        rel = {p for p, b in zip(pairs, bits) if b}
+        if any((a, b) in rel and (b, a) in rel for (a, b) in rel):
+            continue
+        if any((a, b) in rel and (b, c) in rel and (a, c) not in rel
+               for (a, b) in rel for (b2, c) in rel if b == b2):
+            continue
+        yield rel
+
 
 def reference_veltman_models(n: int, atom_names, max_height: int | None = None):
     """All valid Veltman models on n worlds over the given atoms, pruned to

@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import support
 from provmod import formulas as fm
 from provmod import kripke
 from provmod.formulas import (
@@ -426,6 +428,90 @@ def test_alt_clause_agrees_on_enumerated_corpus():
                     veltman_forces_alt(m, w, f)
         count += 1
     assert count > 50
+
+
+# ---------------------------------------------------------------------------
+# world masks agree with the per-world lazy walk they replaced
+
+def _formulas(modal):
+    return st.recursive(
+        st.sampled_from([p, q, FALSUM, top()]),
+        lambda c: st.one_of(st.tuples(c, c).map(lambda ab: imp(*ab)),
+                            c.map(neg), modal(c)),
+        max_leaves=10)
+
+
+_BOX_FORMULAS = _formulas(lambda c: st.one_of(c.map(box), c.map(diamond)))
+_RHD_FORMULAS = _formulas(lambda c: st.tuples(c, c).map(lambda ab: rhd(*ab)))
+# names whose str order differs from the order they are drawn in
+_WORLD_NAMES = ("w1", "w10", "w2", "a", "z", "m", "w0")
+
+
+@st.composite
+def _kripke_models(draw):
+    worlds = draw(st.lists(st.sampled_from(_WORLD_NAMES), min_size=1,
+                           max_size=6, unique=True))
+    world = st.sampled_from(worlds)
+    edges = draw(st.sets(st.tuples(world, world)))
+    valuation = draw(st.sets(st.tuples(world, st.sampled_from(["p", "q"]))))
+    return KripkeModel(worlds, edges, valuation)
+
+
+def _enumerated_veltman_models():
+    from provmod.decide import enumerate_veltman_models
+
+    return [m for n in (1, 2, 3)
+            for m in enumerate_veltman_models(n, ["p", "q"])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kripke_models(), st.lists(_BOX_FORMULAS, min_size=1, max_size=4))
+def test_world_masks_agree_with_the_reference_on_kripke_models(k, fam):
+    memo: dict = {}
+    for f in fam:
+        for w in k.worlds:
+            expected = support.reference_forces(k, w, f)
+            assert forces(k, w, f) == expected
+            assert forces(k, w, f, _memo=memo) == expected
+            assert forces_plus(k, w, f) == kripke.plus(
+                k, w, lambda v: support.reference_forces(k, v, f))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_enumerated_veltman_models()),
+       st.lists(_RHD_FORMULAS, min_size=1, max_size=4))
+def test_world_masks_agree_with_the_reference_on_veltman_models(m, fam):
+    u = unravel(m)
+    memo: dict = {}
+    for f in fam:
+        for w in m.worlds:
+            expected = support.reference_veltman_forces(m, w, f)
+            assert veltman_forces(m, w, f) == expected
+            assert veltman_forces(m, w, f, _memo=memo) == expected
+            assert veltman_forces_alt(m, w, f) == \
+                support.reference_veltman_forces_alt(m, w, f)
+        for sigma in u.worlds:
+            assert unravelled_forces(u, sigma, f) == \
+                support.reference_unravelled_forces(u, sigma, f)
+
+
+def test_a_poisoned_veltman_memo_leaves_the_alt_clause_alone():
+    fam = [rhd(p, q), rbox(p), imp(rhd(p, q), rhd(p, lor(p, q)))]
+    for m in _enumerated_veltman_models()[::9]:
+        for f in fam:
+            expected = {w: support.reference_veltman_forces_alt(m, w, f)
+                        for w in m.worlds}
+            for lie in (0, -1):      # false everywhere, true everywhere
+                poisoned = dict.fromkeys(fm.subformulas(f), lie)
+                for w in m.worlds:
+                    assert veltman_forces(m, w, f, _memo=poisoned) == \
+                        bool(lie)
+                    assert veltman_forces_alt(m, w, f) == expected[w]
+                # nor does the model's own table for veltman_forces
+                m._masks[kripke._rhd] = dict(poisoned)
+                for w in m.worlds:
+                    assert veltman_forces(m, w, f) == bool(lie)
+                    assert veltman_forces_alt(m, w, f) == expected[w]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from provmod.formulas import (
     rhd,
     top,
 )
-from provmod.kripke import KripkeModel, check_frame, forces
+from provmod.kripke import KripkeModel, check_frame, forces, unravel
 from provmod.theories import finite_axioms_mp, kripke_world_theory
 from provmod.provability import (
     GenerationError,
@@ -411,6 +411,25 @@ def test_ilm_pipeline_montagna_on_result():
     mont = imp(rhd(p, q), rhd(land(rbox(q), p), land(rbox(q), q)))
     for w in sorted(model.worlds, key=str):
         assert pm_forces_rhd(model, w, mont)
+
+
+def test_ilm_pipeline_seeds_each_path_with_its_preorder_stable_members():
+    import support
+
+    for text in ["p |> q", "[]p -> p"]:
+        f = parse(text, RHD)
+        result = countermodel_pipeline_ilm(f)
+        u = unravel(result.kripke)
+        family = (pipeline_family_rhd(sorted(fm.atoms(f)), result.n)
+                  if result.representatives is None
+                  else result.representatives.members)
+        for sigma in u.accessible_worlds():
+            stable = [b for b in family
+                      if all(support.reference_unravelled_forces(u, tau, b)
+                             for tau in support.reference_unravelled_above(
+                                 u, sigma))]
+            assert result.seed.theory(sigma).axioms == \
+                tuple(sorted(stable, key=fm.sort_key))
 
 
 def test_k_suite_on_lifted_models():
