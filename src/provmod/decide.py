@@ -86,6 +86,14 @@ class DecisionVerdict:
 # k terminates by modal depth, gl because positive boxes grow strictly,
 # k4/s4 by an equal-demand loop check (a repeat is satisfiable by bending
 # the edge back, which the transitive frame permits).
+#
+# Saturation is lazy: branches are yielded one at a time, in a fixed order,
+# and the search stops at the first one whose successors all succeed, so
+# the branches after it are never built.  One decision keeps one cache from
+# demand sets to search results.  It holds every demand set found
+# unsatisfiable, in all four logics, and for k and gl, whose search keeps no
+# history, every result.  Why an unsatisfiable entry is safe is argued at
+# ``_search``.
 
 
 @dataclass
@@ -96,21 +104,26 @@ class _Node:
 
 
 def _saturate(demand, logic: str):
-    """Open saturated branches of a signed-formula set, as literal maps."""
-    out: list[dict] = []
+    """Open saturated branches of a signed-formula set, as literal maps.
 
-    def expand(pending: list, literals: dict):
+    A generator with an explicit stack of (pending, literals) branches.  At
+    a positive implication the right branch is pushed with copies of both,
+    and the left one goes on in place, so branches come out depth first,
+    left before right."""
+    stack = [(list(demand), {})]
+    while stack:
+        pending, literals = stack.pop()
         while pending:
             f, sign = pending.pop()
             if isinstance(f, Bot):
                 if sign:
-                    return
+                    break
                 continue
             if isinstance(f, Imp):
                 if sign:
-                    expand(pending + [(f.left, False)], dict(literals))
-                    expand(pending + [(f.right, True)], dict(literals))
-                    return
+                    stack.append((pending + [(f.right, True)], dict(literals)))
+                    pending.append((f.left, False))
+                    continue
                 pending.append((f.left, True))
                 pending.append((f.right, False))
                 continue
@@ -120,11 +133,9 @@ def _saturate(demand, logic: str):
                 if sign and logic == S4_LOGIC and isinstance(f, Box):
                     pending.append((f.sub, True))
             elif got != sign:
-                return
-        out.append(literals)
-
-    expand(list(demand), {})
-    return out
+                break
+        else:
+            yield literals
 
 
 def _successor_demand(logic: str, beta: Formula, pos_boxes: list) -> frozenset:
@@ -142,27 +153,52 @@ def _successor_demand(logic: str, beta: Formula, pos_boxes: list) -> frozenset:
     return frozenset(demand)
 
 
-def _search(logic: str, demand: frozenset, history: tuple) -> _Node | None:
+def _search(logic: str, demand: frozenset, history: tuple,
+            cache: dict | None = None) -> _Node | None:
+    """A tableau for ``demand``, or None when it is unsatisfiable.
+
+    ``cache`` maps demand sets to results within one decision.  It keeps
+    every None, and for k and gl, where the result depends on the demand
+    alone, every result.  A None is safe to reuse under any history in k4
+    and s4 too:
+    - A longer history only turns failures into successes, since a loop
+      check answers success where a search could have failed.  The
+      search from an empty history is complete, so a satisfiable set
+      succeeds under every history.  A failure under one history therefore
+      means the set is unsatisfiable.
+    - The search is an OR over branches of ANDs over successors.  A
+      satisfiable set succeeds through the branch a model picks, whose
+      successor demands are all satisfiable, so never cached as failures.
+      Failing an unsatisfiable set early can turn no satisfiable root into
+      a failure, and every success is still a tableau that ``_materialize``
+      turns into a model and the caller checks."""
+    if cache is None:
+        cache = {}
+    if demand in cache:
+        return cache[demand]
+    found = None
     for literals in _saturate(demand, logic):
         pos = sorted((f for f, s in literals.items()
                       if s and isinstance(f, Box)), key=fm.sort_key)
         negs = sorted((f for f, s in literals.items()
                        if not s and isinstance(f, Box)), key=fm.sort_key)
         node = _Node(demand=demand, literals=literals)
-        ok = True
         for nb in negs:
             child_demand = _successor_demand(logic, nb.sub, pos)
             if logic in (K4_LOGIC, S4_LOGIC) and child_demand in history:
                 node.children.append(child_demand)
                 continue
-            child = _search(logic, child_demand, history + (child_demand,))
+            child = _search(logic, child_demand, history + (child_demand,),
+                            cache)
             if child is None:
-                ok = False
                 break
             node.children.append(child)
-        if ok:
-            return node
-    return None
+        else:
+            found = node
+            break
+    if found is None or logic in (K_LOGIC, GL_LOGIC):
+        cache[demand] = found
+    return found
 
 
 def _materialize(logic: str, root: _Node):
@@ -207,7 +243,7 @@ _FRAME_REQUIREMENTS = {
 def _decide_box_logic(logic: str, f: Formula) -> DecisionVerdict:
     if f.lang not in (None, BOX):
         raise DecisionError(f"{logic} decides box-language formulas only")
-    root = _search(logic, frozenset({(f, False)}), ())
+    root = _search(logic, frozenset({(f, False)}), (), {})
     if root is None:
         return DecisionVerdict(status=THEOREM)
     model, world = _materialize(logic, root)

@@ -74,8 +74,9 @@ from provmod.decide import (
 # Evaluation and the formula walks are iterative, but parse and to_text
 # still recurse over formula depth, one to three frames per conjunct of a
 # right-folded conjunction; generated models build such conjunctions from
-# whole axiom sets, and print them as sort keys.  (The tableaux in decide
-# also recurse, once per branching implication.)
+# whole axiom sets, and print them as sort keys.  (The tableau search in
+# decide also recurses, once per successor world on a path; saturation
+# does not.)
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
 

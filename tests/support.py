@@ -328,6 +328,71 @@ def fixpoint_closure(edges) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
+# reference tableau: eager saturation, which builds every open branch of a
+# demand set before the search tries the first, and a search with no cache,
+# verbatim but for the names and the imports
+
+def reference_saturate(demand, logic: str):
+    """Open saturated branches of a signed-formula set, as literal maps."""
+    from provmod.decide import S4_LOGIC
+
+    out: list[dict] = []
+
+    def expand(pending: list, literals: dict):
+        while pending:
+            f, sign = pending.pop()
+            if isinstance(f, Bot):
+                if sign:
+                    return
+                continue
+            if isinstance(f, Imp):
+                if sign:
+                    expand(pending + [(f.left, False)], dict(literals))
+                    expand(pending + [(f.right, True)], dict(literals))
+                    return
+                pending.append((f.left, True))
+                pending.append((f.right, False))
+                continue
+            got = literals.get(f)
+            if got is None:
+                literals[f] = sign
+                if sign and logic == S4_LOGIC and isinstance(f, Box):
+                    pending.append((f.sub, True))
+            elif got != sign:
+                return
+        out.append(literals)
+
+    expand(list(demand), {})
+    return out
+
+
+def reference_search(logic: str, demand: frozenset, history: tuple):
+    from provmod.decide import K4_LOGIC, S4_LOGIC, _Node, _successor_demand
+
+    for literals in reference_saturate(demand, logic):
+        pos = sorted((f for f, s in literals.items()
+                      if s and isinstance(f, Box)), key=fm.sort_key)
+        negs = sorted((f for f, s in literals.items()
+                       if not s and isinstance(f, Box)), key=fm.sort_key)
+        node = _Node(demand=demand, literals=literals)
+        ok = True
+        for nb in negs:
+            child_demand = _successor_demand(logic, nb.sub, pos)
+            if logic in (K4_LOGIC, S4_LOGIC) and child_demand in history:
+                node.children.append(child_demand)
+                continue
+            child = reference_search(logic, child_demand,
+                                     history + (child_demand,))
+            if child is None:
+                ok = False
+                break
+            node.children.append(child)
+        if ok:
+            return node
+    return None
+
+
+# ---------------------------------------------------------------------------
 # reference Veltman enumeration: every relation on n worlds filtered down to
 # the strict partial orders, and the full triple minimized over all n!
 # relabellings for every labelled candidate
