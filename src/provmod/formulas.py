@@ -597,28 +597,50 @@ def skeleton(f: Formula) -> Skeleton:
     )
 
 
+def instances(f: Formula, memo: dict | None = None) -> tuple[Formula, ...]:
+    """``f`` with top or falsum put in for each of its free atoms, one
+    instance per assignment.  Assignments are enumerated with top first, in
+    lexicographic atom order.
+
+    One walk builds all of them: a node with a free atom below it gets the
+    tuple of its instances, any other node stands for itself in each.
+    ``memo`` maps each tuple of atom names to the values found so far for
+    formulas over those free atoms, so calls that share it build each
+    instance of a shared subformula once.
+    """
+    names = tuple(sorted(free_atoms(f)))
+    if not names:
+        return (f,)
+    width = 1 << len(names)
+    rows = {name: tuple(FALSUM if a >> (len(names) - 1 - i) & 1 else top()
+                        for a in range(width))
+            for i, name in enumerate(names)}
+
+    def combine(g, kids):
+        if not kids:
+            return rows.get(g.name, g) if isinstance(g, Atom) else g
+        left, right = kids
+        if type(left) is not tuple and type(right) is not tuple:
+            return g
+        if type(left) is not tuple:
+            left = (left,) * width
+        if type(right) is not tuple:
+            right = (right,) * width
+        return tuple(map(imp, left, right))
+
+    done = None if memo is None else memo.setdefault(names, {})
+    return _fold(f, _boolean_children, combine, done)
+
+
 @lru_cache(maxsize=None)
 def pre_interpolant(f: Formula) -> Formula:
     """Purely modal uniform pre-interpolant.
 
-    Conjunction, over every true/false assignment to the free atoms, of the
-    skeleton instantiated with that assignment and with the abstracted modal
-    subformulas put back; that is, of ``f`` with the assignment put in for
-    its free atoms.  Assignments are enumerated with top first, in
-    lexicographic atom order.
+    Conjunction of the ``instances`` of ``f``: the skeleton instantiated
+    with each true/false assignment to the free atoms, with the abstracted
+    modal subformulas put back.
     """
-    names = sorted(free_atoms(f))
-    instances = []
-    for bits in itertools.product((top(), FALSUM), repeat=len(names)):
-        value = dict(zip(names, bits))
-
-        def combine(g, kids):
-            if kids:
-                return imp(*kids)
-            return value.get(g.name, g) if isinstance(g, Atom) else g
-
-        instances.append(_fold(f, _boolean_children, combine))
-    return conj(instances)
+    return conj(instances(f))
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,19 @@ On top of evaluation this module builds the two central constructions:
 lifting a Kripke model into an equivalent provability model, and generating
 the minimum necessitation-closed provability model over a bi-finite tree
 pre-model, which is what makes the countermodel pipelines produce decidable
-models.  A generated theory decides derivability by plus-forcing in the
-model it belongs to, so generated models stay lazy: evaluation reaches only
-the worlds and formulas a query needs.
+models.  A generated theory decides derivability by truth in the model it
+belongs to: per top/bot assignment to the free atoms, the instantiated
+query must hold wherever the instantiated seed axioms do, across the
+world's plus-cone.  Every theory evaluates on the memo the model's own
+forcing uses, and generated models stay lazy: evaluation reaches only the
+worlds and formulas a query needs.
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from provmod import formulas as fm
 from provmod.formulas import (
@@ -36,7 +39,6 @@ from provmod.formulas import (
     boxes,
     conj,
     imp,
-    pre_interpolant,
     rdiamond,
     to_text,
     top,
@@ -128,6 +130,10 @@ class PreModel(KripkeModel):
         self._memo: dict = {}
         # per witness family: its diamonds and its memo of truth values
         self._rhd_memos: dict = {}
+        # per generated-theory query: its free atoms and its instances; and
+        # the instances of their subformulas, per set of free atoms
+        self._instances: dict = {}
+        self._instance_parts: dict = {}
 
     def kripke_part(self) -> KripkeModel:
         """The bare frame and valuation, without the theories."""
@@ -188,15 +194,40 @@ def _pre(model) -> PreModel:
 # ---------------------------------------------------------------------------
 # evaluation
 
+def _box_clause(P: PreModel):
+    """The box clause of a pre-model and the memo its answers go to: a box
+    holds at w when every successor's theory derives its argument."""
+    def box(w, g):
+        return all(P.theories[u].derives(g.sub) for u in P._succ[w])
+
+    return box, P._memo
+
+
+def _rhd_clause(P: PreModel, e_family):
+    """The rhd clause over one witness family and the memo its answers go
+    to: A rhd B holds at w when, at every successor's theory and for every
+    member E of the family, derivability of B -> <>E implies derivability
+    of A -> <>E.  The diamonds are built once per family."""
+    key = tuple(e_family)
+    family = P._rhd_memos.get(key)
+    if family is None:
+        family = P._rhd_memos[key] = ([rdiamond(e) for e in key], {})
+    dia, memo = family
+
+    def rhd(w, g):
+        return not any(th.derives(imp(g.right, de))
+                       and not th.derives(imp(g.left, de))
+                       for th in map(P.theories.__getitem__, P._succ[w])
+                       for de in dia)
+
+    return rhd, memo
+
+
 def pm_forces(model, world, f: Formula) -> bool:
     """Truth in a box-language provability model."""
     P = _pre(model)
     _check_query(P, world, f, BOX, PreModelError)
-
-    def box(w, g):
-        return all(P.theory(u).derives(g.sub) for u in P._succ[w])
-
-    return evaluate(P, world, f, box, P._memo)
+    return evaluate(P, world, f, *_box_clause(P))
 
 
 def pm_forces_plus(model, world, f: Formula) -> bool:
@@ -209,13 +240,10 @@ def pm_forces_plus(model, world, f: Formula) -> bool:
 
 
 def pm_forces_rhd(model, world, f: Formula, e_family=None) -> bool:
-    """Truth in an rhd-language provability model.
-
-    A rhd B holds at w when, at every successor's theory and for every
-    member E of the witness family, derivability of B -> <>E implies
-    derivability of A -> <>E.  Exactness beyond the family is only
-    guaranteed when the family covers the bounded-height representatives;
-    otherwise the model carries a family_bounded flag.
+    """Truth in an rhd-language provability model, by the rhd clause over
+    the witness family.  Exactness beyond the family is only guaranteed
+    when the family covers the bounded-height representatives; otherwise
+    the model carries a family_bounded flag.
     """
     P = _pre(model)
     if e_family is None and isinstance(model, ProvabilityModel):
@@ -223,18 +251,7 @@ def pm_forces_rhd(model, world, f: Formula, e_family=None) -> bool:
     if not e_family:
         raise PreModelError("rhd evaluation needs a nonempty witness family")
     _check_query(P, world, f, RHD, PreModelError)
-    key = tuple(e_family)
-    family = P._rhd_memos.get(key)
-    if family is None:
-        family = P._rhd_memos[key] = ([rdiamond(e) for e in key], {})
-    dia, memo = family
-
-    def rhd(w, g):
-        return not any(th.derives(imp(g.right, de))
-                       and not th.derives(imp(g.left, de))
-                       for th in map(P.theory, P._succ[w]) for de in dia)
-
-    return evaluate(P, world, f, rhd, memo)
+    return evaluate(P, world, f, *_rhd_clause(P, e_family))
 
 
 def pm_forces_plus_rhd(model, world, f: Formula, e_family=None) -> bool:
@@ -367,9 +384,20 @@ def project_and_check(model, family) -> tuple[KripkeModel, ProjectionReport]:
 
 @dataclass
 class GeneratedTheory:
-    """Decision state for one world of a generated model: derivability is
-    plus-forcing of the pre-interpolant of (axioms-dotted -> query),
-    recursing through theories strictly higher in the sibling order."""
+    """Decision state for one world u of a generated model.
+
+    The theory derives f when the pre-interpolant of (phi -> f) is
+    plus-forced at u, phi being the boxed-dotted conjunction of the seed
+    axioms.  That pre-interpolant is the conjunction, over each top/bot
+    assignment a to the free atoms of phi -> f, of phi[a] -> f[a]; so f is
+    derived when, at every strict descendant of u's predecessor, f[a] holds
+    wherever phi[a] does.  phi's instances are built once per theory and
+    f's once per model, and both are evaluated on the memo the model's own
+    forcing uses.  f[a] is looked at only where phi[a] holds, and a world
+    fails at its first failing assignment, so the derivability queries
+    reached are those of plus-forcing the pre-interpolant; they recurse
+    through theories strictly higher in the sibling order.
+    """
 
     world: object
     phi: Formula
@@ -377,15 +405,58 @@ class GeneratedTheory:
     language: str = BOX
     model: PreModel | None = None
     e_family: tuple | None = None
+    # phi's free atoms and instances, and per set of the query's free atoms
+    # the (phi[a], index of f[a]) pairs in assignment order
+    _names: tuple = field(init=False, repr=False, compare=False)
+    _phi_instances: tuple = field(init=False, repr=False, compare=False)
+    _pairs: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def __post_init__(self):
+        self._names = tuple(sorted(fm.free_atoms(self.phi)))
+        self._phi_instances = fm.instances(self.phi)
+
+    def _assignment_pairs(self, names: tuple) -> list:
+        """(phi[a], position of f[a] among f's instances) for each
+        assignment a, in pre-interpolant order, when f's free atoms are
+        ``names``."""
+        union = sorted(set(self._names) | set(names))
+
+        def position(value, among):
+            # top is 0 and the first name the highest bit, as in instances
+            return sum(value[n] << i for i, n in enumerate(reversed(among)))
+
+        pairs = []
+        for bits in itertools.product((0, 1), repeat=len(union)):
+            value = dict(zip(union, bits))
+            pairs.append((self._phi_instances[position(value, self._names)],
+                          position(value, names)))
+        return pairs
 
     def decide(self, f: Formula) -> bool:
-        if self.model is None:
+        P = self.model
+        if P is None:
             raise GenerationError("generated theory queried before binding")
-        target = pre_interpolant(imp(self.phi, f))
+        known = P._instances.get(f)
+        if known is None:
+            known = P._instances[f] = (
+                tuple(sorted(fm.free_atoms(f))),
+                fm.instances(f, P._instance_parts))
+        names, f_instances = known
+        pairs = self._pairs.get(names)
+        if pairs is None:
+            pairs = self._pairs[names] = self._assignment_pairs(names)
         if self.language == BOX:
-            return pm_forces_plus(self.model, self.world, target)
-        return pm_forces_plus_rhd(self.model, self.world, target,
-                                  self.e_family)
+            modal, memo = _box_clause(P)
+        else:
+            modal, memo = _rhd_clause(P, self.e_family)
+
+        def holds(v):
+            return all(not evaluate(P, v, phi_a, modal, memo)
+                       or evaluate(P, v, f_instances[j], modal, memo)
+                       for phi_a, j in pairs)
+
+        return plus(P, self.world, holds)
 
 
 def _check_seed(seed: PreModel, language: str):

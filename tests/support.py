@@ -629,3 +629,38 @@ def seed_premodel(parents, labels, axiom_sets, language=BOX):
                                             language=language)
                 for i, par in enumerate(parents) if par != -1}
     return PreModel(worlds, edges, [], theories, language)
+
+
+# ---------------------------------------------------------------------------
+# reference generated derivability: plus-forcing of one pre-interpolant per
+# query, as generated theories decided before per-assignment evaluation,
+# verbatim but for the names and imports
+
+def reference_generated_decide(theory, f) -> bool:
+    from provmod.provability import (
+        GenerationError,
+        pm_forces_plus,
+        pm_forces_plus_rhd,
+    )
+
+    if theory.model is None:
+        raise GenerationError("generated theory queried before binding")
+    target = fm.pre_interpolant(imp(theory.phi, f))
+    if theory.language == BOX:
+        return pm_forces_plus(theory.model, theory.world, target)
+    return pm_forces_plus_rhd(theory.model, theory.world, target,
+                              theory.e_family)
+
+
+def reference_generate(generate, seed, **kwargs):
+    """``generate(seed, **kwargs)`` with every theory of the new model,
+    its self-checks included, decided by ``reference_generated_decide``."""
+    from provmod.provability import GeneratedTheory
+
+    # each oracle binds its theory's ``decide`` when it is built
+    saved = GeneratedTheory.decide
+    GeneratedTheory.decide = reference_generated_decide
+    try:
+        return generate(seed, **kwargs)
+    finally:
+        GeneratedTheory.decide = saved

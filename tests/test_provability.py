@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from provmod import formulas as fm
 from provmod.formulas import (
@@ -10,6 +13,7 @@ from provmod.formulas import (
     diamond,
     imp,
     land,
+    lor,
     neg,
     parse,
     rbox,
@@ -350,6 +354,121 @@ def test_ilm_axioms_hold_on_generated_tree():
 
 
 # ---------------------------------------------------------------------------
+# generated derivability against plus-forcing of the pre-interpolant
+
+def _seed_axiom_sets(language):
+    """The generate benchmark's axiom sets: at most two of p, ~p and the
+    boxed falsum."""
+    boxed_falsum = rbox(FALSUM) if language == RHD else box(FALSUM)
+    return [()] + [combo for k in (1, 2) for combo in
+                   itertools.combinations([p, neg(p), boxed_falsum], k)]
+
+
+@st.composite
+def _tree_seed_shapes(draw):
+    n = draw(st.integers(1, 4))
+    parents = [-1] + [draw(st.integers(-1, i - 1)) for i in range(1, n)]
+    labels = [draw(st.integers(0, 6)) for _ in range(n)]
+    return parents, labels
+
+
+def _queries(modal, depth=2):
+    """Formulas over p and q of modal depth at most ``depth``."""
+    def boolean(c):
+        return st.recursive(c, lambda d: st.one_of(
+            st.tuples(d, d).map(lambda ab: imp(*ab)),
+            st.tuples(d, d).map(lambda ab: land(*ab)),
+            st.tuples(d, d).map(lambda ab: lor(*ab)),
+            d.map(neg)), max_leaves=4)
+
+    leaves = st.sampled_from([p, q, FALSUM, top()])
+    level = boolean(leaves)
+    for _ in range(depth):
+        level = boolean(st.one_of(leaves, modal(level)))
+    return level
+
+
+_BOX_QUERIES = _queries(lambda c: st.one_of(c.map(box), c.map(diamond)))
+_RHD_QUERIES = _queries(lambda c: st.one_of(
+    st.tuples(c, c).map(lambda ab: rhd(*ab)), c.map(rbox), c.map(rdiamond)))
+_RHD_FAMILY = (top(), FALSUM, p, q, rbox(FALSUM))
+
+
+def _generate(language, shape, fresh_reference=False):
+    import support
+
+    seed = support.seed_premodel(*shape, _seed_axiom_sets(language), language)
+    if language == BOX:
+        generate, kwargs = generate_gl, {}
+    else:
+        generate, kwargs = generate_ilm, {"e_family": _RHD_FAMILY}
+    if fresh_reference:
+        return support.reference_generate(generate, seed, **kwargs)
+    return generate(seed, **kwargs)
+
+
+# free atoms on both sides of phi -> f, in both orders
+_TWO_ATOM_TEXTS = ("p -> q", "q -> p", "p & ~q", "[]q -> p", "q -> []p")
+
+
+def _assert_agrees_with_the_pre_interpolant_path(language, shape, queries):
+    model = _generate(language, shape)
+    reference = _generate(language, shape, fresh_reference=True)
+    queries = queries + [parse(t, language) for t in _TWO_ATOM_TEXTS]
+    for w in sorted(model.pre.theories, key=str):
+        for f in queries:
+            assert model.theory(w).derives(f) == \
+                reference.theory(w).derives(f), (w, fm.to_text(f))
+    # the same derivability queries reached every theory
+    for w in model.pre.theories:
+        assert model.theory(w)._memo == reference.theory(w)._memo, w
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tree_seed_shapes(), st.lists(_BOX_QUERIES, min_size=1, max_size=4))
+def test_generated_box_theories_agree_with_the_pre_interpolant_path(
+        shape, queries):
+    _assert_agrees_with_the_pre_interpolant_path(BOX, shape, queries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tree_seed_shapes(), st.lists(_RHD_QUERIES, min_size=1, max_size=3))
+def test_generated_rhd_theories_agree_with_the_pre_interpolant_path(
+        shape, queries):
+    _assert_agrees_with_the_pre_interpolant_path(RHD, shape, queries)
+
+
+_FAMILY_TEXTS = ("p", "~p", "[]p", "[]bot", "<>p", "p -> []p", "[]p -> p",
+                   "[]([]p -> p) -> []p", "[][]p", "[](p & []bot)", "<>[]p")
+
+
+@pytest.mark.parametrize("language", [BOX, RHD])
+def test_assignment_instances_conjoin_to_the_pre_interpolant(language):
+    # on a two-world chain over each of the benchmark's axiom sets, every
+    # query the top world's theory was asked: its phi[a] -> f[a] conjoin,
+    # in order, to the very node pre_interpolant(phi -> f)
+    queries = [parse(t, language) for t in _FAMILY_TEXTS + _TWO_ATOM_TEXTS]
+    checked = 0
+    for label in range(7):
+        model = _generate(language, ([-1, 0], [0, label]))
+        theory = model.theory("s1")
+        for f in queries:
+            if language == BOX:
+                pm_forces(model, "s0", box(f))
+            else:
+                pm_forces_rhd(model, "s0", rhd(f, p))
+        state = theory.decide.__self__
+        for f in theory._memo:
+            names, f_instances = model.pre._instances[f]
+            got = fm.conj(imp(phi_a, f_instances[j])
+                          for phi_a, j in state._assignment_pairs(names))
+            assert got is fm.pre_interpolant(imp(state.phi, f)), \
+                fm.to_text(f)
+            checked += 1
+    assert checked > 7 * len(queries)
+
+
+# ---------------------------------------------------------------------------
 # l-isomorphism
 
 def test_l_isomorphic_reflexive():
@@ -391,6 +510,20 @@ def test_gl_pipeline_l_isomorphic_to_lift():
     result = countermodel_pipeline_gl(parse("p -> []p"))
     assert is_l_isomorphic(result.model, result.lifted,
                            result.representatives.members)
+
+
+def test_level_two_gl_pipeline_builds_no_pre_interpolant():
+    import support
+
+    # a warm cache from an earlier pipeline would hide the per-query walks
+    # over phi that building pre_interpolant(phi -> f) costs
+    fm.pre_interpolant.cache_clear()
+    result = support.within(
+        0.25, lambda: countermodel_pipeline_gl(parse("p -> []p")))
+    assert result.n == 2
+    assert not pm_forces(result.model, result.designated, result.formula)
+    info = fm.pre_interpolant.cache_info()
+    assert info.hits == info.misses == 0
 
 
 def test_gl_pipeline_rejects_theorems():
