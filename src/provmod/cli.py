@@ -56,10 +56,6 @@ def _emit(args, payload: dict, text: str):
         print(text)
 
 
-def _load_model(path):
-    return docio.load_path(path)
-
-
 def _read_family(path, language):
     family = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -112,11 +108,9 @@ def _forcing(loaded, model, world, family):
     """Truth at the world, as a one-argument test, under the forcing
     relation of the document's model kind."""
     if loaded.kind == "kripke":
-        memo: dict = {}
-        return lambda g: forces(model, world, g, _memo=memo)
+        return lambda g: forces(model, world, g)
     if loaded.kind == "veltman":
-        memo = {}
-        return lambda g: veltman_forces(model, world, g, _memo=memo)
+        return lambda g: veltman_forces(model, world, g)
     if loaded.kind == "poly":
         return lambda g: glp_forces(model, world, g)
     if loaded.language == RHD:
@@ -125,7 +119,7 @@ def _forcing(loaded, model, world, family):
 
 
 def cmd_eval(args) -> int:
-    loaded = _load_model(args.model)
+    loaded = docio.load_path(args.model)
     family = _read_family(args.family, loaded.language) if args.family else None
     model = _materialize(loaded, family)
     f = parse(args.formula, loaded.language)
@@ -147,7 +141,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    loaded = _load_model(args.seed)
+    loaded = docio.load_path(args.seed)
     if loaded.kind != "premodel":
         raise CliError("generation starts from a pre-model document")
     family = _read_family(args.family, RHD) if args.family else None
@@ -200,7 +194,7 @@ def cmd_countermodel(args) -> int:
 
 
 def cmd_unravel(args) -> int:
-    loaded = _load_model(args.model)
+    loaded = docio.load_path(args.model)
     if loaded.kind != "veltman":
         raise CliError("unravelling takes a Veltman model document")
     unravelled = unravel(loaded.model)
@@ -261,7 +255,7 @@ def cmd_reps(args) -> int:
 
 
 def cmd_check(args) -> int:
-    loaded = _load_model(args.model)
+    loaded = docio.load_path(args.model)
     family = _read_family(args.family, loaded.language) if args.family else None
 
     if args.suite == "frame":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from provmod.formulas import BOX, OMEGA, RHD, parse
 from provmod.glp import PolyModel
 from provmod.kripke import KripkeModel, VeltmanModel
-from provmod.provability import PreModel, ProvabilityModel
+from provmod.provability import PreModel
 from provmod.theories import (
     TheoryOracle,
     finite_axioms_mp,
@@ -83,9 +83,6 @@ def _valuation_map(model) -> dict:
 
 def model_to_doc(model, meta: dict | None = None) -> dict:
     doc: dict = {"version": SCHEMA_VERSION}
-    if isinstance(model, ProvabilityModel):
-        model = model.pre
-
     if isinstance(model, PolyModel):
         doc["language"] = OMEGA
         doc["worlds"] = sorted(_world_id(w) for w in model.worlds)
@@ -228,8 +225,6 @@ def save_path(path, doc: dict):
 # DOT rendering
 
 def to_dot(model, designated=None) -> str:
-    if isinstance(model, ProvabilityModel):
-        model = model.pre
     lines = ["digraph model {"]
     atoms_at: dict[str, list] = {}
     for (w, a) in model.valuation:

@@ -8,8 +8,9 @@ clauses run on ``kripke.evaluate``, the lazy per-world evaluator that poly
 models use too; plain Kripke and Veltman models and unravellings are
 evaluated over all worlds at once instead.  A pre-model (``PreModel``) is
 a ``KripkeModel`` with a theory at each accessible world, so frame checks
-and plus-forcing take it as it is; a ``ProvabilityModel`` wraps one with
-the certificate for its modal completeness.
+and plus-forcing take it as it is; a ``ProvabilityModel`` is a pre-model
+that also carries the certificate for its modal completeness, so every
+function here takes either kind as it is.
 
 On top of evaluation this module builds the two central constructions:
 lifting a Kripke model into an equivalent provability model, and generating
@@ -146,8 +147,8 @@ class PreModel(KripkeModel):
             raise PreModelError(f"no theory at world {w!r}") from None
 
     def __repr__(self):
-        return (f"PreModel({len(self.worlds)} worlds, {self.language}, "
-                f"{len(self.theories)} theories)")
+        return (f"{type(self).__name__}({len(self.worlds)} worlds, "
+                f"{self.language}, {len(self.theories)} theories)")
 
 
 @dataclass(frozen=True)
@@ -160,35 +161,26 @@ class Certificate:
     notes: str = ""
 
 
-@dataclass
-class ProvabilityModel:
-    pre: PreModel
-    certificate: Certificate
-    e_family: tuple | None = None
-    family_bounded: bool = False
+class ProvabilityModel(PreModel):
+    """A pre-model that is modally complete: purely modal formulas
+    plus-forced at an accessible world are derived there.  The certificate
+    says why that is believed; ``e_family`` is the witness family rhd
+    evaluation defaults to, and ``family_bounded`` marks a family not known
+    to cover the bounded-height representatives."""
+
+    def __init__(self, worlds, edges, valuation, theories, language,
+                 certificate: Certificate, e_family=None,
+                 family_bounded=False):
+        super().__init__(worlds, edges, valuation, theories, language)
+        self.certificate = certificate
+        self.e_family = e_family
+        self.family_bounded = family_bounded
 
     @property
-    def worlds(self):
-        return self.pre.worlds
-
-    @property
-    def edges(self):
-        return self.pre.edges
-
-    @property
-    def valuation(self):
-        return self.pre.valuation
-
-    @property
-    def language(self):
-        return self.pre.language
-
-    def theory(self, w) -> TheoryOracle:
-        return self.pre.theory(w)
-
-
-def _pre(model) -> PreModel:
-    return model.pre if isinstance(model, ProvabilityModel) else model
+    def pre(self) -> PreModel:
+        """The model itself: the benchmark in ``perfbench/`` still reads
+        ``model.pre.theories``."""
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +217,16 @@ def _rhd_clause(P: PreModel, e_family):
 
 def pm_forces(model, world, f: Formula) -> bool:
     """Truth in a box-language provability model."""
-    P = _pre(model)
-    _check_query(P, world, f, BOX, PreModelError)
-    return evaluate(P, world, f, *_box_clause(P))
+    _check_query(model, world, f, BOX, PreModelError)
+    return evaluate(model, world, f, *_box_clause(model))
 
 
 def pm_forces_plus(model, world, f: Formula) -> bool:
     """Truth at all strict descendants of some predecessor; false at
     worlds that are not accessible."""
-    P = _pre(model)
-    if world not in P.worlds:
+    if world not in model.worlds:
         raise PreModelError(f"unknown world {world!r}")
-    return plus(P, world, lambda v: pm_forces(P, v, f))
+    return plus(model, world, lambda v: pm_forces(model, v, f))
 
 
 def pm_forces_rhd(model, world, f: Formula, e_family=None) -> bool:
@@ -245,39 +235,34 @@ def pm_forces_rhd(model, world, f: Formula, e_family=None) -> bool:
     when the family covers the bounded-height representatives; otherwise
     the model carries a family_bounded flag.
     """
-    P = _pre(model)
     if e_family is None and isinstance(model, ProvabilityModel):
         e_family = model.e_family
     if not e_family:
         raise PreModelError("rhd evaluation needs a nonempty witness family")
-    _check_query(P, world, f, RHD, PreModelError)
-    return evaluate(P, world, f, *_rhd_clause(P, e_family))
+    _check_query(model, world, f, RHD, PreModelError)
+    return evaluate(model, world, f, *_rhd_clause(model, e_family))
 
 
 def pm_forces_plus_rhd(model, world, f: Formula, e_family=None) -> bool:
-    P = _pre(model)
-    if e_family is None and isinstance(model, ProvabilityModel):
-        e_family = model.e_family
-    if world not in P.worlds:
+    if world not in model.worlds:
         raise PreModelError(f"unknown world {world!r}")
-    return plus(P, world, lambda v: pm_forces_rhd(P, v, f, e_family))
+    return plus(model, world, lambda v: pm_forces_rhd(model, v, f, e_family))
 
 
 def is_purely_modal_family_complete(model, family, e_family=None) -> list:
     """Modal-completeness spot check: purely modal family members that are
     plus-forced at an accessible world must be derivable there.  Returns
     the violations as (world, formula) pairs."""
-    P = _pre(model)
     out = []
-    for w in sorted(P.theories, key=str):
-        th = P.theory(w)
+    for w in sorted(model.theories, key=str):
+        th = model.theory(w)
         for f in family:
             if not fm.is_purely_modal(f):
                 continue
-            if P.language == RHD:
+            if model.language == RHD:
                 forced = pm_forces_plus_rhd(model, w, f, e_family)
             else:
-                forced = pm_forces_plus(P, w, f)
+                forced = pm_forces_plus(model, w, f)
             if forced and not th.derives(f):
                 out.append((w, f))
     return out
@@ -295,17 +280,18 @@ def certify_modal_completeness(pre: PreModel, family,
         w, f = violations[0]
         raise PreModelError(
             f"modal completeness fails at {w!r} on {to_text(f)}")
-    return ProvabilityModel(pre, Certificate(kind="family_checked",
-                                             family=family),
+    return ProvabilityModel(pre.worlds, pre.edges, pre.valuation,
+                            pre.theories, pre.language,
+                            Certificate(kind="family_checked", family=family),
                             e_family=tuple(e_family) if e_family else None)
 
 
 def check_oracles_classical(model, sample=None) -> list:
     """Classicality spot-check of every attached theory; returns witnesses."""
-    P = _pre(model)
     out = []
-    for w in sorted(P.theories, key=str):
-        for violation in classicality_violations(P.theory(w), sample=sample):
+    for w in sorted(model.theories, key=str):
+        for violation in classicality_violations(model.theory(w),
+                                                 sample=sample):
             out.append((w,) + violation)
     return out
 
@@ -320,12 +306,10 @@ def lift_kripke(model: KripkeModel, transitive: bool = False,
     variant, which is then closed under necessitation)."""
     if transitive and not check_frame(model).transitive:
         raise PreModelError("transitive lift over a non-transitive frame")
-    shared: dict = {}
-    theories = {w: kripke_world_theory(model, w, transitive=transitive,
-                                       _memo=shared)
+    theories = {w: kripke_world_theory(model, w, transitive=transitive)
                 for w in model.accessible_worlds()}
-    pre = PreModel(model.worlds, model.edges, model.valuation, theories, BOX)
-    lifted = ProvabilityModel(pre, Certificate(kind="lifted"))
+    lifted = ProvabilityModel(model.worlds, model.edges, model.valuation,
+                              theories, BOX, Certificate(kind="lifted"))
     if certify_family is not None:
         for w in model.worlds:
             for f in certify_family:
@@ -349,10 +333,9 @@ def project_and_check(model, family) -> tuple[KripkeModel, ProjectionReport]:
     """Strip the theories.  Requires transitivity, local soundness and
     local completeness (checked over the subformula closure of the given
     family); then verifies truth agrees with the bare Kripke model."""
-    P = _pre(model)
-    if P.language != BOX:
+    if model.language != BOX:
         raise PreModelError("projection is defined for box-language models")
-    transitive = check_frame(P).transitive
+    transitive = check_frame(model).transitive
     if not transitive:
         raise ProjectionError("frame is not transitive", transitive.witness)
     closed: dict[Formula, None] = {}
@@ -360,19 +343,19 @@ def project_and_check(model, family) -> tuple[KripkeModel, ProjectionReport]:
         for g in fm.subformulas(f):
             closed.setdefault(g)
     closed_family = tuple(closed)
-    for w in sorted(P.theories, key=str):
-        th = P.theory(w)
+    for w in sorted(model.theories, key=str):
+        th = model.theory(w)
         for f in closed_family:
-            if th.derives(f) and not pm_forces(P, w, f):
+            if th.derives(f) and not pm_forces(model, w, f):
                 raise ProjectionError("local soundness fails", (w, to_text(f)))
-            if pm_forces_plus(P, w, f) and not th.derives(f):
+            if pm_forces_plus(model, w, f) and not th.derives(f):
                 raise ProjectionError("local completeness fails",
                                       (w, to_text(f)))
-    kripke = P.kripke_part()
+    kripke = model.kripke_part()
     mismatches = []
-    for w in sorted(P.worlds, key=str):
+    for w in sorted(model.worlds, key=str):
         for f in closed_family:
-            if pm_forces(P, w, f) != forces(kripke, w, f):
+            if pm_forces(model, w, f) != forces(kripke, w, f):
                 mismatches.append((w, f))
     return kripke, ProjectionReport(family=closed_family,
                                     equivalent=not mismatches,
@@ -403,7 +386,7 @@ class GeneratedTheory:
     phi: Formula
     seed_axioms: tuple
     language: str = BOX
-    model: PreModel | None = None
+    model: ProvabilityModel | None = None
     e_family: tuple | None = None
     # phi's free atoms and instances, and per set of the query's free atoms
     # the (phi[a], index of f[a]) pairs in assignment order
@@ -500,8 +483,11 @@ def _generate(seed: PreModel, language: str, e_family, family_bounded):
             decide=st.decide,
             label=f"gen[{w}]",
         )
-    generated = PreModel(seed.worlds, seed.edges, seed.valuation, oracles,
-                         language)
+    generated = ProvabilityModel(seed.worlds, seed.edges, seed.valuation,
+                                 oracles, language,
+                                 Certificate(kind="generated"),
+                                 e_family=e_family,
+                                 family_bounded=family_bounded)
     for st in states.values():
         st.model = generated
     for w in sorted(oracles, key=str):
@@ -514,8 +500,7 @@ def _generate(seed: PreModel, language: str, e_family, family_bounded):
     if bad:
         raise GenerationError(f"internal error: generated oracle not "
                               f"classical: {bad[0]}")
-    return ProvabilityModel(generated, Certificate(kind="generated"),
-                            e_family=e_family, family_bounded=family_bounded)
+    return generated
 
 
 def generate_gl(seed: PreModel) -> ProvabilityModel:
@@ -557,23 +542,16 @@ def generate_ilm(seed: PreModel, e_family=None) -> ProvabilityModel:
 def is_l_isomorphic(m1, m2, family) -> bool:
     """Same frame and valuation, and derivability agrees at every
     accessible world across the family."""
-    p1, p2 = _pre(m1), _pre(m2)
-    if p1.worlds != p2.worlds or p1.edges != p2.edges \
-            or p1.valuation != p2.valuation:
+    if m1.worlds != m2.worlds or m1.edges != m2.edges \
+            or m1.valuation != m2.valuation:
         raise PreModelError("l-isomorphism needs identical frame and valuation")
-    for w in sorted(p1.theories, key=str):
-        t1, t2 = p1.theory(w), p2.theory(w)
-        for f in family:
-            if t1.derives(f) != t2.derives(f):
-                return False
-    return True
+    return l_isomorphism_witness(m1, m2, family) is None
 
 
 def l_isomorphism_witness(m1, m2, family):
-    p1, p2 = _pre(m1), _pre(m2)
-    for w in sorted(p1.theories, key=str):
+    for w in sorted(m1.theories, key=str):
         for f in family:
-            if p1.theory(w).derives(f) != p2.theory(w).derives(f):
+            if m1.theory(w).derives(f) != m2.theory(w).derives(f):
                 return (w, f)
     return None
 
@@ -658,19 +636,18 @@ def soundness_suite(model, logic: str, atom_names, depth: int = 2,
                     e_family=None):
     """Force every axiom instance of the logic at every world of the
     provability model; returns the failures as (scheme, formula, world)."""
-    P = _pre(model)
     failures = []
     if logic == "ilm":
         instances = ilm_axiom_instances(atom_names)
         for (name, f) in instances:
-            for w in sorted(P.worlds, key=str):
+            for w in sorted(model.worlds, key=str):
                 if not pm_forces_rhd(model, w, f, e_family):
                     failures.append((name, f, w))
         return failures
     instances = box_axiom_instances(logic, atom_names, depth)
     for (name, f) in instances:
-        for w in sorted(P.worlds, key=str):
-            if not pm_forces(P, w, f):
+        for w in sorted(model.worlds, key=str):
+            if not pm_forces(model, w, f):
                 failures.append((name, f, w))
     return failures
 
@@ -710,11 +687,10 @@ def countermodel_pipeline_gl(f: Formula) -> PipelineResult:
     kripke: KripkeModel = verdict.countermodel
     w0 = verdict.world
     rep = representatives_gl(n, sorted(fm.atoms(f)))
-    memo: dict = {}
     theories = {}
     for w in kripke.accessible_worlds():
         axioms = tuple(b for b in rep.members
-                       if forces(kripke, w, boxdot(b), _memo=memo))
+                       if forces(kripke, w, boxdot(b)))
         theories[w] = finite_axioms_mp(axioms)
     seed = PreModel(kripke.worlds, kripke.edges, kripke.valuation,
                     theories, BOX)

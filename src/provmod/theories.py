@@ -100,23 +100,21 @@ def finite_axioms_mp(axioms, language: str = BOX) -> TheoryOracle:
 
 
 def kripke_world_theory(model: KripkeModel, world,
-                        transitive: bool = False,
-                        _memo: dict | None = None) -> TheoryOracle:
+                        transitive: bool = False) -> TheoryOracle:
     """Everything true at the world; with the transitive flag, everything
     true there and at every successor (then closed under necessitation).
-    ``_memo`` lets sibling oracles over one model share evaluation work."""
+    Oracles over one model share its own mask table."""
     if world not in model.worlds:
         raise TheoryError(f"unknown world {world!r}")
     if transitive and not check_frame(model).transitive:
         raise TheoryError("transitive world theory over a non-transitive frame")
-    memo: dict = {} if _memo is None else _memo
     if transitive:
         def decide(f: Formula) -> bool:
-            return forces(model, world, boxdot(f), _memo=memo)
+            return forces(model, world, boxdot(f))
         rules = frozenset({MP, NEC})
     else:
         def decide(f: Formula) -> bool:
-            return forces(model, world, f, _memo=memo)
+            return forces(model, world, f)
         rules = frozenset({MP})
     return TheoryOracle(
         language=BOX,

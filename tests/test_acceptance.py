@@ -314,7 +314,7 @@ def test_04_generated_models():
     for parents, labels in seeds:
         seed = support.seed_premodel(parents, labels, _AXIOM_CHOICES)
         model = generate_gl(seed)
-        for w in sorted(model.pre.theories, key=str):
+        for w in sorted(model.theories, key=str):
             th = model.theory(w)
             for ax in th.axioms:
                 assert th.derives(ax), (parents, labels, w, to_text(ax))
@@ -350,7 +350,7 @@ def test_05_gl_pipeline():
         f = parse(text)
         result = _pipeline(text)
         assert not pm_forces(result.model, result.designated, f), text
-        report = check_frame(result.model.pre.kripke_part())
+        report = check_frame(result.model.kripke_part())
         assert report.tree and report.converse_well_founded
         assert forces(result.kripke, result.designated,
                       boxes(FALSUM, result.n))

@@ -102,7 +102,7 @@ def test_generated_theories_refuse_direct_serialization():
                     {"w1": finite_axioms_mp([p])})
     model = generate_gl(seed)
     with pytest.raises(docio.DocumentError):
-        docio.model_to_doc(model.pre)
+        docio.model_to_doc(model)
 
 
 def test_schema_errors():

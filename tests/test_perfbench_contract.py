@@ -56,3 +56,17 @@ def test_deciders_table_holds_the_four_tableaux(perfbench_modules):
 def test_benchmark_inputs_build(perfbench_modules):
     inputs = importlib.import_module("inputs")
     assert len(inputs.glp_models()) == 3
+
+
+def test_generated_models_still_answer_pre(perfbench_modules):
+    # the generate workload reads the theories as ``model.pre.theories``
+    _, workloads = perfbench_modules
+    inputs = importlib.import_module("inputs")
+    for language, generate, kwargs in (
+            (workloads.BOX, workloads.generate_gl, {}),
+            (workloads.RHD, workloads.generate_ilm,
+             {"e_family": workloads.pipeline_family_rhd(["p", "q"], 4)})):
+        seed = inputs.seed_premodel([-1, 0], [0, 1],
+                                    inputs.axiom_sets(language), language)
+        model = generate(seed, **kwargs)
+        assert model.pre.theories.keys() == {"s1"}

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from provmod import formulas as fm
+from provmod import docio, formulas as fm
 from provmod.formulas import (
     BOX,
     FALSUM,
@@ -29,6 +29,7 @@ from provmod.provability import (
     PreModel,
     PreModelError,
     ProjectionError,
+    certify_modal_completeness,
     check_oracles_classical,
     countermodel_pipeline_gl,
     countermodel_pipeline_ilm,
@@ -277,7 +278,7 @@ def test_rhd_box_encoding_matches_direct_derivability():
     for f in [p, q, land(p, q), neg(q)]:
         encoded = pm_forces_rhd(model, "w0", rbox(f))
         direct = all(model.theory(u).derives(f)
-                     for u in model.pre.successors("w0"))
+                     for u in model.successors("w0"))
         assert encoded == direct, str(f)
 
 
@@ -296,10 +297,10 @@ def test_pm_forces_rhd_answers_alike_before_and_after_its_memo_is_warm():
     model = generated()
     warming = [pm_forces_rhd(model, w, f) for w, f in queries]
     # one entry per witness family: its diamonds, built once, and its memo
-    (dia, _), = model.pre._rhd_memos.values()
+    (dia, _), = model._rhd_memos.values()
     assert dia == [rdiamond(e) for e in model.e_family]
     warm = [pm_forces_rhd(model, w, f) for w, f in queries]
-    assert model.pre._rhd_memos[model.e_family][0] is dia
+    assert model._rhd_memos[model.e_family][0] is dia
     assert cold == warming == warm
     assert True in cold and False in cold
 
@@ -415,12 +416,12 @@ def _assert_agrees_with_the_pre_interpolant_path(language, shape, queries):
     model = _generate(language, shape)
     reference = _generate(language, shape, fresh_reference=True)
     queries = queries + [parse(t, language) for t in _TWO_ATOM_TEXTS]
-    for w in sorted(model.pre.theories, key=str):
+    for w in sorted(model.theories, key=str):
         for f in queries:
             assert model.theory(w).derives(f) == \
                 reference.theory(w).derives(f), (w, fm.to_text(f))
     # the same derivability queries reached every theory
-    for w in model.pre.theories:
+    for w in model.theories:
         assert model.theory(w)._memo == reference.theory(w)._memo, w
 
 
@@ -459,7 +460,7 @@ def test_assignment_instances_conjoin_to_the_pre_interpolant(language):
                 pm_forces_rhd(model, "s0", rhd(f, p))
         state = theory.decide.__self__
         for f in theory._memo:
-            names, f_instances = model.pre._instances[f]
+            names, f_instances = model._instances[f]
             got = fm.conj(imp(phi_a, f_instances[j])
                           for phi_a, j in state._assignment_pairs(names))
             assert got is fm.pre_interpolant(imp(state.phi, f)), \
@@ -502,7 +503,7 @@ def test_gl_pipeline_refutes(text):
     f = parse(text)
     result = countermodel_pipeline_gl(f)
     assert not pm_forces(result.model, result.designated, f)
-    report = check_frame(result.model.pre.kripke_part())
+    report = check_frame(result.model.kripke_part())
     assert report.tree and report.converse_well_founded
 
 
@@ -602,9 +603,52 @@ def test_gl_suite_fails_on_reflexive_model():
     assert soundness_suite(lifted, "gl", ["p"], depth=1)
 
 
-def test_certify_modal_completeness():
-    from provmod.provability import certify_modal_completeness
+def test_every_provability_model_is_a_pre_model():
+    k = KripkeModel("abc", [("a", "b"), ("b", "c"), ("a", "c")],
+                    [("b", "p")])
+    lifted = lift_kripke(k, transitive=True)
+    certified = certify_modal_completeness(
+        PreModel(["w0", "w1"], [("w0", "w1")], [],
+                 {"w1": finite_axioms_mp([box(FALSUM), box(p)])}),
+        [box(FALSUM), box(p)])
+    pipeline = countermodel_pipeline_gl(parse("p -> []p"))
+    models = {"lifted": lifted, "certified": certified,
+              "generated gl": generate_gl(two_chain_premodel()),
+              "generated rhd": rhd_two_chain(),
+              "pipeline": pipeline.model, "pipeline lift": pipeline.lifted}
+    texts = ("p", "[]p", "<>p", "[]bot", "[]p -> p")
+    for name, model in models.items():
+        assert isinstance(model, PreModel) and model.pre is model, name
+        assert check_frame(model).converse_well_founded, name
+        assert model.kripke_part() == KripkeModel(
+            model.worlds, model.edges, model.valuation), name
+        # answers exactly like the pre-model of its frame and theories
+        pre = PreModel(model.worlds, model.edges, model.valuation,
+                       model.theories, model.language)
+        family = [parse(t, model.language) for t in texts]
+        for w in sorted(model.worlds, key=str):
+            for f in family:
+                if model.language == BOX:
+                    assert pm_forces(model, w, f) == pm_forces(pre, w, f)
+                else:
+                    assert pm_forces_rhd(model, w, f) == \
+                        pm_forces_rhd(pre, w, f, model.e_family), (name, w)
+        if name not in ("lifted", "certified", "pipeline lift"):
+            # generated theories are saved as their seeds
+            with pytest.raises(docio.DocumentError):
+                docio.model_to_doc(model)
+            continue
+        doc = docio.model_to_doc(model)
+        loaded = docio.loads(docio.dumps(doc))
+        assert loaded.kind == "premodel", name
+        assert docio.model_to_doc(loaded.model) == doc, name
+        for w in model.theories:
+            for f in family:
+                assert loaded.model.theory(w).derives(f) == \
+                    model.theory(w).derives(f), (name, w)
 
+
+def test_certify_modal_completeness():
     # vacuously true boxes at the leaf must be derivable there
     good = PreModel(["w0", "w1"], [("w0", "w1")], [],
                     {"w1": finite_axioms_mp([box(FALSUM), box(p)])})
