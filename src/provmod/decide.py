@@ -34,7 +34,6 @@ from provmod.formulas import (
 from provmod.kripke import (
     KripkeModel,
     VeltmanModel,
-    _rhd,
     check_frame,
     evaluate_mask,
     forces,
@@ -446,26 +445,35 @@ def _minimizers(perms, code):
     return least, [pi for pi, c in zip(perms, codes) if c == least]
 
 
-def enumerate_veltman_models(n: int, atom_names, max_height: int | None = None):
-    """All valid Veltman models on n worlds over the given atoms, pruned to
-    one representative per isomorphism class.
+def _veltman_frames(n: int, atom_names, max_height: int | None = None):
+    """The valid Veltman frames on n worlds, one per isomorphism class, each
+    with its valuations over the given atoms, one per isomorphism class of
+    models on it: pairs ``(frame, valuations)``, the frame a
+    ``VeltmanModel`` with the empty valuation and each valuation a list of
+    (world, atom) pairs.
 
-    A labelled model is kept when its canonical code is new.  The code is
-    the lexicographic least, over all n! relabellings pi, of the triple
-    (frame code, preorder code, valuation code), each the sorted image of
-    that part under pi.  A lexicographic minimum is reached only by the
-    relabellings that minimize the first part, and among those only by the
-    ones that minimize the second.  So the frame code is minimized once per
-    strict poset over all n! relabellings, the preorder code once per
-    preorder combination over the frame's minimizers, and each valuation
-    only over what is left: one relabelling, or a few when the frame has
-    automorphisms.  The code, and so every yielded model and its order, is
-    the one a minimum over all n! full triples gives.
+    A model's canonical code is the lexicographic least, over all n!
+    relabellings pi, of the triple (frame code, preorder code, valuation
+    code), each the sorted image of that part under pi.  A lexicographic
+    minimum is reached only by the relabellings that minimize the first
+    part, and among those only by the ones that minimize the second.  So the
+    frame code is minimized once per strict poset over all n! relabellings,
+    and the preorder code once per preorder combination over the frame's
+    minimizers.  A labelled frame whose pair of codes was already seen is an
+    isomorphic copy of an earlier one: every valuation on it has the code of
+    a model already given, so it is skipped.  On a new frame the remaining
+    minimizers are one relabelling followed by the frame's automorphisms.
+    Without automorphisms every valuation is a model of its own; with them,
+    a valuation is kept when its code, minimized over the remaining
+    relabellings, is new for the frame.
     """
     atom_names = sorted(atom_names)
     worlds = [f"v{i}" for i in range(n)]
     perms = list(itertools.permutations(range(n)))
     cells = [(i, a) for i in range(n) for a in atom_names]
+    chosen = [[cell for cell, b in zip(cells, bits) if b]
+              for bits in itertools.product((False, True), repeat=len(cells))]
+    every = [[(worlds[i], a) for (i, a) in val] for val in chosen]
     seen = set()
     for rel in _strict_posets(n):
         if max_height is not None and _model_height(n, rel) >= max_height:
@@ -480,39 +488,128 @@ def enumerate_veltman_models(n: int, atom_names, max_height: int | None = None):
                     (pi[w], tuple(sorted((pi[x], pi[y])
                                          for (x, y) in combo[w])))
                     for w in range(n))))
-            for bits in itertools.product((False, True), repeat=len(cells)):
-                val = {cell for cell, b in zip(cells, bits) if b}
-                code = (frame_code, preorder_code,
-                        min(tuple(sorted((pi[i], a) for (i, a) in val))
-                            for pi in preorder_perms))
-                if code in seen:
-                    continue
-                seen.add(code)
-                yield VeltmanModel(
-                    worlds,
-                    [(worlds[a], worlds[b]) for (a, b) in rel],
-                    {worlds[w]: [(worlds[x], worlds[y]) for (x, y) in combo[w]]
-                     for w in range(n)},
-                    [(worlds[i], a) for (i, a) in val],
-                )
+            if (frame_code, preorder_code) in seen:
+                continue
+            seen.add((frame_code, preorder_code))
+            frame = VeltmanModel(
+                worlds,
+                [(worlds[a], worlds[b]) for (a, b) in rel],
+                {worlds[w]: [(worlds[x], worlds[y]) for (x, y) in combo[w]]
+                 for w in range(n)},
+                ())
+            if len(preorder_perms) == 1:
+                yield frame, every
+                continue
+            codes = set()
+            valuations = []
+            for val, named in zip(chosen, every):
+                code = min(tuple(sorted((pi[i], a) for (i, a) in val))
+                           for pi in preorder_perms)
+                if code not in codes:
+                    codes.add(code)
+                    valuations.append(named)
+            yield frame, valuations
+
+
+def enumerate_veltman_models(n: int, atom_names, max_height: int | None = None):
+    """All valid Veltman models on n worlds over the given atoms, pruned to
+    one representative per isomorphism class: each frame of
+    ``_veltman_frames`` under each of its valuations, in that order.
+
+    Frames are told apart by their frame and preorder codes, so an
+    isomorphic copy of a frame is skipped whole, and valuations are
+    canonicalized only on frames with automorphisms.  A model is the code's
+    representative that a minimum over all n! full triples gives, and the
+    models come in the order of the labelled candidates they stand for.
+    Each model shares its frame's tables (``VeltmanModel.with_valuation``),
+    so the frame clauses are checked once per frame.
+    """
+    for frame, valuations in _veltman_frames(n, atom_names, max_height):
+        for valuation in valuations:
+            yield frame.with_valuation(valuation)
+
+
+class _Lanes:
+    """One frame under V valuations at once, for ``evaluate_mask``: bit
+    ``i*V + v`` of a mask stands for the i-th world in ``str`` order under
+    the v-th valuation, so lane v is the model of the v-th valuation and a
+    world's truth under every valuation is one V-bit block."""
+
+    def __init__(self, frame: VeltmanModel, valuations):
+        width = self.width = len(valuations)
+        order = frame._order
+        index = {w: i for i, w in enumerate(order)}
+        self.lane = (1 << width) - 1
+        self._full = (1 << len(order) * width) - 1
+        self.shifts = [i * width for i in range(len(order))]
+        atoms: dict = {}
+        for v, valuation in enumerate(valuations):
+            for w, a in valuation:
+                atoms[a] = atoms.get(a, 0) | 1 << index[w] * width + v
+        self._atom_masks = atoms
+        # per world: its block shift and, per successor, the successor's
+        # index and the indices of the worlds preorder-above it there
+        self.table = [
+            (index[w] * width,
+             [(index[u], [index[z] for (x, z) in frame.preorders[w] if x == u])
+              for u in frame._succ[w]])
+            for w in order]
+
+    def first(self, mask: int):
+        """The lowest lane with a bit set in ``mask``, and the index of its
+        lowest world there."""
+        lane = self.lane
+        lanes = 0
+        for s in self.shifts:
+            lanes |= mask >> s & lane
+        v = (lanes & -lanes).bit_length() - 1
+        i = next(i for i, s in enumerate(self.shifts) if mask >> s + v & 1)
+        return v, i
+
+
+def _lane_rhd(lanes: _Lanes, left: int, right: int) -> int:
+    """``kripke._rhd`` on every lane at once, one V-bit block per world."""
+    lane = lanes.lane
+    lb = [left >> s & lane for s in lanes.shifts]
+    rb = [right >> s & lane for s in lanes.shifts]
+    out = 0
+    for shift, edges in lanes.table:
+        block = lane
+        for j, above in edges:
+            a = lb[j]
+            if a:
+                up = 0
+                for z in above:
+                    up |= rb[z]
+                block &= (lane ^ a) | up
+        out |= block << shift
+    return out
 
 
 def decide_ilm(f: Formula, size_bound: int = 3,
                max_height: int | None = None) -> DecisionVerdict:
     """Bounded countermodel search.  A found countermodel is exact; absence
-    of one up to the bound is reported as such, never promoted here."""
+    of one up to the bound is reported as such, never promoted here.
+
+    The target is evaluated once per frame of ``_veltman_frames``, on all of
+    the frame's valuations at once (``_Lanes``).  The lowest failing lane,
+    and in it the lowest failing world in ``str`` order, is the first
+    failing world of the first countermodel that ``enumerate_veltman_models``
+    gives.  Only that model is built, and it is re-checked with
+    ``veltman_forces_alt``."""
     if f.lang not in (None, RHD):
         raise DecisionError("ilm decides rhd-language formulas only")
     if size_bound < 1:
         raise DecisionError("size bound must be at least 1")
     names = fm.atoms(f)
     for n in range(1, size_bound + 1):
-        for model in enumerate_veltman_models(n, names, max_height=max_height):
-            # bit i of a mask is the i-th world in str order, so the
-            # lowest failing bit is the first failing world
-            failing = model._full ^ evaluate_mask(model, f, _rhd)
+        for frame, valuations in _veltman_frames(n, names, max_height):
+            lanes = _Lanes(frame, valuations)
+            failing = lanes._full ^ evaluate_mask(lanes, f, _lane_rhd, {})
             if failing:
-                w = model._order[(failing & -failing).bit_length() - 1]
+                v, i = lanes.first(failing)
+                model = frame.with_valuation(valuations[v])
+                w = model._order[i]
                 if veltman_forces_alt(model, w, f):
                     raise DecisionError(
                         "internal error: countermodel failed verification")

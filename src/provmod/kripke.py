@@ -25,9 +25,11 @@ test.
 
 Worlds are arbitrary hashable ids (strings in documents).  Models are
 immutable after construction.  A model keeps one mask table per modal
-clause for the calls that pass no memo; the tables are filled on demand,
-each entry written once and always to the same value, so instances can be
-shared freely between threads.
+clause for the calls that pass no memo, and its frame report once
+``check_frame`` has run; both are filled on demand, each entry written once
+and always to the same value, so instances can be shared freely between
+threads.  ``with_valuation`` derives a model on the same frame that shares
+every frame table.
 """
 
 from __future__ import annotations
@@ -74,26 +76,60 @@ class KripkeModel:
                 raise ModelError(f"edge {(w, u)!r} leaves the world set")
             succ[w].append(u)
             pred[u].append(w)
-        self.valuation = frozenset((w, a) for (w, a) in valuation)
-        for w, a in self.valuation:
-            if w not in self.worlds:
-                raise ModelError(f"valuation entry {(w, a)!r} leaves the world set")
         self._succ = {w: tuple(sorted(us, key=_world_key))
                       for w, us in succ.items()}
         self._pred = {w: tuple(sorted(xs, key=_world_key))
                       for w, xs in pred.items()}
         self._descendants = None
+        self._report = None  # the frame report, once ``check_frame`` ran
         # world masks: bit i stands for the i-th world in ``str`` order
         self._order = tuple(sorted(self.worlds, key=_world_key))
         bit = self._bit = {w: 1 << i for i, w in enumerate(self._order)}
         self._full = (1 << len(self._order)) - 1
-        atoms: dict = {}
-        for w, a in self.valuation:
-            atoms[a] = atoms.get(a, 0) | bit[w]
-        self._atom_masks = atoms
         self._box_table = tuple([(bit[w], sum([bit[u] for u in self._succ[w]]))
                                  for w in self._order])
+        self._set_valuation(valuation)
+
+    def _set_valuation(self, valuation):
+        """The valuation, its atom masks and an empty mask table: the only
+        state that depends on more than the frame."""
+        self.valuation = frozenset((w, a) for (w, a) in valuation)
+        bit = self._bit
+        atoms: dict = {}
+        for w, a in self.valuation:
+            b = bit.get(w)
+            if b is None:
+                raise ModelError(f"valuation entry {(w, a)!r} leaves the world set")
+            atoms[a] = atoms.get(a, 0) | b
+        self._atom_masks = atoms
         self._masks: dict = {}
+
+    def with_valuation(self, valuation):
+        """The model on this frame with another valuation.
+
+        The new model shares every frame table with this one (successors,
+        predecessors, world order and bits, the box table, and the
+        descendants and frame report as far as they are computed); only its
+        valuation, atom masks and mask tables are its own.  A valuation
+        entry outside the world set raises ``ModelError``.  The attributes
+        are assigned in ``__init__``'s order, so the instance keeps the
+        compact attribute layout that a constructed one has.  Subclasses
+        that keep valuation-dependent state of their own (pre-models,
+        unravellings) do not support it.
+        """
+        new = object.__new__(type(self))
+        new.worlds = self.worlds
+        new.edges = self.edges
+        new._succ = self._succ
+        new._pred = self._pred
+        new._descendants = self._descendants
+        new._report = self._report
+        new._order = self._order
+        new._bit = self._bit
+        new._full = self._full
+        new._box_table = self._box_table
+        new._set_valuation(valuation)
+        return new
 
     def successors(self, w):
         return self._succ[w]
@@ -361,7 +397,10 @@ def _find_cycle(worlds, succ):
 def check_frame(model) -> FrameReport:
     """Frame properties with witnesses, read off the model's own successor,
     predecessor and descendant tables.  In the finite case converse
-    well-foundedness is exactly acyclicity."""
+    well-foundedness is exactly acyclicity.  Models are immutable, so the
+    report is computed once per model and kept on it."""
+    if model._report is not None:
+        return model._report
     worlds = sorted(model.worlds, key=_world_key)
     edges, succ, desc = model.edges, model._succ, model.descendants
 
@@ -376,7 +415,7 @@ def check_frame(model) -> FrameReport:
                    for u in model.predecessors(v)[i + 1:]
                    if u not in desc(w) and w not in desc(u)), None)
 
-    return FrameReport(
+    model._report = FrameReport(
         reflexive=PropertyCheck(refl_w is None,
                                 None if refl_w is None else (refl_w,)),
         irreflexive=PropertyCheck(irr_w is None,
@@ -385,6 +424,7 @@ def check_frame(model) -> FrameReport:
         converse_well_founded=PropertyCheck(cycle is None, cycle),
         tree=PropertyCheck(tree_w is None, tree_w),
     )
+    return model._report
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +534,14 @@ class VeltmanModel(KripkeModel):
                                           if x == v]))
                             for v in self._succ[w]]))
             for w in self._order])
+
+    def with_valuation(self, valuation):
+        """The model on this frame with another valuation; the preorders and
+        the rhd table are shared too (see ``KripkeModel.with_valuation``)."""
+        new = super().with_valuation(valuation)
+        new.preorders = self.preorders
+        new._rhd_table = self._rhd_table
+        return new
 
     def __eq__(self, other):
         return (isinstance(other, VeltmanModel)

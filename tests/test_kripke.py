@@ -586,3 +586,68 @@ def test_veltman_preorder_at_an_unknown_world_is_rejected():
         VeltmanModel(["q", "r"], [("q", "r")],
                      {"q": [("r", "r")], "zz": [("q", "r")]}, [])
     assert info.value.witness == ("zz",)
+
+
+# ---------------------------------------------------------------------------
+# models derived from a frame with another valuation
+
+def _three_world_frame():
+    # w sees u and v, which its preorder puts on one level
+    worlds = ["w", "u", "v"]
+    edges = [("w", "u"), ("w", "v")]
+    preorders = {"w": [("u", "u"), ("v", "v"), ("u", "v"), ("v", "u")]}
+    return worlds, edges, preorders
+
+
+def test_with_valuation_equals_a_model_built_from_scratch():
+    worlds, edges, preorders = _three_world_frame()
+    frame = VeltmanModel(worlds, edges, preorders, [])
+    fam = [rhd(p, q), rhd(q, p), rbox(p), rhd(lor(p, q), land(p, q)),
+           imp(rhd(p, q), rhd(p, lor(p, q))), rhd(rhd(p, q), q), neg(p)]
+    cells = [(w, a) for w in worlds for a in ("p", "q")]
+    for bits in itertools.product((False, True), repeat=len(cells)):
+        valuation = [cell for cell, b in zip(cells, bits) if b]
+        derived = frame.with_valuation(valuation)
+        built = VeltmanModel(worlds, edges, preorders, valuation)
+        assert type(derived) is VeltmanModel
+        assert derived == built and hash(derived) == hash(built)
+        assert derived._atom_masks == built._atom_masks
+        assert derived._rhd_table is frame._rhd_table
+        for f in fam:
+            assert kripke.evaluate_mask(derived, f, kripke._rhd) == \
+                kripke.evaluate_mask(built, f, kripke._rhd)
+            for w in worlds:
+                assert veltman_forces_alt(derived, w, f) == \
+                    veltman_forces_alt(built, w, f)
+
+
+def test_with_valuation_on_a_kripke_model_shares_the_frame_report():
+    k = chain(3)
+    report = check_frame(k)
+    assert check_frame(k) is report
+    derived = k.with_valuation([("w1", "p")])
+    assert type(derived) is KripkeModel
+    assert derived == chain(3, [("w1", "p")])
+    assert check_frame(derived) is report
+    assert forces(derived, "w0", diamond(p)) and not forces(k, "w0", diamond(p))
+
+
+def test_with_valuation_rejects_an_entry_outside_the_world_set():
+    worlds, edges, preorders = _three_world_frame()
+    frame = VeltmanModel(worlds, edges, preorders, [])
+    with pytest.raises(ModelError):
+        frame.with_valuation([("w", "p"), ("elsewhere", "p")])
+    with pytest.raises(ModelError):
+        chain(2).with_valuation([("w2", "p")])
+
+
+def test_evaluating_a_derived_model_leaves_its_sibling_alone():
+    worlds, edges, preorders = _three_world_frame()
+    frame = VeltmanModel(worlds, edges, preorders, [])
+    one = frame.with_valuation([("u", "p")])
+    other = frame.with_valuation([("v", "q")])
+    assert veltman_forces(one, "w", rhd(p, p))
+    assert veltman_forces_alt(one, "w", rbox(neg(p))) is False
+    assert one._masks
+    assert other._masks == {} and frame._masks == {}
+    assert veltman_forces(other, "w", rbox(neg(p)))

@@ -53,6 +53,16 @@ def test_deciders_table_holds_the_four_tableaux(perfbench_modules):
     assert workloads.DECIDERS == decide._DECIDERS
 
 
+def test_model_counts_match_the_enumeration(perfbench_modules):
+    # the model-check workload fails an op when a count differs
+    _, workloads = perfbench_modules
+    counts = workloads.ModelCheck.MODEL_COUNTS
+    assert counts == {
+        (n, names): sum(1 for _ in workloads.enumerate_veltman_models(
+            n, list(names)))
+        for (n, names) in counts}
+
+
 def test_benchmark_inputs_build(perfbench_modules):
     inputs = importlib.import_module("inputs")
     assert len(inputs.glp_models()) == 3

@@ -129,6 +129,34 @@ def test_transitive_lift_oracles_closed_under_nec():
                 assert th.derives(box(f))
 
 
+def test_a_transitive_lift_checks_the_frame_once(monkeypatch):
+    from provmod import kripke
+
+    # a transitive chain of 60 worlds; each world theory used to check the
+    # whole frame again, 59 times over
+    worlds = [f"w{i:02d}" for i in range(60)]
+    edges = [(a, b) for i, a in enumerate(worlds) for b in worlds[i + 1:]]
+    k = KripkeModel(worlds, edges, [(w, "p") for w in worlds[::3]])
+    fam = [p, box(p), diamond(p), imp(box(p), p), box(diamond(top()))]
+    expected = {(w, f): forces(k, w, f) for w in worlds for f in fam}
+    searches = []
+    find_cycle = kripke._find_cycle
+
+    def counted(*args):
+        searches.append(args)
+        return find_cycle(*args)
+
+    monkeypatch.setattr(kripke, "_find_cycle", counted)
+    lifted = lift_kripke(k, transitive=True)
+    assert len(searches) == 1
+    assert {(w, f): pm_forces(lifted, w, f)
+            for w in worlds for f in fam} == expected
+    for w in k.accessible_worlds():
+        for f in fam:
+            assert lifted.theory(w).derives(f) == \
+                forces(k, w, fm.boxdot(f))
+
+
 # ---------------------------------------------------------------------------
 # projection
 
