@@ -3,7 +3,9 @@ theory per accessible world and level, plus the property checker and the
 axiom-soundness harness for the poly-modal provability logic.
 
 A poly model holds one ``kripke.KripkeModel`` per index over shared worlds
-and valuation; its successors and descendants are read from those levels.
+and valuation; its successors and descendants are read from those levels,
+and it is evaluated on world masks by ``kripke.evaluate_region``, one box
+clause serving every index.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ from provmod.formulas import (
     neg,
     top,
 )
-from provmod.kripke import KripkeModel, ModelError, _check_query, evaluate
+from provmod.kripke import (
+    KripkeModel,
+    ModelError,
+    _check_language,
+    _check_query,
+    evaluate_region,
+)
 from provmod.theories import TheoryOracle, classicality_violations
 
 
@@ -53,6 +61,9 @@ class PolyModel:
             KripkeModel(base.worlds, by_level.get(n, ()), base.valuation)
             for n in range(1, self.max_index + 1))
         self.worlds, self.valuation = base.worlds, base.valuation
+        # world masks, as on the levels
+        self._order, self._bit = base._order, base._bit
+        self._full, self._atom_masks = base._full, base._atom_masks
         self.edges = {n: level.edges for n, level in enumerate(self.levels)}
 
         accessible = base.accessible_worlds()
@@ -79,6 +90,15 @@ class PolyModel:
                 raise PolyModelError(f"theory at {(w, n)!r} speaks "
                                      f"{oracle.language}")
         self._theories = flat
+        # per level and world bit: the level's theories of the world's
+        # successors on that level
+        self._succ_theories = tuple(
+            tuple([tuple([flat[(u, n)] for u in level.successors(w)])
+                   for w in self._order])
+            for n, level in enumerate(self.levels))
+        # the box clause, once built, and its (known, value) masks per
+        # formula
+        self._box = None
         self._memo: dict = {}
 
     def successors(self, w, n=0):
@@ -98,27 +118,47 @@ class PolyModel:
                 f"levels 0..{self.max_index})")
 
 
+def _box_clause(model: PolyModel):
+    """The box clause of a poly model: an index-n box holds at a world
+    when the level-n theory of every level-n successor derives its
+    argument.  The clause is built once per model."""
+    box = model._box
+    if box is None:
+        table, top_index = model._succ_theories, model.max_index
+
+        def box(i, g):
+            if g.index > top_index:
+                raise PolyModelError(
+                    f"box index {g.index} above max index {top_index}")
+            sub = g.sub
+            for th in table[g.index][i]:
+                if not th.derives(sub):
+                    return False
+            return True
+
+        model._box = box
+    return box
+
+
+def _truth(model: PolyModel, f: Formula, region: int) -> int:
+    """The worlds of the region where ``f`` holds, as a mask."""
+    return evaluate_region(model, f, region, _box_clause(model),
+                    model._memo) & region
+
+
 def glp_forces(model: PolyModel, world, f: Formula) -> bool:
     """Truth at a world; an index-n box asks the level-n theories of the
     level-n successors."""
     _check_query(model, world, f, OMEGA, PolyModelError)
-
-    def box(w, g):
-        if g.index > model.max_index:
-            raise PolyModelError(
-                f"box index {g.index} above max index {model.max_index}")
-        return all(model.theory(u, g.index).derives(g.sub)
-                   for u in model.successors(w, g.index))
-
-    return evaluate(model, world, f, box, model._memo)
+    return bool(_truth(model, f, model._bit[world]))
 
 
 def glp_forces_plus_0(model: PolyModel, world, f: Formula) -> bool:
     """Truth at the world and all its level-0 strict descendants."""
     if world not in model.worlds:
         raise PolyModelError(f"unknown world {world!r}")
-    return all(glp_forces(model, u, f)
-               for u in {world} | set(model.descendants0(world)))
+    region = model._bit[world] | model.levels[0].descendant_mask(world)
+    return _truth(model, f, region) == region
 
 
 @dataclass(frozen=True)
@@ -145,6 +185,8 @@ def check_glp_model(model: PolyModel, family) -> GlpReport:
     next level for refuted boxes.  Violations carry witnesses.
     """
     family = tuple(family)
+    for f in family:
+        _check_language(model, f, OMEGA, PolyModelError)
     out = []
     levels = range(model.max_index + 1)
 
@@ -152,12 +194,15 @@ def check_glp_model(model: PolyModel, family) -> GlpReport:
         for violation in classicality_violations(model.theory(w, n)):
             out.append(("classical", w, n) + violation)
 
-    for w in sorted(model.accessible0, key=str):
-        for f in family:
-            if not is_purely_modal(f):
-                continue
-            if glp_forces_plus_0(model, w, f) and \
-                    not model.theory(w, 0).derives(f):
+    # one mask per purely modal member, over the accessible worlds
+    accessible = sorted(model.accessible0, key=str)
+    members = [f for f in family if is_purely_modal(f)]
+    region = sum([model._bit[w] for w in accessible])
+    truth = [_truth(model, f, region) for f in members]
+    for w in accessible:
+        plus_0 = model._bit[w] | model.levels[0].descendant_mask(w)
+        for f, mask in zip(members, truth):
+            if not plus_0 & ~mask and not model.theory(w, 0).derives(f):
                 out.append(("modal_completeness", w, f))
 
     for (w, n) in sorted(model._theories, key=str):
@@ -179,11 +224,12 @@ def check_glp_model(model: PolyModel, family) -> GlpReport:
                     out.append(("ascending_theories", w, n, f))
 
     for n in levels[:-1]:
+        refuted = [neg(boxn(n, f)) for f in family]
+        truth = [_truth(model, g, model._full) for g in refuted]
         for (u, w) in sorted(model.edges[n + 1], key=str):
-            for f in family:
-                refuted = neg(boxn(n, f))
-                if glp_forces(model, u, refuted) and \
-                        not model.theory(w, n + 1).derives(refuted):
+            bit = model._bit[u]
+            for f, g, mask in zip(family, refuted, truth):
+                if mask & bit and not model.theory(w, n + 1).derives(g):
                     out.append(("pi_completeness", u, w, n, f))
 
     return GlpReport(tuple(out))
@@ -231,7 +277,7 @@ def glp_soundness_suite(model: PolyModel, atom_names, depth: int) -> GlpReport:
     out = []
     for (name, n, f) in glp_axiom_instances(atom_names, depth,
                                             model.max_index):
-        for w in sorted(model.worlds, key=str):
-            if not glp_forces(model, w, f):
-                out.append((name, n, f, w))
+        holds = _truth(model, f, model._full)
+        out.extend((name, n, f, w) for i, w in enumerate(model._order)
+                   if not holds >> i & 1)
     return GlpReport(tuple(out))

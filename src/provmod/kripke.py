@@ -8,28 +8,35 @@ structure on top, and a poly model holds one Kripke model per level, so
 
 Every semantics in the package shares the boolean clauses and differs only
 in its modal clause, so there are two evaluators, each taking a modal
-clause:
+clause, and both on world masks: bit i stands for the i-th world in ``str``
+order.
 
 - ``evaluate_mask`` decides a formula at every world of a Kripke model,
-  Veltman model or unravelling at once.  Each subformula gets one integer
-  mask with bit i set when it holds at the i-th world in ``str`` order.
-  ``forces``, ``forces_all``, ``forces_plus``, ``veltman_forces``,
+  Veltman model or unravelling at once, children first: each subformula
+  gets one integer mask of the worlds where it holds.  ``forces``,
+  ``forces_all``, ``forces_plus``, ``veltman_forces``,
   ``veltman_forces_alt`` and ``unravelled_forces`` read it.
-- ``evaluate`` decides a formula at one world, lazily.  Pre-models and
-  poly models (``provability``, ``glp``) use it: their modal clauses ask
-  theories that may recurse into the model, so they evaluate only what a
-  query needs.
+- ``evaluate_region`` decides a formula on a region, a mask of requested
+  worlds, for the models whose modal clause asks theories (pre-models and
+  poly models in ``provability`` and ``glp``).  Those theories may recurse
+  into the model, so per formula it keeps a known mask beside the value
+  mask and computes only the unknown bits of the region: an implication's
+  right side only where its left side holds, and a modal node world by
+  world on the bits it is handed.  A one-bit region is the lazy walk of a
+  single world; a whole-model region answers an axiom suite with one call
+  per formula.
 
-Plus-forcing is likewise one function, ``plus``, over a per-world truth
-test.
+Plus-forcing is likewise one function, ``plus``, a test of a truth mask
+against the descendant masks of a world's predecessors.
 
 Worlds are arbitrary hashable ids (strings in documents).  Models are
 immutable after construction.  A model keeps one mask table per modal
-clause for the calls that pass no memo, and its frame report once
-``check_frame`` has run; both are filled on demand, each entry written once
-and always to the same value, so instances can be shared freely between
-threads.  ``with_valuation`` derives a model on the same frame that shares
-every frame table.
+clause for the calls that pass no memo, its descendant sets and masks, and
+its frame report once ``check_frame`` has run; all are filled on demand,
+and an answer once written never changes (a region memo only learns more
+bits), so instances can be shared between threads: a lost update is only
+computed again.  ``with_valuation`` derives a model on the same frame that
+shares every frame table.
 """
 
 from __future__ import annotations
@@ -80,7 +87,8 @@ class KripkeModel:
                       for w, us in succ.items()}
         self._pred = {w: tuple(sorted(xs, key=_world_key))
                       for w, xs in pred.items()}
-        self._descendants = None
+        self._descendants = None  # with their masks, once asked for
+        self._desc_masks = None
         self._report = None  # the frame report, once ``check_frame`` ran
         # world masks: bit i stands for the i-th world in ``str`` order
         self._order = tuple(sorted(self.worlds, key=_world_key))
@@ -123,6 +131,7 @@ class KripkeModel:
         new._succ = self._succ
         new._pred = self._pred
         new._descendants = self._descendants
+        new._desc_masks = self._desc_masks
         new._report = self._report
         new._order = self._order
         new._bit = self._bit
@@ -143,19 +152,31 @@ class KripkeModel:
     def descendants(self, w):
         """Worlds reachable in one or more steps (strict)."""
         if self._descendants is None:
-            desc = {}
-            for start in self.worlds:
-                seen = set()
-                stack = list(self._succ[start])
-                while stack:
-                    u = stack.pop()
-                    if u in seen:
-                        continue
-                    seen.add(u)
-                    stack.extend(self._succ[u])
-                desc[start] = frozenset(seen)
-            self._descendants = desc
+            self._index_descendants()
         return self._descendants[w]
+
+    def descendant_mask(self, w) -> int:
+        """The mask of ``descendants(w)``."""
+        if self._desc_masks is None:
+            self._index_descendants()
+        return self._desc_masks[w]
+
+    def _index_descendants(self):
+        desc = {}
+        for start in self.worlds:
+            seen = set()
+            stack = list(self._succ[start])
+            while stack:
+                u = stack.pop()
+                if u in seen:
+                    continue
+                seen.add(u)
+                stack.extend(self._succ[u])
+            desc[start] = frozenset(seen)
+        bit = self._bit
+        self._desc_masks = {w: sum([bit[u] for u in us])
+                            for w, us in desc.items()}
+        self._descendants = desc
 
     def accessible_worlds(self):
         """Worlds with at least one predecessor."""
@@ -175,50 +196,72 @@ class KripkeModel:
                 f"{len(self.edges)} edges)")
 
 
-def evaluate(model, world, f: Formula, modal, memo: dict) -> bool:
-    """Truth of ``f`` at one world, for the models whose modal clause asks
-    theories (pre-models and poly models).
+def evaluate_region(model, f: Formula, region: int, modal,
+                    memo: dict) -> int:
+    """Truth of ``f`` on a region of a model whose modal clause asks
+    theories (pre-models and poly models), as a mask that is exact on the
+    region's bits.
 
-    Implication, atom and falsum nodes are walked with an explicit stack, so
-    long boolean chains need no recursion; the right side of an implication
-    is looked at only when its left side holds.  Atoms are read from
-    ``model.valuation``.  Every modal node goes to ``modal(world, node)``,
-    the one clause in which the semantics differ.  ``memo`` maps each world
-    to its own table from formulas to truth values, and callers share it
-    across calls on one model.
+    ``memo`` maps each formula to its (known, value) masks, and callers
+    share it across calls on one model and modal clause; only the bits of
+    the region that are not yet known are computed.  Implication, atom and
+    falsum nodes are walked with an explicit stack, so long boolean chains
+    need no recursion; the right side of an implication is asked only for
+    the bits where its left side holds.  Atoms are read from
+    ``model._atom_masks``.  A modal node gets its bits one world at a time,
+    as ``modal(i, node)`` for the world of bit i, and each answer is written
+    to the memo at once: the clause may ask theories that evaluate the same
+    node at other worlds, and no world is asked twice for one node.
     """
-    table = memo.get(world)
-    if table is None:
-        table = memo[world] = {}
-    val = table.get(f)
-    if val is not None:
-        return val
-    get = table.get
-    stack = [f]
+    get = memo.get
+    entry = get(f)
+    if entry is not None and not region & ~entry[0]:
+        return entry[1]
+    full = model._full
+    atoms = model._atom_masks
+    stack = [(f, region)]
     while stack:
-        g = stack[-1]
+        g, need = stack[-1]
+        entry = get(g)
+        if entry is not None:
+            need &= ~entry[0]
+        if not need:
+            stack.pop()
+            continue
         kind = type(g)
         if kind is Imp:
-            val = get(g.left)
-            if val is None:
-                stack.append(g.left)
+            left = get(g.left)
+            if left is None or need & ~left[0]:
+                stack.append((g.left, need))
                 continue
-            if val:
-                val = get(g.right)
-                if val is None:
-                    stack.append(g.right)
+            holds = need & left[1]
+            val = need ^ holds
+            if holds:
+                right = get(g.right)
+                if right is None or holds & ~right[0]:
+                    stack.append((g.right, holds))
                     continue
-            else:
-                val = True
+                val |= holds & right[1]
+            memo[g] = (need, val) if entry is None else \
+                (entry[0] | need, entry[1] | val)
         elif kind is Atom:
-            val = (world, g.name) in model.valuation
+            memo[g] = (full, atoms.get(g.name, 0))
         elif kind is Bot:
-            val = False
+            memo[g] = (full, 0)
         else:
-            val = modal(world, g)
-        table[g] = val
+            while need:
+                low = need & -need
+                need ^= low
+                entry = get(g)
+                if entry is not None and entry[0] & low:
+                    continue
+                val = low if modal(low.bit_length() - 1, g) else 0
+                entry = get(g)
+                memo[g] = (low, val) if entry is None else \
+                    (entry[0] | low, entry[1] | val)
         stack.pop()
-    return val
+    entry = get(f)
+    return 0 if entry is None else entry[1]
 
 
 def evaluate_mask(model, f: Formula, modal, memo: dict | None = None) -> int:
@@ -306,16 +349,20 @@ def _sibling_rhd(model, left: int, right: int) -> int:
     return out
 
 
-def plus(model, world, holds) -> bool:
-    """Plus-forcing: ``holds`` at every strict descendant of some
+def plus(model, world, mask: int) -> bool:
+    """Plus-forcing: ``mask`` covers every strict descendant of some
     predecessor of the world; false when the world has no predecessor."""
-    return any(all(holds(v) for v in model.descendants(u))
+    return any(not model.descendant_mask(u) & ~mask
                for u in model.predecessors(world))
 
 
 def _check_query(model, world, f: Formula, language: str, error=ModelError):
     if world not in model.worlds:
         raise error(f"unknown world {world!r}")
+    _check_language(model, f, language, error)
+
+
+def _check_language(model, f: Formula, language: str, error=ModelError):
     if f.lang not in (None, language):
         raise error(f"{type(model).__name__} evaluation takes "
                     f"{language}-language formulas")
@@ -341,9 +388,8 @@ def forces_all(model: KripkeModel, formulas, worlds=None) -> dict:
 def forces_plus(model: KripkeModel, world, f: Formula) -> bool:
     """Truth at all strict descendants of some predecessor of the world.
     False whenever the world has no predecessor."""
-    if world not in model.worlds:
-        raise ModelError(f"unknown world {world!r}")
-    return plus(model, world, lambda v: forces(model, v, f))
+    _check_query(model, world, f, fm.BOX)
+    return plus(model, world, evaluate_mask(model, f, _box))
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,15 @@ A provability model is a Kripke model whose modal clause asks a theory: a
 boxed formula holds at a world when every successor's theory derives the
 argument, and the binary modal operator of the interpretability language is
 evaluated through diamond-consequence over a finite witness family.  Both
-clauses run on ``kripke.evaluate``, the lazy per-world evaluator that poly
-models use too; plain Kripke and Veltman models and unravellings are
-evaluated over all worlds at once instead.  A pre-model (``PreModel``) is
-a ``KripkeModel`` with a theory at each accessible world, so frame checks
-and plus-forcing take it as it is; a ``ProvabilityModel`` is a pre-model
-that also carries the certificate for its modal completeness, so every
-function here takes either kind as it is.
+clauses run on ``kripke.evaluate_region``, which poly models use too: it
+evaluates a formula on a mask of worlds, keeping per formula the worlds
+where its truth is known, and hands a modal node the worlds it is asked
+at.  The per-world entry points ask one-bit regions, and the axiom suites
+and completeness checks ask one region per formula.  A pre-model
+(``PreModel``) is a ``KripkeModel`` with a theory at each accessible world,
+so frame checks and plus-forcing take it as it is; a ``ProvabilityModel``
+is a pre-model that also carries the certificate for its modal
+completeness, so every function here takes either kind as it is.
 
 On top of evaluation this module builds the two central constructions:
 lifting a Kripke model into an equivalent provability model, and generating
@@ -20,8 +22,10 @@ models.  A generated theory decides derivability by truth in the model it
 belongs to: per top/bot assignment to the free atoms, the instantiated
 query must hold wherever the instantiated seed axioms do, across the
 world's plus-cone.  Every theory evaluates on the memo the model's own
-forcing uses, and generated models stay lazy: evaluation reaches only the
-worlds and formulas a query needs.
+forcing uses, so a query whose instances that memo already knows across
+the cone is answered by operations on world masks; otherwise the cone is
+walked world by world.  Generated models stay lazy: evaluation reaches only
+the worlds and formulas a query needs.
 """
 
 from __future__ import annotations
@@ -48,11 +52,13 @@ from provmod.kripke import (
     KripkeModel,
     ModelError,
     VeltmanModel,
+    _box,
+    _check_language,
     _check_query,
     _sibling_rhd,
     check_frame,
-    evaluate,
     evaluate_mask,
+    evaluate_region,
     forces,
     plus,
     unravel,
@@ -128,8 +134,16 @@ class PreModel(KripkeModel):
                     f"theory at {w!r} speaks {oracle.language}, model "
                     f"speaks {language}")
         self.theories = dict(theories)
+        # per world bit: the theories of the world's successors
+        self._succ_theories = tuple([tuple([self.theories[u]
+                                            for u in self._succ[w]])
+                                     for w in self._order])
+        # the box clause, once built, and its (known, value) masks per
+        # formula
+        self._box = None
         self._memo: dict = {}
-        # per witness family: its diamonds and its memo of truth values
+        # per witness family: its diamonds, its memo, the rhd nodes'
+        # implications with the diamonds, and its clause
         self._rhd_memos: dict = {}
         # per generated-theory query: its free atoms and its instances; and
         # the instances of their subformulas, per set of free atoms
@@ -188,37 +202,91 @@ class ProvabilityModel(PreModel):
 
 def _box_clause(P: PreModel):
     """The box clause of a pre-model and the memo its answers go to: a box
-    holds at w when every successor's theory derives its argument."""
-    def box(w, g):
-        return all(P.theories[u].derives(g.sub) for u in P._succ[w])
+    holds at a world when every successor's theory derives its argument.
+    The clause is built once per model."""
+    box = P._box
+    if box is None:
+        table = P._succ_theories
 
+        def box(i, g):
+            sub = g.sub
+            for th in table[i]:
+                if not th.derives(sub):
+                    return False
+            return True
+
+        P._box = box
     return box, P._memo
 
 
-def _rhd_clause(P: PreModel, e_family):
+def _rhd_clause(P: PreModel, e_family=None):
     """The rhd clause over one witness family and the memo its answers go
-    to: A rhd B holds at w when, at every successor's theory and for every
-    member E of the family, derivability of B -> <>E implies derivability
-    of A -> <>E.  The diamonds are built once per family."""
+    to: A rhd B holds at a world when, at every successor's theory and for
+    every member E of the family, derivability of B -> <>E implies
+    derivability of A -> <>E.  The family defaults to a provability
+    model's own.  The diamonds, the memo and the clause are built once per
+    family; each rhd node's implications B -> <>E and A -> <>E are built
+    once per node and member, when first asked."""
+    if e_family is None and isinstance(P, ProvabilityModel):
+        e_family = P.e_family
+    if not e_family:
+        raise PreModelError("rhd evaluation needs a nonempty witness family")
     key = tuple(e_family)
     family = P._rhd_memos.get(key)
     if family is None:
-        family = P._rhd_memos[key] = ([rdiamond(e) for e in key], {})
-    dia, memo = family
+        family = P._rhd_memos[key] = _rhd_family(P, key)
+    return family[3], family[1]
 
-    def rhd(w, g):
-        return not any(th.derives(imp(g.right, de))
-                       and not th.derives(imp(g.left, de))
-                       for th in map(P.theories.__getitem__, P._succ[w])
-                       for de in dia)
 
-    return rhd, memo
+def _rhd_family(P: PreModel, key: tuple) -> tuple:
+    """A witness family's ``_rhd_memos`` entry: its diamonds, its memo, each
+    rhd node's implications with the diamonds, and its clause."""
+    dia = [rdiamond(e) for e in key]
+    members = range(len(dia))
+    table = P._succ_theories
+    # per rhd node: its right and its left side implying each diamond, each
+    # built when first asked
+    sides: dict = {}
+
+    def rhd(i, g):
+        theories = table[i]
+        if not theories:
+            return True
+        implications = sides.get(g)
+        if implications is None:
+            implications = sides[g] = ([None] * len(dia), [None] * len(dia))
+        rights, lefts = implications
+        for th in theories:
+            for k in members:
+                right = rights[k]
+                if right is None:
+                    right = rights[k] = imp(g.right, dia[k])
+                if th.derives(right):
+                    left = lefts[k]
+                    if left is None:
+                        left = lefts[k] = imp(g.left, dia[k])
+                    if not th.derives(left):
+                        return False
+        return True
+
+    return dia, {}, sides, rhd
+
+
+def _plus_walk(P: PreModel, world, f: Formula, modal, memo) -> bool:
+    """Plus-forcing world by world: the strict descendants of each
+    predecessor in ``descendants`` order, up to the first world where ``f``
+    fails."""
+    bit = P._bit
+    return any(all(evaluate_region(P, f, bit[v], modal, memo) & bit[v]
+                   for v in P.descendants(u))
+               for u in P.predecessors(world))
 
 
 def pm_forces(model, world, f: Formula) -> bool:
     """Truth in a box-language provability model."""
     _check_query(model, world, f, BOX, PreModelError)
-    return evaluate(model, world, f, *_box_clause(model))
+    bit = model._bit[world]
+    return bool(evaluate_region(model, f, bit, *_box_clause(model)) & bit)
 
 
 def pm_forces_plus(model, world, f: Formula) -> bool:
@@ -226,7 +294,7 @@ def pm_forces_plus(model, world, f: Formula) -> bool:
     worlds that are not accessible."""
     if world not in model.worlds:
         raise PreModelError(f"unknown world {world!r}")
-    return plus(model, world, lambda v: pm_forces(model, v, f))
+    return _plus_walk(model, world, f, *_box_clause(model))
 
 
 def pm_forces_rhd(model, world, f: Formula, e_family=None) -> bool:
@@ -235,35 +303,37 @@ def pm_forces_rhd(model, world, f: Formula, e_family=None) -> bool:
     when the family covers the bounded-height representatives; otherwise
     the model carries a family_bounded flag.
     """
-    if e_family is None and isinstance(model, ProvabilityModel):
-        e_family = model.e_family
-    if not e_family:
-        raise PreModelError("rhd evaluation needs a nonempty witness family")
+    modal, memo = _rhd_clause(model, e_family)
     _check_query(model, world, f, RHD, PreModelError)
-    return evaluate(model, world, f, *_rhd_clause(model, e_family))
+    bit = model._bit[world]
+    return bool(evaluate_region(model, f, bit, modal, memo) & bit)
 
 
 def pm_forces_plus_rhd(model, world, f: Formula, e_family=None) -> bool:
     if world not in model.worlds:
         raise PreModelError(f"unknown world {world!r}")
-    return plus(model, world, lambda v: pm_forces_rhd(model, v, f, e_family))
+    return _plus_walk(model, world, f, *_rhd_clause(model, e_family))
 
 
 def is_purely_modal_family_complete(model, family, e_family=None) -> list:
     """Modal-completeness spot check: purely modal family members that are
-    plus-forced at an accessible world must be derivable there.  Returns
-    the violations as (world, formula) pairs."""
+    plus-forced at an accessible world must be derivable there.  Each
+    member is evaluated once, on every accessible world.  Returns the
+    violations as (world, formula) pairs."""
+    members = [f for f in family if fm.is_purely_modal(f)]
+    if not members or not model.theories:
+        return []
+    for f in members:
+        _check_language(model, f, model.language, PreModelError)
+    clause = _rhd_clause(model, e_family) if model.language == RHD \
+        else _box_clause(model)
+    region = sum([model._bit[w] for w in model.theories])
+    truth = [evaluate_region(model, f, region, *clause) for f in members]
     out = []
     for w in sorted(model.theories, key=str):
         th = model.theory(w)
-        for f in family:
-            if not fm.is_purely_modal(f):
-                continue
-            if model.language == RHD:
-                forced = pm_forces_plus_rhd(model, w, f, e_family)
-            else:
-                forced = pm_forces_plus(model, w, f)
-            if forced and not th.derives(f):
+        for f, mask in zip(members, truth):
+            if plus(model, w, mask) and not th.derives(f):
                 out.append((w, f))
     return out
 
@@ -311,11 +381,15 @@ def lift_kripke(model: KripkeModel, transitive: bool = False,
     lifted = ProvabilityModel(model.worlds, model.edges, model.valuation,
                               theories, BOX, Certificate(kind="lifted"))
     if certify_family is not None:
-        for w in model.worlds:
-            for f in certify_family:
-                if forces(model, w, f) != pm_forces(lifted, w, f):
-                    raise PreModelError(
-                        f"lift equivalence failed at {w!r} on {to_text(f)}")
+        clause = _box_clause(lifted)
+        for f in certify_family:
+            _check_language(model, f, BOX)
+            differ = evaluate_mask(model, f, _box) ^ \
+                evaluate_region(lifted, f, lifted._full, *clause)
+            if differ:
+                w = lifted._order[(differ & -differ).bit_length() - 1]
+                raise PreModelError(
+                    f"lift equivalence failed at {w!r} on {to_text(f)}")
     return lifted
 
 
@@ -343,20 +417,26 @@ def project_and_check(model, family) -> tuple[KripkeModel, ProjectionReport]:
         for g in fm.subformulas(f):
             closed.setdefault(g)
     closed_family = tuple(closed)
+    for f in closed_family:
+        _check_language(model, f, BOX, PreModelError)
+    clause = _box_clause(model)
+    truth = [evaluate_region(model, f, model._full, *clause)
+             for f in closed_family]
     for w in sorted(model.theories, key=str):
         th = model.theory(w)
-        for f in closed_family:
-            if th.derives(f) and not pm_forces(model, w, f):
+        bit = model._bit[w]
+        for f, mask in zip(closed_family, truth):
+            if th.derives(f) and not mask & bit:
                 raise ProjectionError("local soundness fails", (w, to_text(f)))
-            if pm_forces_plus(model, w, f) and not th.derives(f):
+            if plus(model, w, mask) and not th.derives(f):
                 raise ProjectionError("local completeness fails",
                                       (w, to_text(f)))
     kripke = model.kripke_part()
-    mismatches = []
-    for w in sorted(model.worlds, key=str):
-        for f in closed_family:
-            if pm_forces(model, w, f) != forces(kripke, w, f):
-                mismatches.append((w, f))
+    differ = [mask ^ evaluate_mask(kripke, f, _box)
+              for f, mask in zip(closed_family, truth)]
+    mismatches = [(w, f) for w in model._order
+                  for f, d in zip(closed_family, differ)
+                  if d & model._bit[w]]
     return kripke, ProjectionReport(family=closed_family,
                                     equivalent=not mismatches,
                                     mismatches=tuple(mismatches))
@@ -376,10 +456,13 @@ class GeneratedTheory:
     derived when, at every strict descendant of u's predecessor, f[a] holds
     wherever phi[a] does.  phi's instances are built once per theory and
     f's once per model, and both are evaluated on the memo the model's own
-    forcing uses.  f[a] is looked at only where phi[a] holds, and a world
-    fails at its first failing assignment, so the derivability queries
-    reached are those of plus-forcing the pre-interpolant; they recurse
-    through theories strictly higher in the sibling order.
+    forcing uses.  When that memo knows every phi[a] on the cone and every
+    f[a] where phi[a] holds there, the answer is one mask test per
+    assignment.  Otherwise the cone is walked world by world: f[a] is
+    looked at only where phi[a] holds, and a world fails at its first
+    failing assignment, so the derivability queries reached are those of
+    plus-forcing the pre-interpolant; they recurse through theories
+    strictly higher in the sibling order.
     """
 
     world: object
@@ -433,13 +516,52 @@ class GeneratedTheory:
             modal, memo = _box_clause(P)
         else:
             modal, memo = _rhd_clause(P, self.e_family)
+        return any(_cone_implies(P, u, pairs, f_instances, modal, memo)
+                   for u in P.predecessors(self.world))
 
-        def holds(v):
-            return all(not evaluate(P, v, phi_a, modal, memo)
-                       or evaluate(P, v, f_instances[j], modal, memo)
-                       for phi_a, j in pairs)
 
-        return plus(P, self.world, holds)
+def _cone_implies(P: PreModel, u, pairs, f_instances, modal, memo) -> bool:
+    """Whether, at every strict descendant of u, ``f_instances[j]`` holds
+    wherever ``phi_a`` does, for every pair (phi_a, j).
+
+    When the memo knows every phi[a] on the cone and every f[a] where
+    phi[a] holds there, the answer is read off the masks.  Otherwise the
+    cone is walked world by world in ``descendants`` order, each world's
+    assignments in order, up to the first failure, evaluating phi[a] on the
+    world and f[a] only where phi[a] holds: the same worlds and formulas
+    that plus-forcing the pre-interpolant reaches, so each theory is asked
+    the same derivability queries.
+    """
+    get = memo.get
+    cone = P.descendant_mask(u)
+    fails = 0
+    for phi_a, j in pairs:
+        known = get(phi_a)
+        if known is None or cone & ~known[0]:
+            break
+        holds = cone & known[1]
+        if holds:
+            known = get(f_instances[j])
+            if known is None or holds & ~known[0]:
+                break
+            fails |= holds & ~known[1]
+    else:
+        return not fails
+    bit = P._bit
+    for v in P.descendants(u):
+        b = bit[v]
+        for phi_a, j in pairs:
+            known = get(phi_a)
+            holds = known[1] if known is not None and known[0] & b \
+                else evaluate_region(P, phi_a, b, modal, memo)
+            if holds & b:
+                f_a = f_instances[j]
+                known = get(f_a)
+                holds = known[1] if known is not None and known[0] & b \
+                    else evaluate_region(P, f_a, b, modal, memo)
+                if not holds & b:
+                    return False
+    return True
 
 
 def _check_seed(seed: PreModel, language: str):
@@ -636,19 +758,17 @@ def soundness_suite(model, logic: str, atom_names, depth: int = 2,
                     e_family=None):
     """Force every axiom instance of the logic at every world of the
     provability model; returns the failures as (scheme, formula, world)."""
-    failures = []
     if logic == "ilm":
         instances = ilm_axiom_instances(atom_names)
-        for (name, f) in instances:
-            for w in sorted(model.worlds, key=str):
-                if not pm_forces_rhd(model, w, f, e_family):
-                    failures.append((name, f, w))
-        return failures
-    instances = box_axiom_instances(logic, atom_names, depth)
+        clause = _rhd_clause(model, e_family)
+    else:
+        instances = box_axiom_instances(logic, atom_names, depth)
+        clause = _box_clause(model)
+    failures = []
     for (name, f) in instances:
-        for w in sorted(model.worlds, key=str):
-            if not pm_forces(model, w, f):
-                failures.append((name, f, w))
+        holds = evaluate_region(model, f, model._full, *clause)
+        failures.extend((name, f, w) for i, w in enumerate(model._order)
+                        if not holds >> i & 1)
     return failures
 
 

@@ -251,6 +251,12 @@ def reference_evaluate(model, world, f, modal, memo: dict) -> bool:
     return val
 
 
+def reference_plus(model, world, holds) -> bool:
+    """Plus-forcing over a per-world truth test."""
+    return any(all(holds(v) for v in model.descendants(u))
+               for u in model.predecessors(world))
+
+
 def reference_forces(model, world, f, _memo=None) -> bool:
     _check_query(model, world, f, fm.BOX)
     memo = {} if _memo is None else _memo
@@ -308,6 +314,55 @@ def reference_unravelled_forces(u_model, sigma, f, _memo=None) -> bool:
         return True
 
     return reference_evaluate(u_model, sigma, f, rhd, memo)
+
+
+def reference_premodel_clause(model, e_family=None):
+    """The per-world modal clause of a pre-model, as pre-models were
+    evaluated before world masks: the box clause, or with a witness family
+    the rhd clause, whose implications are built on every call."""
+    if e_family is None:
+        def box(w, g):
+            return all(model.theories[u].derives(g.sub)
+                       for u in model._succ[w])
+
+        return box
+    dia = [fm.rdiamond(e) for e in e_family]
+
+    def rhd_clause(w, g):
+        return not any(th.derives(imp(g.right, de))
+                       and not th.derives(imp(g.left, de))
+                       for th in map(model.theories.__getitem__,
+                                     model._succ[w])
+                       for de in dia)
+
+    return rhd_clause
+
+
+def reference_soundness_suite(model, logic: str, atom_names, depth: int = 2,
+                              e_family=None):
+    """``soundness_suite`` as one ``pm_forces``/``pm_forces_rhd`` call per
+    (instance, world), as it was before whole-model regions."""
+    from provmod.provability import (
+        box_axiom_instances,
+        ilm_axiom_instances,
+        pm_forces,
+        pm_forces_rhd,
+    )
+
+    failures = []
+    if logic == "ilm":
+        instances = ilm_axiom_instances(atom_names)
+        for (name, f) in instances:
+            for w in sorted(model.worlds, key=str):
+                if not pm_forces_rhd(model, w, f, e_family):
+                    failures.append((name, f, w))
+        return failures
+    instances = box_axiom_instances(logic, atom_names, depth)
+    for (name, f) in instances:
+        for w in sorted(model.worlds, key=str):
+            if not pm_forces(model, w, f):
+                failures.append((name, f, w))
+    return failures
 
 
 # ---------------------------------------------------------------------------

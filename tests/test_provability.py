@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from provmod import docio, formulas as fm
+from provmod import docio, formulas as fm, kripke
 from provmod.formulas import (
     BOX,
     FALSUM,
@@ -29,6 +29,8 @@ from provmod.provability import (
     PreModel,
     PreModelError,
     ProjectionError,
+    _box_clause,
+    _rhd_clause,
     certify_modal_completeness,
     check_oracles_classical,
     countermodel_pipeline_gl,
@@ -324,8 +326,9 @@ def test_pm_forces_rhd_answers_alike_before_and_after_its_memo_is_warm():
     cold = [pm_forces_rhd(generated(), w, f) for w, f in queries]
     model = generated()
     warming = [pm_forces_rhd(model, w, f) for w, f in queries]
-    # one entry per witness family: its diamonds, built once, and its memo
-    (dia, _), = model._rhd_memos.values()
+    # one entry per witness family: its diamonds, built once, then its
+    # memo, its nodes' implications and its clause
+    (dia, *_), = model._rhd_memos.values()
     assert dia == [rdiamond(e) for e in model.e_family]
     warm = [pm_forces_rhd(model, w, f) for w, f in queries]
     assert model._rhd_memos[model.e_family][0] is dia
@@ -467,8 +470,178 @@ def test_generated_rhd_theories_agree_with_the_pre_interpolant_path(
     _assert_agrees_with_the_pre_interpolant_path(RHD, shape, queries)
 
 
+# ---------------------------------------------------------------------------
+# region evaluation against the per-world walk
+
+_MODEL_KINDS = (("seed", BOX), ("seed", RHD), ("generated", BOX),
+                ("generated", RHD))
+
+
+def _region_model(kind, language, shape):
+    """A tree pre-model with finite-axiom theories, or the model generated
+    over it, with its witness family (None in the box language)."""
+    import support
+
+    family = None if language == BOX else _RHD_FAMILY
+    if kind == "generated":
+        return _generate(language, shape), family
+    seed = support.seed_premodel(*shape, _seed_axiom_sets(language), language)
+    return seed, family
+
+
+def _clause(model, family):
+    return _box_clause(model) if family is None else \
+        _rhd_clause(model, family)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_MODEL_KINDS), _tree_seed_shapes(), st.data())
+def test_region_evaluation_agrees_with_the_per_world_walk(kind, shape, data):
+    import support
+
+    language = kind[1]
+    queries = _BOX_QUERIES if language == BOX else _RHD_QUERIES
+    fam = data.draw(st.lists(queries, min_size=1, max_size=3))
+    model, family = _region_model(*kind, shape)
+    region = data.draw(st.integers(1, model._full))
+    worlds = [w for w in model._order if model._bit[w] & region]
+    # the reference: the per-world lazy walk on a model of its own
+    reference, _ = _region_model(*kind, shape)
+    modal = support.reference_premodel_clause(reference, family)
+    memo: dict = {}
+    # one world at a time, through the public entry points, on a third
+    single, _ = _region_model(*kind, shape)
+    for f in fam:
+        got = kripke.evaluate_region(model, f, region, *_clause(model, family))
+        for w in worlds:
+            expected = support.reference_evaluate(reference, w, f, modal, memo)
+            assert bool(got & model._bit[w]) == expected, (w, fm.to_text(f))
+            if family is None:
+                assert pm_forces(single, w, f) == expected
+            else:
+                assert pm_forces_rhd(single, w, f, family) == expected
+    # the same derivability queries reached every theory
+    for w in model.theories:
+        assert model.theory(w)._memo == single.theory(w)._memo, w
+        assert model.theory(w)._memo == reference.theory(w)._memo, w
+
+
+_SUITE_SHAPES = (([-1], [0]), ([-1, 0], [0, 1]), ([-1, 0, 1], [0, 3, 0]),
+                 ([-1, 0, 0], [0, 1, 2]), ([-1, 0, 1, 2], [0, 0, 4, 1]),
+                 ([-1, 0, 0, 1], [0, 6, 3, 5]), ([-1, -1, 1, 2], [0, 0, 2, 0]))
+
+
+@pytest.mark.parametrize("shape", _SUITE_SHAPES)
+def test_soundness_suite_matches_the_per_world_loop(shape):
+    # generated models pass the gl and ilm suites, so the s4 suite and the
+    # seed pre-models supply failures whose order is compared
+    import support
+    from provmod.provability import soundness_suite
+
+    runs = [(BOX, "gl", 2), (BOX, "s4", 1), (RHD, "ilm", 2)]
+    for kind in ("generated", "seed"):
+        for language, logic, depth in runs:
+            model, family = _region_model(kind, language, shape)
+            fresh, _ = _region_model(kind, language, shape)
+            # every derives call, memo hits included, on each side
+            asked: dict = {"region": [], "per world": []}
+            for m, key in ((model, "region"), (fresh, "per world")):
+                for w, th in m.theories.items():
+                    _counting(th, asked[key], w)
+            got = soundness_suite(model, logic, ["p"], depth, family)
+            expected = support.reference_soundness_suite(fresh, logic, ["p"],
+                                                         depth, family)
+            assert got == expected, (kind, logic)
+            assert sorted(asked["region"], key=str) == \
+                sorted(asked["per world"], key=str), (kind, logic)
+            for w in model.theories:
+                assert model.theory(w)._memo == fresh.theory(w)._memo, \
+                    (kind, logic, w)
+
+
+def _counting(oracle, asked, key):
+    """The oracle, with ``key`` recorded in ``asked`` on every ``derives``
+    call."""
+    derives = oracle.derives
+
+    def counted(f):
+        asked.append(key)
+        return derives(f)
+
+    oracle.derives = counted
+    return oracle
+
+
+def test_one_world_queries_ask_only_its_successors_theories():
+    from provmod.glp import PolyModel, glp_forces
+
+    worlds = ["r", "a", "b", "c"]
+    edges = [("r", "a"), ("r", "b"), ("a", "c")]
+    asked: list = []
+    P = PreModel(worlds, edges, [("c", "q")],
+                 {w: _counting(finite_axioms_mp([p]), asked, (w, 0))
+                  for w in ("a", "b", "c")})
+    poly = PolyModel(worlds, {0: edges, 1: [("r", "a")]},
+                     {w: {n: _counting(finite_axioms_mp([p], fm.OMEGA),
+                                       asked, (w, n))
+                          for n in (0, 1)}
+                      for w in ("a", "b", "c")},
+                     [("c", "q")])
+    checks = ((P, pm_forces, parse("[]p & ([]q -> [][]p) & (q -> []q)")),
+              (poly, glp_forces,
+               parse("[0]p & ([1]p -> [0][1]q) & (q -> [0]q)", fm.OMEGA)))
+    for model, holds, f in checks:
+        for w in ("r", "a", "c"):
+            asked.clear()
+            holds(model, w, f)
+            # every query went to a successor on the box's level
+            assert all(u in model.successors(w, n) if model is poly
+                       else u in model.successors(w) for u, n in asked), \
+                (w, asked)
+            assert bool(asked) == bool(model.successors(w)), w
+
+
+def test_a_world_decided_inside_the_clause_is_not_asked_again():
+    # the theory at w1 answers by evaluating the same box at w1 itself, as
+    # generated theories recurse into their model; a region over the chain
+    # w0 -> w1 -> w2, which reaches w0 first, then asks w1's box once, as
+    # one world at a time does
+    from provmod.theories import TheoryOracle
+
+    def model():
+        asked: list = []
+        theories = {"w1": TheoryOracle(BOX, (), frozenset(), "recursive",
+                                       lambda f: pm_forces(P, "w1", box(f))),
+                    "w2": finite_axioms_mp([p])}
+        P = PreModel(["w0", "w1", "w2"], [("w0", "w1"), ("w1", "w2")], [],
+                     {w: _counting(th, asked, w) for w, th in theories.items()})
+        return P, asked
+
+    region, asked = model()
+    truth = kripke.evaluate_region(region, box(p), region._full,
+                                   *_box_clause(region))
+    single, expected = model()
+    worlds = ["w0", "w1", "w2"]
+    assert [pm_forces(single, w, box(p)) for w in worlds] == \
+        [bool(truth & region._bit[w]) for w in worlds] == [True] * 3
+    assert asked == expected == ["w1", "w2"]
+
+
 _FAMILY_TEXTS = ("p", "~p", "[]p", "[]bot", "<>p", "p -> []p", "[]p -> p",
                    "[]([]p -> p) -> []p", "[][]p", "[](p & []bot)", "<>[]p")
+
+
+@pytest.mark.parametrize("language", [BOX, RHD])
+def test_generated_theories_ask_the_pre_interpolant_queries_on_a_seed_sample(
+        language):
+    # every 11th of the 1173 tree seeds: a fixed sample on which walking
+    # the cone one assignment at a time over all of its worlds, instead of
+    # world by world, asks other derivability queries
+    import support
+
+    queries = [parse(t, language) for t in _FAMILY_TEXTS]
+    for shape in support.tree_seeds(4, _seed_axiom_sets(language))[::11]:
+        _assert_agrees_with_the_pre_interpolant_path(language, shape, queries)
 
 
 @pytest.mark.parametrize("language", [BOX, RHD])
