@@ -5,6 +5,11 @@ non-theorem / reported violations, 2 for errors (bad input, schema
 violations, exceeded envelopes) and for any unexpected exception, 3 for
 "unknown up to the bound" (a bounded ILM search found no countermodel).
 ``--json`` switches stdout to a stable machine-readable form.
+
+Each process runs one command, so start-up is most of its time.  This
+module imports only ``formulas``, ``kripke``, ``decide`` and ``docio``;
+a subcommand imports ``provability``, ``glp``, ``interpret`` or
+``theories`` when it runs, and only the ones it uses.
 """
 
 from __future__ import annotations
@@ -23,25 +28,12 @@ from provmod.decide import (
     representatives_gl,
     representatives_ilm,
 )
-from provmod.glp import check_glp_model, glp_forces, glp_soundness_suite
-from provmod.interpret import t_interpretation
 from provmod.kripke import (
     ModelError,
     check_frame,
     forces,
     unravel,
     veltman_forces,
-)
-from provmod.provability import (
-    check_oracles_classical,
-    countermodel_pipeline_gl,
-    countermodel_pipeline_ilm,
-    generate_gl,
-    generate_ilm,
-    is_purely_modal_family_complete,
-    pm_forces,
-    pm_forces_rhd,
-    soundness_suite,
 )
 
 
@@ -71,6 +63,7 @@ def _read_family(path, language):
 def _materialize(loaded, family):
     """Regenerate models saved as seeds, and pick the right evaluator."""
     if loaded.kind == "premodel" and loaded.meta.get("generate"):
+        from provmod.provability import generate_gl, generate_ilm
         if loaded.language == RHD:
             e_family = loaded.meta.get("e_family")
             fam = [parse(t, RHD) for t in e_family] if e_family else family
@@ -112,7 +105,9 @@ def _forcing(loaded, model, world, family):
     if loaded.kind == "veltman":
         return lambda g: veltman_forces(model, world, g)
     if loaded.kind == "poly":
+        from provmod.glp import glp_forces
         return lambda g: glp_forces(model, world, g)
+    from provmod.provability import pm_forces, pm_forces_rhd
     if loaded.language == RHD:
         return lambda g: pm_forces_rhd(model, world, g, family)
     return lambda g: pm_forces(model, world, g)
@@ -141,6 +136,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from provmod.provability import generate_gl, generate_ilm
+
     loaded = docio.load_path(args.seed)
     if loaded.kind != "premodel":
         raise CliError("generation starts from a pre-model document")
@@ -163,6 +160,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_countermodel(args) -> int:
+    from provmod.provability import (
+        countermodel_pipeline_gl,
+        countermodel_pipeline_ilm,
+    )
+
     language = RHD if args.logic == "ilm" else BOX
     f = parse(args.formula, language)
     if args.logic == "gl":
@@ -219,6 +221,8 @@ def cmd_unravel(args) -> int:
 
 
 def cmd_interpret(args) -> int:
+    from provmod.interpret import t_interpretation
+
     desc = json.loads(args.theory)
     theory = docio.theory_from_descriptor(desc, BOX)
     f = parse(args.formula, BOX)
@@ -282,6 +286,7 @@ def cmd_check(args) -> int:
                 for v in classicality_violations(oracle):
                     violations.append((str(w), n) + tuple(map(str, v)))
         else:
+            from provmod.provability import check_oracles_classical
             violations = [tuple(map(str, v))
                           for v in check_oracles_classical(model)]
         _emit(args, {"violations": [list(v) for v in violations]},
@@ -291,6 +296,7 @@ def cmd_check(args) -> int:
     if args.suite == "modal_completeness":
         if family is None:
             raise CliError("modal_completeness needs --family")
+        from provmod.provability import is_purely_modal_family_complete
         violations = is_purely_modal_family_complete(model, family)
         _emit(args, {"violations": [[str(w), to_text(f)]
                                     for (w, f) in violations]},
@@ -302,6 +308,7 @@ def cmd_check(args) -> int:
             raise CliError("the glp suite takes a poly-model document")
         if family is None:
             raise CliError("the glp suite needs --family")
+        from provmod.glp import check_glp_model
         report = check_glp_model(model, family)
         _emit(args, {"violations": [list(map(str, v))
                                     for v in report.violations]},
@@ -311,6 +318,7 @@ def cmd_check(args) -> int:
     if args.suite == "glp_soundness":
         if loaded.kind != "poly":
             raise CliError("glp_soundness takes a poly-model document")
+        from provmod.glp import glp_soundness_suite
         names = [a for a in (args.atoms.split(",") if args.atoms else ["p"])
                  if a]
         report = glp_soundness_suite(model, names, args.depth)
@@ -322,6 +330,7 @@ def cmd_check(args) -> int:
     if args.suite == "soundness":
         if loaded.kind not in ("premodel",):
             raise CliError("the soundness suite takes a pre-model document")
+        from provmod.provability import soundness_suite
         names = [a for a in (args.atoms.split(",") if args.atoms else ["p"])
                  if a]
         failures = soundness_suite(model, args.logic, names, args.depth,

@@ -7,24 +7,24 @@ per-level edge maps mark a poly model, ``theories`` marks a pre-model,
 anything else is a bare Kripke model).  Canonical dumps are byte-stable:
 worlds, edges and valuations are sorted, keys are ordered, and a trailing
 newline is fixed.
+
+Only the Kripke and Veltman kinds are imported up front: loading a poly
+model or a pre-model imports its module, and saving one needs no import,
+since a model of a kind whose module was never loaded cannot exist.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from provmod.formulas import BOX, OMEGA, RHD, parse
-from provmod.glp import PolyModel
 from provmod.kripke import KripkeModel, VeltmanModel
-from provmod.provability import PreModel
-from provmod.theories import (
-    TheoryOracle,
-    finite_axioms_mp,
-    gl_n,
-    gl_theorems,
-    kripke_world_theory,
-)
+
+if TYPE_CHECKING:
+    from provmod.theories import TheoryOracle
 
 SCHEMA_VERSION = 1
 
@@ -53,6 +53,13 @@ def theory_to_descriptor(oracle: TheoryOracle) -> dict:
 def theory_from_descriptor(desc: dict, language: str,
                            kripke_context: KripkeModel | None = None
                            ) -> TheoryOracle:
+    from provmod.theories import (
+        finite_axioms_mp,
+        gl_n,
+        gl_theorems,
+        kripke_world_theory,
+    )
+
     kind = desc.get("kind")
     if kind == "finite_axioms_mp":
         axioms = [parse(text, language) for text in desc.get("axioms", [])]
@@ -81,9 +88,17 @@ def _valuation_map(model) -> dict:
     return {w: sorted(atoms) for w, atoms in sorted(out.items())}
 
 
+def _loaded_class(module: str, name: str):
+    """``provmod.<module>.<name>`` if that module is loaded, else ``()``,
+    which nothing is an instance of: no model of the class exists before
+    its module is loaded, so a type check need not load it."""
+    home = sys.modules.get(f"provmod.{module}")
+    return () if home is None else getattr(home, name)
+
+
 def model_to_doc(model, meta: dict | None = None) -> dict:
     doc: dict = {"version": SCHEMA_VERSION}
-    if isinstance(model, PolyModel):
+    if isinstance(model, _loaded_class("glp", "PolyModel")):
         doc["language"] = OMEGA
         doc["worlds"] = sorted(_world_id(w) for w in model.worlds)
         doc["edges"] = {
@@ -111,7 +126,7 @@ def model_to_doc(model, meta: dict | None = None) -> dict:
                                  for (a, b) in pairs)
             for w, pairs in sorted(model.preorders.items(), key=str)
             if pairs}
-    elif isinstance(model, PreModel):
+    elif isinstance(model, _loaded_class("provability", "PreModel")):
         doc["language"] = model.language
         doc["theories"] = {
             _world_id(w): theory_to_descriptor(model.theory(w))
@@ -170,6 +185,7 @@ def doc_to_model(doc: dict) -> LoadedDocument:
         if not isinstance(edges, dict):
             raise DocumentError("omega-language documents use per-level "
                                 "edge maps")
+        from provmod.glp import PolyModel
         theories = {
             w: {int(n): theory_from_descriptor(desc, OMEGA)
                 for n, desc in per_level.items()}
@@ -191,6 +207,7 @@ def doc_to_model(doc: dict) -> LoadedDocument:
         return LoadedDocument("veltman", model, RHD, meta)
 
     if "theories" in doc:
+        from provmod.provability import PreModel
         kripke_context = KripkeModel(worlds, pairs, valuation)
         theories = {
             w: theory_from_descriptor(desc, language,
@@ -236,7 +253,7 @@ def to_dot(model, designated=None) -> str:
         shape = ', shape="doublecircle"' if w == _world_id(designated or "") \
             else ""
         lines.append(f'  "{w}" [label="{label}"{shape}];')
-    if isinstance(model, PolyModel):
+    if isinstance(model, _loaded_class("glp", "PolyModel")):
         for n in range(model.max_index + 1):
             for (a, b) in sorted(model.edges[n], key=str):
                 lines.append(f'  "{_world_id(a)}" -> "{_world_id(b)}" '

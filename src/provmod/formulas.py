@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Mapping
 
 BOX = "box"
@@ -243,132 +243,137 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Parser:
-    def __init__(self, text: str, lang: str):
-        self.text = text
-        self.lang = lang
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                raise ParseError(f"unexpected character {stripped[0]!r}",
-                                 len(text) - len(stripped))
-            self.tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-            pos = m.end()
-        self.i = 0
+# precedence levels, loosest first, shared by the parser and the printer
+_LVL_IFF, _LVL_IMP, _LVL_RHD, _LVL_OR, _LVL_AND, _LVL_UNARY = range(6)
 
-    def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+# binary operators by token: (precedence level, constructor); each one
+# associates to the right but |>, which does not associate
+_BINARY = {
+    "iff": (_LVL_IFF, liff),
+    "imp": (_LVL_IMP, imp),
+    "rhdop": (_LVL_RHD, rhd),
+    "orop": (_LVL_OR, lor),
+    "andop": (_LVL_AND, land),
+}
 
-    def next(self) -> tuple[str, str, int]:
-        if self.i >= len(self.tokens):
-            raise ParseError("unexpected end of input", len(self.text))
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+# prefix operators by token and language (an indexed box takes its index
+# from the token)
+_PREFIX = {
+    "notop": {BOX: neg, RHD: neg, OMEGA: neg},
+    "boxop": {BOX: box, RHD: rbox},
+    "dia": {BOX: diamond, RHD: rdiamond},
+    "boxnop": {OMEGA: boxn},
+}
 
-    def pos(self) -> int:
-        return self.tokens[self.i][2] if self.i < len(self.tokens) else len(self.text)
 
-    def illegal(self, op: str):
-        raise ParseError(f"operator {op} is not part of the {self.lang} language",
-                         self.pos())
-
-    # precedence: unary/modal > & > | > |> > -> > <->
-    def parse_iff(self) -> Formula:
-        a = self.parse_imp()
-        if self.peek() == "iff":
-            self.next()
-            return liff(a, self.parse_iff())
-        return a
-
-    def parse_imp(self) -> Formula:
-        a = self.parse_rhd()
-        if self.peek() == "imp":
-            self.next()
-            return imp(a, self.parse_imp())
-        return a
-
-    def parse_rhd(self) -> Formula:
-        a = self.parse_or()
-        if self.peek() == "rhdop":
-            if self.lang != RHD:
-                self.illegal("|>")
-            self.next()
-            b = self.parse_or()
-            if self.peek() == "rhdop":
-                raise ParseError("chained |> needs parentheses", self.pos())
-            return rhd(a, b)
-        return a
-
-    def parse_or(self) -> Formula:
-        a = self.parse_and()
-        if self.peek() == "orop":
-            self.next()
-            return lor(a, self.parse_or())
-        return a
-
-    def parse_and(self) -> Formula:
-        a = self.parse_unary()
-        if self.peek() == "andop":
-            self.next()
-            return land(a, self.parse_and())
-        return a
-
-    def parse_unary(self) -> Formula:
-        kind, value, pos = self.next()
-        if kind == "notop":
-            return neg(self.parse_unary())
-        if kind == "boxop":
-            if self.lang == BOX:
-                return box(self.parse_unary())
-            if self.lang == RHD:
-                return rbox(self.parse_unary())
-            self.illegal("[]")
-        if kind == "dia":
-            if self.lang == BOX:
-                return diamond(self.parse_unary())
-            if self.lang == RHD:
-                return rdiamond(self.parse_unary())
-            self.illegal("<>")
-        if kind == "boxnop":
-            if self.lang != OMEGA:
-                self.illegal(value)
-            return boxn(int(value[1:-1]), self.parse_unary())
-        if kind == "lp":
-            a = self.parse_iff()
-            k, _, p = self.next()
-            if k != "rp":
-                raise ParseError("expected ')'", p)
-            return a
-        if kind == "name":
-            if value == "bot":
-                return FALSUM
-            if value == "top":
-                return top()
-            return atom(value)
-        raise ParseError(f"unexpected token {value!r}", pos)
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None or m.end() == pos:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError(f"unexpected character {stripped[0]!r}",
+                             len(text) - len(stripped))
+        tokens.append((m.lastgroup, m.group(m.lastgroup),
+                       m.start(m.lastgroup)))
+        pos = m.end()
+    return tokens
 
 
 def parse(text: str, lang: str = BOX) -> Formula:
-    """Parse ``text`` in the given language and return the desugared tree."""
+    """Parse ``text`` in the given language and return the desugared tree.
+
+    Precedence, loosest first: ``<->``, ``->``, ``|>``, ``|``, ``&``, then
+    the prefix operators.  One loop reads the tokens and climbs the
+    precedence levels on explicit stacks, so no nesting depth reaches the
+    interpreter's recursion limit.
+    """
     if lang not in LANGUAGES:
         raise LanguageError(f"unknown language {lang!r}")
-    p = _Parser(text, lang)
-    out = p.parse_iff()
-    if p.i != len(p.tokens):
-        raise ParseError("trailing input", p.pos())
-    return out
+    tokens = _tokens(text)
+    end = len(tokens)
+
+    def position(i: int) -> int:
+        return tokens[i][2] if i < end else len(text)
+
+    # ``ops`` holds binary operators as (level, constructor), prefix
+    # operators as one-argument constructors, and None for each open
+    # parenthesis; ``vals`` holds the operands built so far
+    ops: list = []
+    vals: list[Formula] = []
+    depth = 0
+
+    def reduce(level: int):
+        # build the pending binary operators, back to the innermost open
+        # parenthesis, that bind tighter than ``level``
+        while ops and type(ops[-1]) is tuple and ops[-1][0] > level:
+            _, make = ops.pop()
+            right = vals.pop()
+            vals.append(make(vals.pop(), right))
+
+    i = 0
+    while True:
+        # an operand: prefix operators and parentheses up to an atom
+        if i == end:
+            raise ParseError("unexpected end of input", len(text))
+        kind, value, pos = tokens[i]
+        i += 1
+        if kind == "lp":
+            ops.append(None)
+            depth += 1
+            continue
+        if kind in _PREFIX:
+            make = _PREFIX[kind].get(lang)
+            if make is None:
+                raise ParseError(f"operator {value} is not part of the "
+                                 f"{lang} language", position(i))
+            if make is boxn:
+                make = partial(boxn, int(value[1:-1]))
+            ops.append(make)
+            continue
+        if kind != "name":
+            raise ParseError(f"unexpected token {value!r}", pos)
+        vals.append(FALSUM if value == "bot" else
+                    top() if value == "top" else atom(value))
+
+        # after an operand: apply the prefixes it completes and close the
+        # parentheses that follow it, then read a binary operator or stop
+        while True:
+            while ops and callable(ops[-1]):
+                vals.append(ops.pop()(vals.pop()))
+            kind = tokens[i][0] if i < end else None
+            if kind != "rp" or not depth:
+                break
+            reduce(-1)
+            ops.pop()
+            depth -= 1
+            i += 1
+        if kind in _BINARY:
+            op = _BINARY[kind]
+            if kind == "rhdop" and lang != RHD:
+                raise ParseError(f"operator |> is not part of the {lang} "
+                                 f"language", position(i))
+            reduce(op[0])
+            if kind == "rhdop" and ops and ops[-1] is op:
+                raise ParseError("chained |> needs parentheses", position(i))
+            ops.append(op)
+            i += 1
+        elif depth:
+            if i == end:
+                raise ParseError("unexpected end of input", len(text))
+            raise ParseError("expected ')'", position(i))
+        elif i != end:
+            raise ParseError("trailing input", position(i))
+        else:
+            reduce(-1)
+            return vals.pop()
 
 
 # ---------------------------------------------------------------------------
 # printing (canonical; re-sugars ~, &, |, top and <> for readability)
-
-_LVL_IFF, _LVL_IMP, _LVL_RHD, _LVL_OR, _LVL_AND, _LVL_UNARY = range(6)
 
 
 def _match_and(f: Formula) -> tuple[Formula, Formula] | None:
@@ -387,52 +392,70 @@ def _match_and(f: Formula) -> tuple[Formula, Formula] | None:
     return gl.left.left, gr.left
 
 
-def _render(f: Formula, minlvl: int) -> str:
-    text, lvl = _render_raw(f)
-    if lvl < minlvl:
-        return "(" + text + ")"
-    return text
-
-
-def _render_raw(f: Formula) -> tuple[str, int]:
-    if isinstance(f, Atom):
-        return f.name, _LVL_UNARY
-    if isinstance(f, Bot):
-        return "bot", _LVL_UNARY
-    if isinstance(f, Box):
-        return "[]" + _render(f.sub, _LVL_UNARY), _LVL_UNARY
-    if isinstance(f, BoxN):
-        return f"[{f.index}]" + _render(f.sub, _LVL_UNARY), _LVL_UNARY
-    if isinstance(f, Rhd):
-        left = _render(f.left, _LVL_RHD + 1)
-        right = _render(f.right, _LVL_RHD + 1)
-        return f"{left} |> {right}", _LVL_RHD
-    # implication node
-    if f.left is FALSUM and f.right is FALSUM:
-        return "top", _LVL_UNARY
-    if f.right is FALSUM:
-        pair = _match_and(f)
-        if pair is not None:
-            a, b = pair
-            return f"{_render(a, _LVL_AND + 1)} & {_render(b, _LVL_AND)}", _LVL_AND
-        inner = f.left
-        if isinstance(inner, Box) and isinstance(inner.sub, Imp) \
-                and inner.sub.right is FALSUM:
-            return "<>" + _render(inner.sub.left, _LVL_UNARY), _LVL_UNARY
-        return "~" + _render(inner, _LVL_UNARY), _LVL_UNARY
-    if isinstance(f.left, Imp) and f.left.right is FALSUM:
-        a = _render(f.left.left, _LVL_OR + 1)
-        b = _render(f.right, _LVL_OR)
-        return f"{a} | {b}", _LVL_OR
-    a = _render(f.left, _LVL_IMP + 1)
-    b = _render(f.right, _LVL_IMP)
-    return f"{a} -> {b}", _LVL_IMP
-
-
 def to_text(f: Formula) -> str:
-    """Canonical rendering; ``parse(to_text(f), lang)`` returns ``f``."""
-    if f._text is None:
-        f._text = _render(f, 0)
+    """Canonical rendering; ``parse(to_text(f), lang)`` returns ``f``.
+
+    The text is cached on the node.  One loop writes it left to right from
+    an explicit stack of pending subformulas, each with the least level it
+    prints at without parentheses, and pending literal text, so deep
+    formulas print in time and memory linear in their text.
+    """
+    if f._text is not None:
+        return f._text
+    out: list[str] = []
+    todo: list = [(f, _LVL_IFF)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, least = item
+        if isinstance(g, Atom):
+            out.append(g.name)
+            continue
+        if isinstance(g, Bot):
+            out.append("bot")
+            continue
+        if isinstance(g, Box):
+            out.append("[]")
+            todo.append((g.sub, _LVL_UNARY))
+            continue
+        if isinstance(g, BoxN):
+            out.append(f"[{g.index}]")
+            todo.append((g.sub, _LVL_UNARY))
+            continue
+        # binary nodes; an implication may print as a unary one
+        if isinstance(g, Rhd):
+            level, left, op, right = (_LVL_RHD, (g.left, _LVL_RHD + 1),
+                                      " |> ", (g.right, _LVL_RHD + 1))
+        elif g.left is FALSUM and g.right is FALSUM:
+            out.append("top")
+            continue
+        elif g.right is FALSUM:
+            pair = _match_and(g)
+            if pair is None:
+                inner = g.left
+                if isinstance(inner, Box) and isinstance(inner.sub, Imp) \
+                        and inner.sub.right is FALSUM:
+                    out.append("<>")
+                    todo.append((inner.sub.left, _LVL_UNARY))
+                else:
+                    out.append("~")
+                    todo.append((inner, _LVL_UNARY))
+                continue
+            level, left, op, right = (_LVL_AND, (pair[0], _LVL_AND + 1),
+                                      " & ", (pair[1], _LVL_AND))
+        elif isinstance(g.left, Imp) and g.left.right is FALSUM:
+            level, left, op, right = (_LVL_OR, (g.left.left, _LVL_OR + 1),
+                                      " | ", (g.right, _LVL_OR))
+        else:
+            level, left, op, right = (_LVL_IMP, (g.left, _LVL_IMP + 1),
+                                      " -> ", (g.right, _LVL_IMP))
+        if level < least:
+            out.append("(")
+            todo.append(")")
+        todo += (right, op, left)
+    f._text = "".join(out)
     return f._text
 
 

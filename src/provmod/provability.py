@@ -31,7 +31,6 @@ the worlds and formulas a query needs.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass, field
 
 from provmod import formulas as fm
@@ -79,14 +78,6 @@ from provmod.decide import (
     representatives_gl,
     representatives_ilm,
 )
-
-# Evaluation and the formula walks are iterative, but parse and to_text
-# still recurse over formula depth, one to three frames per conjunct of a
-# right-folded conjunction; generated models build such conjunctions from
-# whole axiom sets, and print them as sort keys.  (The tableau search in
-# decide also recurses, once per successor world on a path; saturation
-# does not.)
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
 
 class PreModelError(ModelError):

@@ -14,18 +14,25 @@ from provmod import formulas as fm
 from provmod.formulas import (
     BOX,
     FALSUM,
+    OMEGA,
+    RHD,
     Atom,
     Bot,
     Box,
+    BoxN,
     Imp,
     Rhd,
+    atom,
     box,
     boxn,
     diamond,
     imp,
     land,
+    liff,
     lor,
     neg,
+    rbox,
+    rdiamond,
     rhd,
     top,
 )
@@ -151,6 +158,183 @@ def tree_pre_interpolant(f):
         mapping.update(zip(p_atoms, bits))
         instances.append(tree_substitute(sk, mapping))
     return fm.conj(instances)
+
+
+# ---------------------------------------------------------------------------
+# reference parser and printer: recursive descent, one to three frames per
+# operator, verbatim but for the names, the imports and line breaks
+
+class _ReferenceParser:
+    def __init__(self, text: str, lang: str):
+        self.text = text
+        self.lang = lang
+        self.tokens = []
+        pos = 0
+        while pos < len(text):
+            m = fm._TOKEN_RE.match(text, pos)
+            if m is None or m.end() == pos:
+                stripped = text[pos:].lstrip()
+                if not stripped:
+                    break
+                raise fm.ParseError(f"unexpected character {stripped[0]!r}",
+                                    len(text) - len(stripped))
+            self.tokens.append((m.lastgroup, m.group(m.lastgroup),
+                                m.start(m.lastgroup)))
+            pos = m.end()
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+
+    def next(self):
+        if self.i >= len(self.tokens):
+            raise fm.ParseError("unexpected end of input", len(self.text))
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def pos(self):
+        return (self.tokens[self.i][2] if self.i < len(self.tokens)
+                else len(self.text))
+
+    def illegal(self, op: str):
+        raise fm.ParseError(
+            f"operator {op} is not part of the {self.lang} language",
+            self.pos())
+
+    # precedence: unary/modal > & > | > |> > -> > <->
+    def parse_iff(self):
+        a = self.parse_imp()
+        if self.peek() == "iff":
+            self.next()
+            return liff(a, self.parse_iff())
+        return a
+
+    def parse_imp(self):
+        a = self.parse_rhd()
+        if self.peek() == "imp":
+            self.next()
+            return imp(a, self.parse_imp())
+        return a
+
+    def parse_rhd(self):
+        a = self.parse_or()
+        if self.peek() == "rhdop":
+            if self.lang != RHD:
+                self.illegal("|>")
+            self.next()
+            b = self.parse_or()
+            if self.peek() == "rhdop":
+                raise fm.ParseError("chained |> needs parentheses", self.pos())
+            return rhd(a, b)
+        return a
+
+    def parse_or(self):
+        a = self.parse_and()
+        if self.peek() == "orop":
+            self.next()
+            return lor(a, self.parse_or())
+        return a
+
+    def parse_and(self):
+        a = self.parse_unary()
+        if self.peek() == "andop":
+            self.next()
+            return land(a, self.parse_and())
+        return a
+
+    def parse_unary(self):
+        kind, value, pos = self.next()
+        if kind == "notop":
+            return neg(self.parse_unary())
+        if kind == "boxop":
+            if self.lang == BOX:
+                return box(self.parse_unary())
+            if self.lang == RHD:
+                return rbox(self.parse_unary())
+            self.illegal("[]")
+        if kind == "dia":
+            if self.lang == BOX:
+                return diamond(self.parse_unary())
+            if self.lang == RHD:
+                return rdiamond(self.parse_unary())
+            self.illegal("<>")
+        if kind == "boxnop":
+            if self.lang != OMEGA:
+                self.illegal(value)
+            return boxn(int(value[1:-1]), self.parse_unary())
+        if kind == "lp":
+            a = self.parse_iff()
+            k, _, p = self.next()
+            if k != "rp":
+                raise fm.ParseError("expected ')'", p)
+            return a
+        if kind == "name":
+            if value == "bot":
+                return FALSUM
+            if value == "top":
+                return top()
+            return atom(value)
+        raise fm.ParseError(f"unexpected token {value!r}", pos)
+
+
+def reference_parse(text: str, lang: str = BOX):
+    if lang not in fm.LANGUAGES:
+        raise fm.LanguageError(f"unknown language {lang!r}")
+    p = _ReferenceParser(text, lang)
+    out = p.parse_iff()
+    if p.i != len(p.tokens):
+        raise fm.ParseError("trailing input", p.pos())
+    return out
+
+
+def _reference_render(f, minlvl: int) -> str:
+    text, lvl = _reference_render_raw(f)
+    if lvl < minlvl:
+        return "(" + text + ")"
+    return text
+
+
+def _reference_render_raw(f):
+    if isinstance(f, Atom):
+        return f.name, fm._LVL_UNARY
+    if isinstance(f, Bot):
+        return "bot", fm._LVL_UNARY
+    if isinstance(f, Box):
+        return "[]" + _reference_render(f.sub, fm._LVL_UNARY), fm._LVL_UNARY
+    if isinstance(f, BoxN):
+        return (f"[{f.index}]" + _reference_render(f.sub, fm._LVL_UNARY),
+                fm._LVL_UNARY)
+    if isinstance(f, Rhd):
+        left = _reference_render(f.left, fm._LVL_RHD + 1)
+        right = _reference_render(f.right, fm._LVL_RHD + 1)
+        return f"{left} |> {right}", fm._LVL_RHD
+    # implication node
+    if f.left is FALSUM and f.right is FALSUM:
+        return "top", fm._LVL_UNARY
+    if f.right is FALSUM:
+        pair = fm._match_and(f)
+        if pair is not None:
+            a, b = pair
+            return (f"{_reference_render(a, fm._LVL_AND + 1)} & "
+                    f"{_reference_render(b, fm._LVL_AND)}", fm._LVL_AND)
+        inner = f.left
+        if isinstance(inner, Box) and isinstance(inner.sub, Imp) \
+                and inner.sub.right is FALSUM:
+            return ("<>" + _reference_render(inner.sub.left, fm._LVL_UNARY),
+                    fm._LVL_UNARY)
+        return "~" + _reference_render(inner, fm._LVL_UNARY), fm._LVL_UNARY
+    if isinstance(f.left, Imp) and f.left.right is FALSUM:
+        a = _reference_render(f.left.left, fm._LVL_OR + 1)
+        b = _reference_render(f.right, fm._LVL_OR)
+        return f"{a} | {b}", fm._LVL_OR
+    a = _reference_render(f.left, fm._LVL_IMP + 1)
+    b = _reference_render(f.right, fm._LVL_IMP)
+    return f"{a} -> {b}", fm._LVL_IMP
+
+
+def reference_to_text(f):
+    return _reference_render(f, 0)
 
 
 def within(seconds, fn):

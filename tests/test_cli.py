@@ -257,12 +257,13 @@ def test_check_frame_on_a_seed_document_does_not_generate(capsys, tmp_path,
                for name in ("irreflexive", "transitive",
                             "converse_well_founded", "tree"))
 
-    from provmod import cli
+    from provmod import provability
 
     def refuse(*args, **kwargs):
         raise AssertionError("the frame suite generated the model")
 
-    monkeypatch.setattr(cli, "generate_gl", refuse)
+    # the cli imports generate_gl from its home module when it generates
+    monkeypatch.setattr(provability, "generate_gl", refuse)
     assert _frame_payload(capsys, seed_path) == expected
     # the other suites still read the generated model
     code, _, err = run(capsys, "check", "--model", str(seed_path),

@@ -1,7 +1,8 @@
 import random
+from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import support
 from provmod import formulas as fm
@@ -28,6 +29,7 @@ from provmod.formulas import (
     phrase_cnf,
     pre_interpolant,
     rbox,
+    rdiamond,
     rhd,
     skeleton,
     substitute,
@@ -185,6 +187,71 @@ def test_print_parse_roundtrip(lang):
     for _ in range(400):
         f = _random_formula(rng, lang, 4, pool)
         assert parse(to_text(f), lang) is f
+
+
+# Well-formed texts over every operator of the three languages, their
+# prefixes, and token soups that are mostly malformed: unbalanced
+# parentheses, operators out of place or outside their language, chained
+# |>, stray characters.
+_PREFIXES = ["~", "[]", "<>", "[0]", "[12]"]
+_INFIXES = ["&", "|", "|>", "->", "<->"]
+_ATOM_TEXTS = ["p", "q", "top", "bot"]
+_WELL_FORMED = st.recursive(
+    st.sampled_from(_ATOM_TEXTS),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(_PREFIXES), sub).map("".join),
+        sub.map(lambda t: f"({t})"),
+        st.tuples(sub, st.sampled_from(_INFIXES), sub).map(" ".join)),
+    max_leaves=12)
+_CUT = st.builds(lambda text, cut: text[:cut], _WELL_FORMED,
+                 st.integers(min_value=0, max_value=30))
+_SOUP = st.lists(
+    st.sampled_from(_PREFIXES + _INFIXES + _ATOM_TEXTS
+                    + ["(", ")", " ", "[", "-", "<", ">", "#", "x1"]),
+    max_size=14).map(" ".join)
+
+
+def _parse_outcome(parser, text, lang):
+    try:
+        return parser(text, lang)
+    except fm.ParseError as exc:
+        return ("ParseError", str(exc), exc.position)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(_WELL_FORMED, _CUT, _SOUP), st.sampled_from(LANGUAGES))
+@example("p & q |> r |> p", RHD)
+@example("(p |> q) |> ~r -> p |> q", RHD)
+def test_parser_matches_the_recursive_reference(text, lang):
+    # formulas are interned, so == on them is identity
+    got = _parse_outcome(parse, text, lang)
+    assert got == _parse_outcome(support.reference_parse, text, lang)
+    if isinstance(got, fm.Formula):
+        assert to_text(got) == support.reference_to_text(got)
+
+
+def _formulas(lang):
+    modal = {BOX: [box, diamond], RHD: [rbox, rdiamond],
+             OMEGA: [partial(boxn, 0), partial(boxn, 3)]}[lang]
+    binary = [imp, land, lor, liff] + ([rhd] if lang == RHD else [])
+    return st.recursive(
+        st.sampled_from([p, q, FALSUM, top()]),
+        lambda sub: st.one_of(
+            st.builds(lambda make, a: make(a), st.sampled_from([neg] + modal),
+                      sub),
+            st.builds(lambda make, a, b: make(a, b), st.sampled_from(binary),
+                      sub, sub)),
+        max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_printer_matches_the_recursive_reference(data):
+    lang = data.draw(st.sampled_from(LANGUAGES))
+    f = data.draw(_formulas(lang))
+    text = to_text(f)
+    assert text == support.reference_to_text(f)
+    assert parse(text, lang) is f
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,105 @@
+"""What importing provmod loads and changes, checked in fresh interpreters.
+
+Each check runs in a subprocess, so the modules this test session already
+imported and its recursion limit do not leak into what is measured.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def _run(code: str):
+    """The JSON value a fresh interpreter prints on its last line."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_provmod_leaves_the_recursion_limit_alone():
+    limits = _run("""
+import json, sys
+before = sys.getrecursionlimit()
+import provmod
+after_package = sys.getrecursionlimit()
+import provmod.provability
+print(json.dumps([before, after_package, sys.getrecursionlimit()]))
+""")
+    assert limits[0] == limits[1] == limits[2]
+
+
+def test_deep_formulas_need_no_raised_recursion_limit():
+    results = _run("""
+import json, sys
+from provmod.decide import decide
+from provmod.formulas import parse, to_text
+from provmod.kripke import KripkeModel, forces
+
+text = " & ".join(f"(p{i} -> p{i})" for i in range(7000))
+f = parse(text)
+one = KripkeModel(["w"], [], [])
+deep = parse("[]" * 600 + "p -> " + "[]" * 600 + "q")
+print(json.dumps([sys.getrecursionlimit(), to_text(f) == text,
+                  forces(one, "w", f), decide("k", f).status,
+                  decide("gl", f).status, decide("k", deep).status]))
+""")
+    limit, *answers = results
+    assert limit < 7000
+    assert answers == [True, True, "theorem", "theorem", "non_theorem"]
+
+
+def test_decide_loads_no_provability_model_module():
+    loaded = _run("""
+import contextlib, io, json, sys
+from provmod import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["--json", "decide", "--logic", "gl", "[]p -> p"])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("provmod."))]))
+""")
+    code, modules = loaded
+    assert code == 1
+    assert not {"provmod.provability", "provmod.glp", "provmod.interpret",
+                "provmod.theories"} & set(modules)
+
+
+def test_decide_names_the_function_in_either_import_order():
+    for first, second in (("decide", "cli"), ("cli", "decide")):
+        kinds = _run(f"""
+import inspect, json
+from provmod import {first}
+from provmod import {second}
+from provmod import decide
+print(json.dumps([inspect.isfunction(decide), decide.__module__]))
+""")
+        assert kinds == [True, "provmod.decide"], (first, second)
+
+
+def test_every_exported_name_is_its_home_modules_object():
+    mismatched = _run("""
+import importlib, inspect, json
+import provmod
+
+eager = [importlib.import_module(f"provmod.{m}")
+         for m in ("formulas", "kripke", "decide")]
+bad = []
+for name in provmod.__all__:
+    value = getattr(provmod, name)
+    if inspect.ismodule(value):
+        ok = value is importlib.import_module(f"provmod.{name}")
+    elif name in provmod._LAZY:
+        home = importlib.import_module(f"provmod.{provmod._LAZY[name]}")
+        ok = value is getattr(home, name)
+    else:
+        ok = any(vars(m).get(name) is value for m in eager)
+    if not ok or name not in dir(provmod):
+        bad.append(name)
+print(json.dumps([len(provmod.__all__), bad]))
+""")
+    assert mismatched == [90, []]

@@ -8,7 +8,10 @@ and fail here instead.
 
 import importlib
 import inspect
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -80,3 +83,29 @@ def test_generated_models_still_answer_pre(perfbench_modules):
                                     inputs.axiom_sets(language), language)
         model = generate(seed, **kwargs)
         assert model.pre.theories.keys() == {"s1"}
+
+
+def test_traced_names_resolve_through_the_package_to_the_wrappers():
+    # install() rebinds functions for the life of the process, so it runs
+    # in a fresh interpreter; provmod re-exports some names on first use,
+    # and those must reach the wrappers too
+    code = """
+import json
+import provmod
+import tracing
+
+tracing.install()
+bad = [attr for (home, attr) in tracing.TRACED
+       if attr in provmod.__all__
+       and not (getattr(provmod, attr) is getattr(home, attr)
+                and hasattr(getattr(home, attr), "__wrapped__"))]
+print(json.dumps(bad))
+"""
+    src = PERFBENCH.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=300, cwd=PERFBENCH,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(src),
+                                                          str(PERFBENCH)])))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
