@@ -200,17 +200,7 @@ def cmd_unravel(args) -> int:
     if loaded.kind != "veltman":
         raise CliError("unravelling takes a Veltman model document")
     unravelled = unravel(loaded.model)
-    doc = {
-        "version": docio.SCHEMA_VERSION,
-        "language": RHD,
-        "worlds": sorted(docio._world_id(s) for s in unravelled.worlds),
-        "edges": sorted([docio._world_id(a), docio._world_id(b)]
-                        for (a, b) in unravelled.edges),
-        "preorder": sorted([docio._world_id(a), docio._world_id(b)]
-                           for (a, b) in unravelled.preorder),
-        "valuation": docio._valuation_map(unravelled),
-        "unravelled": True,
-    }
+    doc = docio.model_to_doc(unravelled)
     if args.out:
         docio.save_path(args.out, doc)
         _emit(args, {"written": args.out, "worlds": len(unravelled.worlds)},
@@ -265,8 +255,7 @@ def cmd_check(args) -> int:
     if args.suite == "frame":
         # generating a seed adds theories, never worlds or edges, so the
         # frame is read off the document as it was loaded
-        model = loaded.model.levels[0] if loaded.kind == "poly" else loaded.model
-        report = check_frame(model)
+        report = check_frame(loaded.model)
         payload = {
             name: {"holds": bool(getattr(report, name)),
                    "witness": list(map(str, getattr(report, name).witness))

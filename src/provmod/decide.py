@@ -313,15 +313,14 @@ class FinfalsReport:
         return self.ok
 
 
-def finfals_check(f: Formula, kmax: int, decider=decide_gl,
-                  lang: str = BOX) -> FinfalsReport:
+def finfals_check(f: Formula, kmax: int) -> FinfalsReport:
     if kmax < 1:
         raise DecisionError("kmax must be at least 1")
-    base = decider(f)
+    base = decide_gl(f)
     per_k = []
     least = None
     for k in range(1, kmax + 1):
-        verdict = decider(imp(boxes(FALSUM, k, lang), f))
+        verdict = decide_gl(imp(boxes(FALSUM, k), f))
         per_k.append(verdict.is_theorem)
         if not verdict.is_theorem and least is None:
             least = k

@@ -4,9 +4,10 @@ DOT rendering.
 One schema covers all four model kinds; a document loads into exactly one
 of them, inferred from its fields (``preorders`` marks a Veltman model,
 per-level edge maps mark a poly model, ``theories`` marks a pre-model,
-anything else is a bare Kripke model).  Canonical dumps are byte-stable:
-worlds, edges and valuations are sorted, keys are ordered, and a trailing
-newline is fixed.
+anything else in the box language is a bare Kripke model).  Unravellings
+are written, with their sibling ``preorder``, but not read.  Canonical
+dumps are byte-stable: worlds, edges and valuations are sorted, keys are
+ordered, and a trailing newline is fixed.
 
 Only the Kripke and Veltman kinds are imported up front: loading a poly
 model or a pre-model imports its module, and saving one needs no import,
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from provmod.formulas import BOX, OMEGA, RHD, parse
-from provmod.kripke import KripkeModel, VeltmanModel
+from provmod.kripke import KripkeModel, UnravelledVeltman, VeltmanModel
 
 if TYPE_CHECKING:
     from provmod.theories import TheoryOracle
@@ -103,8 +104,8 @@ def model_to_doc(model, meta: dict | None = None) -> dict:
         doc["worlds"] = sorted(_world_id(w) for w in model.worlds)
         doc["edges"] = {
             str(n): sorted([_world_id(a), _world_id(b)]
-                           for (a, b) in model.edges[n])
-            for n in range(model.max_index + 1)}
+                           for (a, b) in level.edges)
+            for n, level in enumerate(model.levels)}
         doc["max_index"] = model.max_index
         doc["valuation"] = _valuation_map(model)
         theories: dict = {}
@@ -126,6 +127,11 @@ def model_to_doc(model, meta: dict | None = None) -> dict:
                                  for (a, b) in pairs)
             for w, pairs in sorted(model.preorders.items(), key=str)
             if pairs}
+    elif isinstance(model, UnravelledVeltman):
+        doc["language"] = RHD
+        doc["preorder"] = sorted([_world_id(a), _world_id(b)]
+                                 for (a, b) in model.preorder)
+        doc["unravelled"] = True
     elif isinstance(model, _loaded_class("provability", "PreModel")):
         doc["language"] = model.language
         doc["theories"] = {
@@ -216,6 +222,10 @@ def doc_to_model(doc: dict) -> LoadedDocument:
         model = PreModel(worlds, pairs, valuation, theories, language)
         return LoadedDocument("premodel", model, language, meta)
 
+    if language != BOX:
+        raise DocumentError(
+            f"a {language}-language document needs preorders or theories; "
+            f"an unravelled model is written but not read back")
     model = KripkeModel(worlds, pairs, valuation)
     return LoadedDocument("kripke", model, language, meta)
 
@@ -254,8 +264,8 @@ def to_dot(model, designated=None) -> str:
             else ""
         lines.append(f'  "{w}" [label="{label}"{shape}];')
     if isinstance(model, _loaded_class("glp", "PolyModel")):
-        for n in range(model.max_index + 1):
-            for (a, b) in sorted(model.edges[n], key=str):
+        for n, level in enumerate(model.levels):
+            for (a, b) in sorted(level.edges, key=str):
                 lines.append(f'  "{_world_id(a)}" -> "{_world_id(b)}" '
                              f'[label="{n}"];')
     else:

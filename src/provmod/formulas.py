@@ -690,10 +690,10 @@ def extended_atoms(fs: Iterable[Formula]) -> list:
     return ordered
 
 
-def _tables(fs: list[Formula], limit: int = 22) -> tuple[list[int], int]:
+def _tables(fs: list[Formula]) -> tuple[list[int], int]:
     ext = extended_atoms(fs)
     k = len(ext)
-    if k > limit:
+    if k > 22:
         raise EntailmentTooLarge(f"{k} extended atoms exceed the exact limit")
     nvals = 1 << k
     full = (1 << nvals) - 1

@@ -2,9 +2,9 @@
 theory per accessible world and level, plus the property checker and the
 axiom-soundness harness for the poly-modal provability logic.
 
-A poly model holds one ``kripke.KripkeModel`` per index over shared worlds
-and valuation; its successors and descendants are read from those levels,
-and it is evaluated on world masks by ``kripke.evaluate_region``, one box
+A poly model is a ``kripke.KripkeModel`` on its level-0 edges, and each
+higher index adds one more Kripke model on the same worlds and valuation.
+It is evaluated on world masks by ``kripke.evaluate_region``, one box
 clause serving every index.
 """
 
@@ -37,39 +37,37 @@ class PolyModelError(ModelError):
     pass
 
 
-class PolyModel:
+class PolyModel(KripkeModel):
     """Finite frame with accessibility relations indexed 0..max_index.
 
-    ``levels[n]`` is the level-n ``KripkeModel``; every level has the same
-    worlds and valuation, so the generic frame checks raise ``ModelError``
-    from there.  Theories are attached to every level-0-accessible world at
-    every level.  Worlds reachable on a higher level but not on level 0
-    would have no theory to consult, so such edges are rejected outright.
+    The model is its level-0 frame and the first of ``levels``;
+    ``levels[n]`` for n >= 1 is the level-n ``KripkeModel`` on the same
+    worlds and valuation.  Theories are attached to every level-0-accessible
+    world at every level; a higher-level edge to any other world would have
+    no theory to consult, so it is rejected.  Equality is identity, as for
+    pre-models: the higher levels and the theories are part of the model.
     """
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, worlds, edges, theories, valuation, max_index=None):
         by_level = {int(n): es for n, es in edges.items()}
         if max_index is None:
             max_index = max(by_level, default=0)
-        self.max_index = int(max_index)
-        if self.max_index < 0 or \
-                not all(0 <= n <= self.max_index for n in by_level):
+        max_index = int(max_index)
+        if max_index < 0 or not all(0 <= n <= max_index for n in by_level):
             raise PolyModelError(f"edge levels {sorted(by_level)} must lie "
-                                 f"in 0..{self.max_index}")
-        base = KripkeModel(worlds, by_level.get(0, ()), valuation)
-        self.levels = (base,) + tuple(
-            KripkeModel(base.worlds, by_level.get(n, ()), base.valuation)
-            for n in range(1, self.max_index + 1))
-        self.worlds, self.valuation = base.worlds, base.valuation
-        # world masks, as on the levels
-        self._order, self._bit = base._order, base._bit
-        self._full, self._atom_masks = base._full, base._atom_masks
-        self.edges = {n: level.edges for n, level in enumerate(self.levels)}
+                                 f"in 0..{max_index}")
+        super().__init__(worlds, by_level.get(0, ()), valuation)
+        self.max_index = max_index
+        self.levels = (self,) + tuple(
+            KripkeModel(self.worlds, by_level.get(n, ()), self.valuation)
+            for n in range(1, max_index + 1))
 
-        accessible = base.accessible_worlds()
-        self.accessible0 = accessible
-        for n, es in self.edges.items():
-            for (w, u) in es:
+        accessible = self.accessible_worlds()
+        for n, level in enumerate(self.levels):
+            for (w, u) in level.edges:
                 if u not in accessible:
                     raise PolyModelError(
                         f"level-{n} edge reaches {u!r}, which is not "
@@ -80,11 +78,11 @@ class PolyModel:
             for n, oracle in per_level.items():
                 flat[(w, int(n))] = oracle
         expected = {(w, n) for w in accessible
-                    for n in range(self.max_index + 1)}
+                    for n in range(max_index + 1)}
         if set(flat) != expected:
             raise PolyModelError(
                 f"theories must cover exactly the level-0 accessible worlds "
-                f"at every level up to {self.max_index}")
+                f"at every level up to {max_index}")
         for (w, n), oracle in flat.items():
             if oracle.language != OMEGA:
                 raise PolyModelError(f"theory at {(w, n)!r} speaks "
@@ -93,7 +91,7 @@ class PolyModel:
         # per level and world bit: the level's theories of the world's
         # successors on that level
         self._succ_theories = tuple(
-            tuple([tuple([flat[(u, n)] for u in level.successors(w)])
+            tuple([tuple([flat[(u, n)] for u in level._succ[w]])
                    for w in self._order])
             for n, level in enumerate(self.levels))
         # the box clause, once built, and its (known, value) masks per
@@ -102,16 +100,13 @@ class PolyModel:
         self._memo: dict = {}
 
     def successors(self, w, n=0):
-        return self.levels[n].successors(w)
+        return self.levels[n]._succ[w]
 
     def theory(self, w, n) -> TheoryOracle:
         try:
             return self._theories[(w, n)]
         except KeyError:
             raise PolyModelError(f"no theory at {(w, n)!r}") from None
-
-    def descendants0(self, w):
-        return self.levels[0].descendants(w)
 
     def __repr__(self):
         return (f"PolyModel({len(self.worlds)} worlds, "
@@ -157,7 +152,7 @@ def glp_forces_plus_0(model: PolyModel, world, f: Formula) -> bool:
     """Truth at the world and all its level-0 strict descendants."""
     if world not in model.worlds:
         raise PolyModelError(f"unknown world {world!r}")
-    region = model._bit[world] | model.levels[0].descendant_mask(world)
+    region = model._bit[world] | model.descendant_mask(world)
     return _truth(model, f, region) == region
 
 
@@ -195,12 +190,12 @@ def check_glp_model(model: PolyModel, family) -> GlpReport:
             out.append(("classical", w, n) + violation)
 
     # one mask per purely modal member, over the accessible worlds
-    accessible = sorted(model.accessible0, key=str)
+    accessible = sorted(model.accessible_worlds(), key=str)
     members = [f for f in family if is_purely_modal(f)]
     region = sum([model._bit[w] for w in accessible])
     truth = [_truth(model, f, region) for f in members]
     for w in accessible:
-        plus_0 = model._bit[w] | model.levels[0].descendant_mask(w)
+        plus_0 = model._bit[w] | model.descendant_mask(w)
         for f, mask in zip(members, truth):
             if not plus_0 & ~mask and not model.theory(w, 0).derives(f):
                 out.append(("modal_completeness", w, f))
@@ -214,10 +209,11 @@ def check_glp_model(model: PolyModel, family) -> GlpReport:
                 out.append(("poly_loeb", w, n, f))
 
     for n in levels[:-1]:
-        for e in sorted(model.edges[n + 1], key=str):
-            if e not in model.edges[n]:
+        low_edges = model.levels[n].edges
+        for e in sorted(model.levels[n + 1].edges, key=str):
+            if e not in low_edges:
                 out.append(("ascending_edges", n + 1, e))
-        for w in sorted(model.accessible0, key=str):
+        for w in accessible:
             low, high = model.theory(w, n), model.theory(w, n + 1)
             for f in family:
                 if low.derives(f) and not high.derives(f):
@@ -226,7 +222,7 @@ def check_glp_model(model: PolyModel, family) -> GlpReport:
     for n in levels[:-1]:
         refuted = [neg(boxn(n, f)) for f in family]
         truth = [_truth(model, g, model._full) for g in refuted]
-        for (u, w) in sorted(model.edges[n + 1], key=str):
+        for (u, w) in sorted(model.levels[n + 1].edges, key=str):
             bit = model._bit[u]
             for f, g, mask in zip(family, refuted, truth):
                 if mask & bit and not model.theory(w, n + 1).derives(g):

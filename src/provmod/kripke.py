@@ -2,9 +2,10 @@
 
 ``KripkeModel`` is the one frame class: it alone validates a frame and
 indexes its successors, predecessors and descendants.  Veltman models,
-their unravellings and provability pre-models are Kripke models with more
-structure on top, and a poly model holds one Kripke model per level, so
-``check_frame`` takes any of them as it is (a poly model level by level).
+their unravellings, provability pre-models and poly models are Kripke
+models with more structure on top (a poly model is its level-0 frame, with
+one more Kripke model per higher level), so ``check_frame`` and ``plus``
+take any of them as it is.
 
 Every semantics in the package shares the boolean clauses and differs only
 in its modal clause, so there are two evaluators, each taking a modal
@@ -35,8 +36,8 @@ clause for the calls that pass no memo, its descendant sets and masks, and
 its frame report once ``check_frame`` has run; all are filled on demand,
 and an answer once written never changes (a region memo only learns more
 bits), so instances can be shared between threads: a lost update is only
-computed again.  ``with_valuation`` derives a model on the same frame that
-shares every frame table.
+computed again.  ``with_valuation`` derives a Kripke or Veltman model on
+the same frame that shares every frame table.
 """
 
 from __future__ import annotations
@@ -121,10 +122,13 @@ class KripkeModel:
         valuation, atom masks and mask tables are its own.  A valuation
         entry outside the world set raises ``ModelError``.  The attributes
         are assigned in ``__init__``'s order, so the instance keeps the
-        compact attribute layout that a constructed one has.  Subclasses
-        that keep valuation-dependent state of their own (pre-models,
-        unravellings) do not support it.
+        compact attribute layout that a constructed one has.  The other
+        kinds keep valuation-dependent state of their own (pre-models,
+        unravellings, poly models) and raise ``ModelError``.
         """
+        if type(self) not in (KripkeModel, VeltmanModel):
+            raise ModelError(f"{type(self).__name__} keeps state that depends "
+                             f"on its valuation; build it anew instead")
         new = object.__new__(type(self))
         new.worlds = self.worlds
         new.edges = self.edges
@@ -374,13 +378,12 @@ def forces(model: KripkeModel, world, f: Formula, _memo=None) -> bool:
     return bool(evaluate_mask(model, f, _box, _memo) & model._bit[world])
 
 
-def forces_all(model: KripkeModel, formulas, worlds=None) -> dict:
+def forces_all(model: KripkeModel, formulas) -> dict:
     """Evaluate many formulas on the model's own mask table.
     Returns {(world, formula): bool}."""
     out = {}
-    targets = model.worlds if worlds is None else worlds
     for f in formulas:
-        for w in targets:
+        for w in model.worlds:
             out[(w, f)] = forces(model, w, f)
     return out
 
@@ -664,9 +667,6 @@ class UnravelledVeltman(KripkeModel):
         self._rhd_table = tuple(
             (bit[s], tuple((bit[t], above[t]) for t in self._succ[s]))
             for s in self._order)
-
-    def as_kripke(self) -> KripkeModel:
-        return KripkeModel(self.worlds, self.edges, self.valuation)
 
 
 def unravel(model: VeltmanModel) -> UnravelledVeltman:

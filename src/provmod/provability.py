@@ -163,7 +163,6 @@ class Certificate:
 
     kind: str                      # "lifted" | "generated" | "family_checked"
     family: tuple = ()
-    notes: str = ""
 
 
 class ProvabilityModel(PreModel):
@@ -347,12 +346,11 @@ def certify_modal_completeness(pre: PreModel, family,
                             e_family=tuple(e_family) if e_family else None)
 
 
-def check_oracles_classical(model, sample=None) -> list:
+def check_oracles_classical(model) -> list:
     """Classicality spot-check of every attached theory; returns witnesses."""
     out = []
     for w in sorted(model.theories, key=str):
-        for violation in classicality_violations(model.theory(w),
-                                                 sample=sample):
+        for violation in classicality_violations(model.theory(w)):
             out.append((w,) + violation)
     return out
 

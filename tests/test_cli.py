@@ -4,7 +4,7 @@ from provmod import docio
 from provmod.cli import main
 from provmod.decide import NO_COUNTERMODEL_UP_TO_BOUND
 from provmod.formulas import atom, box, parse
-from provmod.kripke import KripkeModel, VeltmanModel
+from provmod.kripke import KripkeModel, VeltmanModel, unravel
 from provmod.glp import PolyModel
 from provmod.provability import PreModel
 from provmod.theories import finite_axioms_mp
@@ -165,13 +165,33 @@ def test_countermodel_ilm(capsys, tmp_path):
 
 
 def test_unravel_command(capsys, tmp_path):
-    v = VeltmanModel(["w", "u"], [("w", "u")], {"w": [("u", "u")]}, [])
+    v = VeltmanModel(["w", "u", "z"], [("w", "u"), ("w", "z")],
+                     {"w": [("u", "u"), ("z", "z"), ("u", "z")]},
+                     [("u", "p"), ("z", "q")])
     path = tmp_path / "v.json"
     docio.save_path(path, docio.model_to_doc(v))
+    doc = docio.model_to_doc(unravel(v))
     code, out, _ = run(capsys, "--json", "unravel", "--model", str(path))
     assert code == 0
     payload = json.loads(out)
     assert "w/u" in payload["worlds"]
+    assert payload == doc
+    code, out, _ = run(capsys, "unravel", "--model", str(path))
+    assert code == 0 and out == docio.dumps(doc)
+
+
+def test_an_unravelled_document_is_refused_as_input(capsys, tmp_path):
+    v = VeltmanModel(["v0", "v1"], [("v0", "v1")], {"v0": [("v1", "v1")]},
+                     [("v1", "p")])
+    path, tree = tmp_path / "v.json", tmp_path / "u.json"
+    docio.save_path(path, docio.model_to_doc(v))
+    code, _, _ = run(capsys, "unravel", "--model", str(path),
+                     "--out", str(tree))
+    assert code == 0
+    code, out, err = run(capsys, "eval", "--model", str(tree),
+                         "--world", "v0", "p |> p")
+    assert code == 2 and out == ""
+    assert err.startswith("error: a rhd-language document"), err
 
 
 def test_reps_command(capsys):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from provmod.formulas import RHD, atom, box, parse, to_text
-from provmod.kripke import KripkeModel, VeltmanModel, unravel
+from provmod.kripke import KripkeModel, VeltmanModel, check_frame, plus, unravel
 from provmod.glp import PolyModel
 from provmod.provability import PreModel, countermodel_pipeline_gl, generate_gl
 from provmod.theories import finite_axioms_mp, gl_n
@@ -90,11 +90,55 @@ def test_pipeline_seed_document_regenerates_and_refutes():
 
 def test_unravelled_worlds_serialize_as_paths():
     v = VeltmanModel(["w", "u"], [("w", "u")], {"w": [("u", "u")]}, [])
-    u = unravel(v)
-    doc = docio.model_to_doc(u)
-    assert "w/u" in doc["worlds"]
-    assert doc == docio.model_to_doc(u.as_kripke())
-    assert doc["language"] == "box"
+    doc = docio.model_to_doc(unravel(v))
+    assert doc == {"version": 1, "language": "rhd",
+                   "worlds": ["u", "w", "w/u"], "edges": [["w", "w/u"]],
+                   "preorder": [["w/u", "w/u"]], "valuation": {},
+                   "unravelled": True}
+
+
+def test_a_bare_document_loads_only_in_the_box_language():
+    v = VeltmanModel(["w", "u"], [("w", "u")], {"w": [("u", "u")]},
+                     [("u", "p")])
+    unravelled = docio.dumps(docio.model_to_doc(unravel(v)))
+    bare_rhd = json.dumps({"version": 1, "language": "rhd",
+                           "worlds": ["w"], "edges": [], "valuation": {}})
+    for text in (unravelled, bare_rhd):
+        with pytest.raises(docio.DocumentError, match="rhd-language"):
+            docio.loads(text)
+    assert docio.loads(bare_rhd.replace('"rhd"', '"box"')).kind == "kripke"
+
+
+def test_every_loaded_kind_is_a_kripke_model_taken_as_it_is():
+    finite = finite_axioms_mp([p], language="omega")
+    kinds = {
+        "kripke": KripkeModel(["a", "b", "c"], [("a", "b"), ("b", "c")],
+                              [("c", "p")]),
+        "veltman": VeltmanModel(["a", "b", "c"], [("a", "b"), ("a", "c")],
+                                {"a": [("b", "b"), ("c", "c"), ("b", "c")]},
+                                [("b", "p")]),
+        "premodel": PreModel(["a", "b", "c"], [("a", "b"), ("b", "c")], [],
+                             {"b": finite_axioms_mp([p]),
+                              "c": finite_axioms_mp([])}),
+        # level 1 would make the union of the levels transitive
+        "poly": PolyModel(["a", "b", "c"],
+                          {0: [("a", "b"), ("b", "c")], 1: [("a", "c")]},
+                          {"b": {0: finite, 1: finite},
+                           "c": {0: finite, 1: finite}}, [("c", "p")]),
+    }
+    for kind, model in kinds.items():
+        loaded = docio.loads(docio.dumps(docio.model_to_doc(model)))
+        assert loaded.kind == kind
+        m = loaded.model
+        assert isinstance(m, KripkeModel), kind
+        frame = KripkeModel(m.worlds, m.edges, m.valuation)
+        assert check_frame(m) == check_frame(frame), kind
+        for w in m.worlds:
+            for mask in range(m._full + 1):
+                assert plus(m, w, mask) == plus(frame, w, mask), (kind, w)
+        if kind == "poly":
+            # the level-0 frame, not the union of the levels
+            assert check_frame(m).transitive.witness == ("a", "b", "c")
 
 
 def test_generated_theories_refuse_direct_serialization():

@@ -68,9 +68,9 @@ def test_poly_model_levels_share_worlds_and_valuation():
     assert [level.worlds for level in m.levels] == \
         [m.worlds] * (m.max_index + 1)
     assert all(level.valuation == m.valuation for level in m.levels)
-    assert m.edges == {n: level.edges for n, level in enumerate(m.levels)}
-    for w in m.worlds:
-        assert m.descendants0(w) == m.levels[0].descendants(w)
+    assert m.levels[0] is m
+    assert m.descendants("w") == {"u", "v"}
+    assert m.descendants("u") == {"v"} and not m.descendants("v")
 
 
 def test_vacuous_boxes():

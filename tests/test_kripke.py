@@ -41,7 +41,7 @@ from provmod.kripke import (
     veltman_forces_alt,
 )
 from provmod.glp import PolyModel, glp_forces
-from provmod.provability import PreModel, pm_forces, pm_forces_rhd
+from provmod.provability import PreModel, lift_kripke, pm_forces, pm_forces_rhd
 from provmod.theories import finite_axioms_mp
 
 p = atom("p")
@@ -387,7 +387,7 @@ def test_unravelled_tree_shape():
         [("b", "p")],
     )
     u = unravel(v)
-    report = check_frame(u.as_kripke())
+    report = check_frame(u)
     assert report.tree
     assert report.irreflexive
     assert report.converse_well_founded
@@ -639,6 +639,25 @@ def test_with_valuation_rejects_an_entry_outside_the_world_set():
         frame.with_valuation([("w", "p"), ("elsewhere", "p")])
     with pytest.raises(ModelError):
         chain(2).with_valuation([("w2", "p")])
+
+
+_STATEFUL_KINDS = {
+    "premodel": lambda: PreModel(["w0", "w1"], [("w0", "w1")], (),
+                                 {"w1": finite_axioms_mp([p])}),
+    "provability": lambda: lift_kripke(chain(2)),
+    "unravelled": lambda: unravel(VeltmanModel(
+        ["w", "u"], [("w", "u")], {"w": [("u", "u")]}, [])),
+    "poly": lambda: PolyModel(["w", "u"], {0: [("w", "u")]},
+                              {"u": {0: finite_axioms_mp([p], language="omega")}},
+                              []),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_STATEFUL_KINDS))
+def test_with_valuation_refuses_kinds_with_valuation_dependent_state(kind):
+    model = _STATEFUL_KINDS[kind]()
+    with pytest.raises(ModelError, match="build it anew"):
+        model.with_valuation(model.valuation)
 
 
 def test_evaluating_a_derived_model_leaves_its_sibling_alone():

@@ -67,8 +67,15 @@ def test_model_counts_match_the_enumeration(perfbench_modules):
 
 
 def test_benchmark_inputs_build(perfbench_modules):
+    # the model-check workload fails its glp op on a model these checks
+    # refuse
+    _, workloads = perfbench_modules
     inputs = importlib.import_module("inputs")
-    assert len(inputs.glp_models()) == 3
+    models = inputs.glp_models()
+    assert len(models) == 3
+    for m in models:
+        assert workloads.check_glp_model(m, inputs.GLP_FAMILY).ok, m
+        assert workloads.glp_soundness_suite(m, ["p"], 1).ok, m
 
 
 def test_generated_models_still_answer_pre(perfbench_modules):
