@@ -9,6 +9,7 @@ by the matching evaluator before it is returned.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 
 from provmod import formulas as fm
@@ -242,10 +243,17 @@ _FRAME_REQUIREMENTS = {
 def _decide_box_logic(logic: str, f: Formula) -> DecisionVerdict:
     if f.lang not in (None, BOX):
         raise DecisionError(f"{logic} decides box-language formulas only")
-    root = _search(logic, frozenset({(f, False)}), (), {})
-    if root is None:
-        return DecisionVerdict(status=THEOREM)
-    model, world = _materialize(logic, root)
+    # the search and the model it builds recurse once per world on a
+    # branch, so the interpreter's recursion limit bounds the modal depth
+    try:
+        root = _search(logic, frozenset({(f, False)}), (), {})
+        if root is None:
+            return DecisionVerdict(status=THEOREM)
+        model, world = _materialize(logic, root)
+    except RecursionError:
+        raise EnvelopeError(
+            f"the {logic} tableau nests deeper than the recursion limit of "
+            f"{sys.getrecursionlimit()} allows") from None
     report = check_frame(model)
     for prop in _FRAME_REQUIREMENTS[logic]:
         if not getattr(report, prop):
@@ -458,9 +466,11 @@ def _veltman_frames(n: int, atom_names, max_height: int | None = None):
     part, and among those only by the ones that minimize the second.  So the
     frame code is minimized once per strict poset over all n! relabellings,
     and the preorder code once per preorder combination over the frame's
-    minimizers.  A labelled frame whose pair of codes was already seen is an
-    isomorphic copy of an earlier one: every valuation on it has the code of
-    a model already given, so it is skipped.  On a new frame the remaining
+    minimizers.  A labelled frame whose codes were already seen is an
+    isomorphic copy of an earlier one, so every valuation on it has the
+    code of a model already given: a poset is skipped on its frame code,
+    before its preorders are listed, and a combination on its preorder
+    code.  On a new frame the remaining
     minimizers are one relabelling followed by the frame's automorphisms.
     Without automorphisms every valuation is a model of its own; with them,
     a valuation is kept when its code, minimized over the remaining
@@ -473,12 +483,16 @@ def _veltman_frames(n: int, atom_names, max_height: int | None = None):
     chosen = [[cell for cell, b in zip(cells, bits) if b]
               for bits in itertools.product((False, True), repeat=len(cells))]
     every = [[(worlds[i], a) for (i, a) in val] for val in chosen]
-    seen = set()
+    frames = set()
     for rel in _strict_posets(n):
         if max_height is not None and _model_height(n, rel) >= max_height:
             continue
         frame_code, frame_perms = _minimizers(
             perms, lambda pi: tuple(sorted((pi[a], pi[b]) for (a, b) in rel)))
+        if frame_code in frames:
+            continue
+        frames.add(frame_code)
+        seen = set()
         options = [list(_preorder_options(rel, n, w)) for w in range(n)]
         for combo in itertools.product(*options):
             preorder_code, preorder_perms = _minimizers(
@@ -487,9 +501,9 @@ def _veltman_frames(n: int, atom_names, max_height: int | None = None):
                     (pi[w], tuple(sorted((pi[x], pi[y])
                                          for (x, y) in combo[w])))
                     for w in range(n))))
-            if (frame_code, preorder_code) in seen:
+            if preorder_code in seen:
                 continue
-            seen.add((frame_code, preorder_code))
+            seen.add(preorder_code)
             frame = VeltmanModel(
                 worlds,
                 [(worlds[a], worlds[b]) for (a, b) in rel],

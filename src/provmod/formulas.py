@@ -517,7 +517,6 @@ def _leaves(f: Formula, descend) -> list[Formula]:
     return out
 
 
-@lru_cache(maxsize=None)
 def atoms(f: Formula) -> frozenset[str]:
     return frozenset(g.name for g in _leaves(f, _children)
                      if isinstance(g, Atom))

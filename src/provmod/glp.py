@@ -4,8 +4,9 @@ axiom-soundness harness for the poly-modal provability logic.
 
 A poly model is a ``kripke.KripkeModel`` on its level-0 edges, and each
 higher index adds one more Kripke model on the same worlds and valuation.
-It is evaluated on world masks by ``kripke.evaluate_region``, one box
-clause serving every index.
+It is evaluated on world masks by ``kripke.evaluate_region``, with one box
+clause, the module function ``_box``, serving every index, and so one
+table of masks on the model.
 """
 
 from __future__ import annotations
@@ -94,10 +95,6 @@ class PolyModel(KripkeModel):
             tuple([tuple([flat[(u, n)] for u in level._succ[w]])
                    for w in self._order])
             for n, level in enumerate(self.levels))
-        # the box clause, once built, and its (known, value) masks per
-        # formula
-        self._box = None
-        self._memo: dict = {}
 
     def successors(self, w, n=0):
         return self.levels[n]._succ[w]
@@ -113,32 +110,23 @@ class PolyModel(KripkeModel):
                 f"levels 0..{self.max_index})")
 
 
-def _box_clause(model: PolyModel):
-    """The box clause of a poly model: an index-n box holds at a world
-    when the level-n theory of every level-n successor derives its
-    argument.  The clause is built once per model."""
-    box = model._box
-    if box is None:
-        table, top_index = model._succ_theories, model.max_index
-
-        def box(i, g):
-            if g.index > top_index:
-                raise PolyModelError(
-                    f"box index {g.index} above max index {top_index}")
-            sub = g.sub
-            for th in table[g.index][i]:
-                if not th.derives(sub):
-                    return False
-            return True
-
-        model._box = box
-    return box
+def _box(model: PolyModel, i: int, g) -> bool:
+    """The box clause of a poly model: an index-n box holds at the world of
+    bit i when the level-n theory of every level-n successor derives its
+    argument."""
+    if g.index > model.max_index:
+        raise PolyModelError(
+            f"box index {g.index} above max index {model.max_index}")
+    sub = g.sub
+    for th in model._succ_theories[g.index][i]:
+        if not th.derives(sub):
+            return False
+    return True
 
 
 def _truth(model: PolyModel, f: Formula, region: int) -> int:
     """The worlds of the region where ``f`` holds, as a mask."""
-    return evaluate_region(model, f, region, _box_clause(model),
-                    model._memo) & region
+    return evaluate_region(model, f, region, _box) & region
 
 
 def glp_forces(model: PolyModel, world, f: Formula) -> bool:

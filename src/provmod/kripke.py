@@ -10,7 +10,8 @@ take any of them as it is.
 Every semantics in the package shares the boolean clauses and differs only
 in its modal clause, so there are two evaluators, each taking a modal
 clause, and both on world masks: bit i stands for the i-th world in ``str``
-order.
+order.  A clause takes the model first, and both evaluators keep one
+table per clause on the model (``_masks``).
 
 - ``evaluate_mask`` decides a formula at every world of a Kripke model,
   Veltman model or unravelling at once, children first: each subformula
@@ -32,11 +33,11 @@ against the descendant masks of a world's predecessors.
 
 Worlds are arbitrary hashable ids (strings in documents).  Models are
 immutable after construction.  A model keeps one mask table per modal
-clause for the calls that pass no memo, its descendant sets and masks, and
-its frame report once ``check_frame`` has run; all are filled on demand,
-and an answer once written never changes (a region memo only learns more
-bits), so instances can be shared between threads: a lost update is only
-computed again.  ``with_valuation`` derives a Kripke or Veltman model on
+clause, its descendant sets and masks, and its frame report once
+``check_frame`` has run; all are filled on demand, and an answer once
+written never changes (a region table only learns more bits), so
+instances can be shared between threads: a lost update is only computed
+again.  ``with_valuation`` derives a Kripke or Veltman model on
 the same frame that shares every frame table.
 """
 
@@ -187,7 +188,9 @@ class KripkeModel:
         return frozenset(u for (_, u) in self.edges)
 
     def __eq__(self, other):
-        return (isinstance(other, KripkeModel)
+        # within one class only: another kind on the same frame carries
+        # other structure, and equality must stay transitive
+        return (type(other) is type(self)
                 and self.worlds == other.worlds
                 and self.edges == other.edges
                 and self.valuation == other.valuation)
@@ -200,23 +203,26 @@ class KripkeModel:
                 f"{len(self.edges)} edges)")
 
 
-def evaluate_region(model, f: Formula, region: int, modal,
-                    memo: dict) -> int:
+def evaluate_region(model, f: Formula, region: int, modal) -> int:
     """Truth of ``f`` on a region of a model whose modal clause asks
     theories (pre-models and poly models), as a mask that is exact on the
     region's bits.
 
-    ``memo`` maps each formula to its (known, value) masks, and callers
-    share it across calls on one model and modal clause; only the bits of
-    the region that are not yet known are computed.  Implication, atom and
-    falsum nodes are walked with an explicit stack, so long boolean chains
-    need no recursion; the right side of an implication is asked only for
-    the bits where its left side holds.  Atoms are read from
-    ``model._atom_masks``.  A modal node gets its bits one world at a time,
-    as ``modal(i, node)`` for the world of bit i, and each answer is written
-    to the memo at once: the clause may ask theories that evaluate the same
-    node at other worlds, and no world is asked twice for one node.
+    The model's own table for ``modal`` maps each formula to its (known,
+    value) masks, and every call on the model with that clause shares it;
+    only the bits of the region that are not yet known are computed.
+    Implication, atom and falsum nodes are walked with an explicit stack,
+    so long boolean chains need no recursion; the right side of an
+    implication is asked only for the bits where its left side holds.
+    Atoms are read from ``model._atom_masks``.  A modal node gets its bits
+    one world at a time, as ``modal(model, i, node)`` for the world of bit
+    i, and each answer is written to the table at once: the clause may ask
+    theories that evaluate the same node at other worlds, and no world is
+    asked twice for one node.
     """
+    memo = model._masks.get(modal)
+    if memo is None:
+        memo = model._masks[modal] = {}
     get = memo.get
     entry = get(f)
     if entry is not None and not region & ~entry[0]:
@@ -259,7 +265,7 @@ def evaluate_region(model, f: Formula, region: int, modal,
                 entry = get(g)
                 if entry is not None and entry[0] & low:
                     continue
-                val = low if modal(low.bit_length() - 1, g) else 0
+                val = low if modal(model, low.bit_length() - 1, g) else 0
                 entry = get(g)
                 memo[g] = (low, val) if entry is None else \
                     (entry[0] | low, entry[1] | val)
@@ -593,11 +599,7 @@ class VeltmanModel(KripkeModel):
         return new
 
     def __eq__(self, other):
-        return (isinstance(other, VeltmanModel)
-                and self.worlds == other.worlds
-                and self.edges == other.edges
-                and self.preorders == other.preorders
-                and self.valuation == other.valuation)
+        return super().__eq__(other) and self.preorders == other.preorders
 
     def __hash__(self):
         return hash((self.worlds, self.edges,
@@ -667,6 +669,11 @@ class UnravelledVeltman(KripkeModel):
         self._rhd_table = tuple(
             (bit[s], tuple((bit[t], above[t]) for t in self._succ[s]))
             for s in self._order)
+
+    def __eq__(self, other):
+        return super().__eq__(other) and self.preorder == other.preorder
+
+    __hash__ = KripkeModel.__hash__
 
 
 def unravel(model: VeltmanModel) -> UnravelledVeltman:

@@ -6,9 +6,12 @@ argument, and the binary modal operator of the interpretability language is
 evaluated through diamond-consequence over a finite witness family.  Both
 clauses run on ``kripke.evaluate_region``, which poly models use too: it
 evaluates a formula on a mask of worlds, keeping per formula the worlds
-where its truth is known, and hands a modal node the worlds it is asked
-at.  The per-world entry points ask one-bit regions, and the axiom suites
-and completeness checks ask one region per formula.  A pre-model
+where its truth is known in the model's one table for the clause, and
+hands a modal node the worlds it is asked at.  The box clause is the
+module function ``_pm_box``; the rhd clause is one closure per witness
+family, kept on the model, since it carries the family's diamonds.  The
+per-world entry points ask one-bit regions, and the axiom suites and
+completeness checks ask one region per formula.  A pre-model
 (``PreModel``) is a ``KripkeModel`` with a theory at each accessible world,
 so frame checks and plus-forcing take it as it is; a ``ProvabilityModel``
 is a pre-model that also carries the certificate for its modal
@@ -21,8 +24,8 @@ pre-model, which is what makes the countermodel pipelines produce decidable
 models.  A generated theory decides derivability by truth in the model it
 belongs to: per top/bot assignment to the free atoms, the instantiated
 query must hold wherever the instantiated seed axioms do, across the
-world's plus-cone.  Every theory evaluates on the memo the model's own
-forcing uses, so a query whose instances that memo already knows across
+world's plus-cone.  Every theory evaluates on the table the model's own
+forcing uses, so a query whose instances that table already knows across
 the cone is answered by operations on world masks; otherwise the cone is
 walked world by world.  Generated models stay lazy: evaluation reaches only
 the worlds and formulas a query needs.
@@ -129,12 +132,7 @@ class PreModel(KripkeModel):
         self._succ_theories = tuple([tuple([self.theories[u]
                                             for u in self._succ[w]])
                                      for w in self._order])
-        # the box clause, once built, and its (known, value) masks per
-        # formula
-        self._box = None
-        self._memo: dict = {}
-        # per witness family: its diamonds, its memo, the rhd nodes'
-        # implications with the diamonds, and its clause
+        # per witness family: its diamonds and its rhd clause
         self._rhd_memos: dict = {}
         # per generated-theory query: its free atoms and its instances; and
         # the instances of their subformulas, per set of free atoms
@@ -190,33 +188,24 @@ class ProvabilityModel(PreModel):
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _box_clause(P: PreModel):
-    """The box clause of a pre-model and the memo its answers go to: a box
-    holds at a world when every successor's theory derives its argument.
-    The clause is built once per model."""
-    box = P._box
-    if box is None:
-        table = P._succ_theories
-
-        def box(i, g):
-            sub = g.sub
-            for th in table[i]:
-                if not th.derives(sub):
-                    return False
-            return True
-
-        P._box = box
-    return box, P._memo
+def _pm_box(P: PreModel, i: int, g) -> bool:
+    """The box clause of a pre-model: a box holds at the world of bit i
+    when every successor's theory derives its argument."""
+    sub = g.sub
+    for th in P._succ_theories[i]:
+        if not th.derives(sub):
+            return False
+    return True
 
 
 def _rhd_clause(P: PreModel, e_family=None):
-    """The rhd clause over one witness family and the memo its answers go
-    to: A rhd B holds at a world when, at every successor's theory and for
-    every member E of the family, derivability of B -> <>E implies
-    derivability of A -> <>E.  The family defaults to a provability
-    model's own.  The diamonds, the memo and the clause are built once per
-    family; each rhd node's implications B -> <>E and A -> <>E are built
-    once per node and member, when first asked."""
+    """The rhd clause over one witness family: A rhd B holds at a world
+    when, at every successor's theory and for every member E of the family,
+    derivability of B -> <>E implies derivability of A -> <>E.  The family
+    defaults to a provability model's own.  The diamonds and the clause are
+    built once per family, so its answers share one table on the model;
+    each rhd node's implications B -> <>E and A -> <>E are built once per
+    node and member, when first asked."""
     if e_family is None and isinstance(P, ProvabilityModel):
         e_family = P.e_family
     if not e_family:
@@ -224,22 +213,21 @@ def _rhd_clause(P: PreModel, e_family=None):
     key = tuple(e_family)
     family = P._rhd_memos.get(key)
     if family is None:
-        family = P._rhd_memos[key] = _rhd_family(P, key)
-    return family[3], family[1]
+        family = P._rhd_memos[key] = _rhd_family(key)
+    return family[1]
 
 
-def _rhd_family(P: PreModel, key: tuple) -> tuple:
-    """A witness family's ``_rhd_memos`` entry: its diamonds, its memo, each
-    rhd node's implications with the diamonds, and its clause."""
+def _rhd_family(key: tuple) -> tuple:
+    """A witness family's ``_rhd_memos`` entry: its diamonds and its
+    clause, which keeps each rhd node's implications with the diamonds."""
     dia = [rdiamond(e) for e in key]
     members = range(len(dia))
-    table = P._succ_theories
     # per rhd node: its right and its left side implying each diamond, each
     # built when first asked
     sides: dict = {}
 
-    def rhd(i, g):
-        theories = table[i]
+    def rhd(P, i, g):
+        theories = P._succ_theories[i]
         if not theories:
             return True
         implications = sides.get(g)
@@ -259,15 +247,15 @@ def _rhd_family(P: PreModel, key: tuple) -> tuple:
                         return False
         return True
 
-    return dia, {}, sides, rhd
+    return dia, rhd
 
 
-def _plus_walk(P: PreModel, world, f: Formula, modal, memo) -> bool:
+def _plus_walk(P: PreModel, world, f: Formula, modal) -> bool:
     """Plus-forcing world by world: the strict descendants of each
     predecessor in ``descendants`` order, up to the first world where ``f``
     fails."""
     bit = P._bit
-    return any(all(evaluate_region(P, f, bit[v], modal, memo) & bit[v]
+    return any(all(evaluate_region(P, f, bit[v], modal) & bit[v]
                    for v in P.descendants(u))
                for u in P.predecessors(world))
 
@@ -276,7 +264,7 @@ def pm_forces(model, world, f: Formula) -> bool:
     """Truth in a box-language provability model."""
     _check_query(model, world, f, BOX, PreModelError)
     bit = model._bit[world]
-    return bool(evaluate_region(model, f, bit, *_box_clause(model)) & bit)
+    return bool(evaluate_region(model, f, bit, _pm_box) & bit)
 
 
 def pm_forces_plus(model, world, f: Formula) -> bool:
@@ -284,7 +272,7 @@ def pm_forces_plus(model, world, f: Formula) -> bool:
     worlds that are not accessible."""
     if world not in model.worlds:
         raise PreModelError(f"unknown world {world!r}")
-    return _plus_walk(model, world, f, *_box_clause(model))
+    return _plus_walk(model, world, f, _pm_box)
 
 
 def pm_forces_rhd(model, world, f: Formula, e_family=None) -> bool:
@@ -293,16 +281,16 @@ def pm_forces_rhd(model, world, f: Formula, e_family=None) -> bool:
     when the family covers the bounded-height representatives; otherwise
     the model carries a family_bounded flag.
     """
-    modal, memo = _rhd_clause(model, e_family)
+    modal = _rhd_clause(model, e_family)
     _check_query(model, world, f, RHD, PreModelError)
     bit = model._bit[world]
-    return bool(evaluate_region(model, f, bit, modal, memo) & bit)
+    return bool(evaluate_region(model, f, bit, modal) & bit)
 
 
 def pm_forces_plus_rhd(model, world, f: Formula, e_family=None) -> bool:
     if world not in model.worlds:
         raise PreModelError(f"unknown world {world!r}")
-    return _plus_walk(model, world, f, *_rhd_clause(model, e_family))
+    return _plus_walk(model, world, f, _rhd_clause(model, e_family))
 
 
 def is_purely_modal_family_complete(model, family, e_family=None) -> list:
@@ -316,9 +304,9 @@ def is_purely_modal_family_complete(model, family, e_family=None) -> list:
     for f in members:
         _check_language(model, f, model.language, PreModelError)
     clause = _rhd_clause(model, e_family) if model.language == RHD \
-        else _box_clause(model)
+        else _pm_box
     region = sum([model._bit[w] for w in model.theories])
-    truth = [evaluate_region(model, f, region, *clause) for f in members]
+    truth = [evaluate_region(model, f, region, clause) for f in members]
     out = []
     for w in sorted(model.theories, key=str):
         th = model.theory(w)
@@ -370,11 +358,10 @@ def lift_kripke(model: KripkeModel, transitive: bool = False,
     lifted = ProvabilityModel(model.worlds, model.edges, model.valuation,
                               theories, BOX, Certificate(kind="lifted"))
     if certify_family is not None:
-        clause = _box_clause(lifted)
         for f in certify_family:
             _check_language(model, f, BOX)
             differ = evaluate_mask(model, f, _box) ^ \
-                evaluate_region(lifted, f, lifted._full, *clause)
+                evaluate_region(lifted, f, lifted._full, _pm_box)
             if differ:
                 w = lifted._order[(differ & -differ).bit_length() - 1]
                 raise PreModelError(
@@ -408,8 +395,7 @@ def project_and_check(model, family) -> tuple[KripkeModel, ProjectionReport]:
     closed_family = tuple(closed)
     for f in closed_family:
         _check_language(model, f, BOX, PreModelError)
-    clause = _box_clause(model)
-    truth = [evaluate_region(model, f, model._full, *clause)
+    truth = [evaluate_region(model, f, model._full, _pm_box)
              for f in closed_family]
     for w in sorted(model.theories, key=str):
         th = model.theory(w)
@@ -444,8 +430,8 @@ class GeneratedTheory:
     assignment a to the free atoms of phi -> f, of phi[a] -> f[a]; so f is
     derived when, at every strict descendant of u's predecessor, f[a] holds
     wherever phi[a] does.  phi's instances are built once per theory and
-    f's once per model, and both are evaluated on the memo the model's own
-    forcing uses.  When that memo knows every phi[a] on the cone and every
+    f's once per model, and both are evaluated on the table the model's own
+    forcing uses.  When that table knows every phi[a] on the cone and every
     f[a] where phi[a] holds there, the answer is one mask test per
     assignment.  Otherwise the cone is walked world by world: f[a] is
     looked at only where phi[a] holds, and a world fails at its first
@@ -501,27 +487,30 @@ class GeneratedTheory:
         pairs = self._pairs.get(names)
         if pairs is None:
             pairs = self._pairs[names] = self._assignment_pairs(names)
-        if self.language == BOX:
-            modal, memo = _box_clause(P)
-        else:
-            modal, memo = _rhd_clause(P, self.e_family)
-        return any(_cone_implies(P, u, pairs, f_instances, modal, memo)
+        modal = _pm_box if self.language == BOX \
+            else _rhd_clause(P, self.e_family)
+        return any(_cone_implies(P, u, pairs, f_instances, modal)
                    for u in P.predecessors(self.world))
 
 
-def _cone_implies(P: PreModel, u, pairs, f_instances, modal, memo) -> bool:
+# the table of a clause that has not evaluated anything yet; never written
+_NOTHING_KNOWN: dict = {}
+
+
+def _cone_implies(P: PreModel, u, pairs, f_instances, modal) -> bool:
     """Whether, at every strict descendant of u, ``f_instances[j]`` holds
     wherever ``phi_a`` does, for every pair (phi_a, j).
 
-    When the memo knows every phi[a] on the cone and every f[a] where
-    phi[a] holds there, the answer is read off the masks.  Otherwise the
+    When the model's table for ``modal`` knows every phi[a] on the cone and
+    every f[a] where phi[a] holds there, the answer is read off the masks;
+    a clause with no table yet knows nothing.  Otherwise the
     cone is walked world by world in ``descendants`` order, each world's
     assignments in order, up to the first failure, evaluating phi[a] on the
     world and f[a] only where phi[a] holds: the same worlds and formulas
     that plus-forcing the pre-interpolant reaches, so each theory is asked
     the same derivability queries.
     """
-    get = memo.get
+    get = P._masks.get(modal, _NOTHING_KNOWN).get
     cone = P.descendant_mask(u)
     fails = 0
     for phi_a, j in pairs:
@@ -542,12 +531,12 @@ def _cone_implies(P: PreModel, u, pairs, f_instances, modal, memo) -> bool:
         for phi_a, j in pairs:
             known = get(phi_a)
             holds = known[1] if known is not None and known[0] & b \
-                else evaluate_region(P, phi_a, b, modal, memo)
+                else evaluate_region(P, phi_a, b, modal)
             if holds & b:
                 f_a = f_instances[j]
                 known = get(f_a)
                 holds = known[1] if known is not None and known[0] & b \
-                    else evaluate_region(P, f_a, b, modal, memo)
+                    else evaluate_region(P, f_a, b, modal)
                 if not holds & b:
                     return False
     return True
@@ -752,10 +741,10 @@ def soundness_suite(model, logic: str, atom_names, depth: int = 2,
         clause = _rhd_clause(model, e_family)
     else:
         instances = box_axiom_instances(logic, atom_names, depth)
-        clause = _box_clause(model)
+        clause = _pm_box
     failures = []
     for (name, f) in instances:
-        holds = evaluate_region(model, f, model._full, *clause)
+        holds = evaluate_region(model, f, model._full, clause)
         failures.extend((name, f, w) for i, w in enumerate(model._order)
                         if not holds >> i & 1)
     return failures

@@ -54,6 +54,32 @@ print(json.dumps([sys.getrecursionlimit(), to_text(f) == text,
     assert answers == [True, True, "theorem", "theorem", "non_theorem"]
 
 
+def test_a_tableau_deeper_than_the_recursion_limit_is_an_envelope_error():
+    results = _run("""
+import contextlib, io, json, sys
+from provmod import cli
+from provmod.decide import EnvelopeError, decide
+from provmod.formulas import parse
+
+text = "[]" * 1000 + "p -> " + "[]" * 1000 + "q"
+try:
+    decide("k", parse(text))
+    raised = None
+except EnvelopeError as exc:
+    raised = str(exc)
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(err):
+    code = cli.main(["decide", "--logic", "k", text])
+print(json.dumps([sys.getrecursionlimit(), raised, code, err.getvalue()]))
+""")
+    limit, raised, code, stderr = results
+    assert raised == (f"the k tableau nests deeper than the recursion "
+                      f"limit of {limit} allows")
+    assert code == 2
+    assert stderr == f"error: {raised}\n"
+
+
 def test_decide_loads_no_provability_model_module():
     loaded = _run("""
 import contextlib, io, json, sys

@@ -581,6 +581,33 @@ def test_premodels_on_one_frame_are_different_models():
     assert type(one.kripke_part()) is KripkeModel
 
 
+def test_models_of_different_kinds_are_never_equal():
+    frame = chain(2)
+    pre = PreModel(frame.worlds, frame.edges, (),
+                   {"w1": finite_axioms_mp([p])})
+    assert frame != pre and pre != frame
+    assert len({frame, pre}) == 2
+    # w sees u and v; the two preorders differ only in ranking u and v
+    worlds, edges = ["w", "u", "v"], [("w", "u"), ("w", "v")]
+    flat = VeltmanModel(worlds, edges,
+                        {"w": [("u", "u"), ("v", "v"), ("u", "v")]}, [])
+    level = VeltmanModel(worlds, edges,
+                         {"w": [("u", "u"), ("v", "v"), ("u", "v"),
+                                ("v", "u")]}, [])
+    bare = KripkeModel(worlds, edges, [])
+    assert flat != level and flat != bare and bare != flat
+    one, other = unravel(flat), unravel(level)
+    assert one != other and len({one, other}) == 2
+    paths = KripkeModel(one.worlds, one.edges, one.valuation)
+    assert one != paths and paths != one
+    # structure alone decides equality within one kind, and hashes agree
+    for model, rebuilt in ((bare, KripkeModel(worlds, edges, [])),
+                           (flat, VeltmanModel(worlds, edges,
+                                               flat.preorders, [])),
+                           (one, unravel(flat))):
+        assert model == rebuilt and hash(model) == hash(rebuilt)
+
+
 def test_veltman_preorder_at_an_unknown_world_is_rejected():
     with pytest.raises(VeltmanFrameError) as info:
         VeltmanModel(["q", "r"], [("q", "r")],

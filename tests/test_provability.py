@@ -29,7 +29,7 @@ from provmod.provability import (
     PreModel,
     PreModelError,
     ProjectionError,
-    _box_clause,
+    _pm_box,
     _rhd_clause,
     certify_modal_completeness,
     check_oracles_classical,
@@ -326,8 +326,8 @@ def test_pm_forces_rhd_answers_alike_before_and_after_its_memo_is_warm():
     cold = [pm_forces_rhd(generated(), w, f) for w, f in queries]
     model = generated()
     warming = [pm_forces_rhd(model, w, f) for w, f in queries]
-    # one entry per witness family: its diamonds, built once, then its
-    # memo, its nodes' implications and its clause
+    # one entry per witness family: its diamonds, built once, and its
+    # clause
     (dia, *_), = model._rhd_memos.values()
     assert dia == [rdiamond(e) for e in model.e_family]
     warm = [pm_forces_rhd(model, w, f) for w, f in queries]
@@ -490,8 +490,7 @@ def _region_model(kind, language, shape):
 
 
 def _clause(model, family):
-    return _box_clause(model) if family is None else \
-        _rhd_clause(model, family)
+    return _pm_box if family is None else _rhd_clause(model, family)
 
 
 @settings(max_examples=120, deadline=None)
@@ -512,7 +511,7 @@ def test_region_evaluation_agrees_with_the_per_world_walk(kind, shape, data):
     # one world at a time, through the public entry points, on a third
     single, _ = _region_model(*kind, shape)
     for f in fam:
-        got = kripke.evaluate_region(model, f, region, *_clause(model, family))
+        got = kripke.evaluate_region(model, f, region, _clause(model, family))
         for w in worlds:
             expected = support.reference_evaluate(reference, w, f, modal, memo)
             assert bool(got & model._bit[w]) == expected, (w, fm.to_text(f))
@@ -618,8 +617,7 @@ def test_a_world_decided_inside_the_clause_is_not_asked_again():
         return P, asked
 
     region, asked = model()
-    truth = kripke.evaluate_region(region, box(p), region._full,
-                                   *_box_clause(region))
+    truth = kripke.evaluate_region(region, box(p), region._full, _pm_box)
     single, expected = model()
     worlds = ["w0", "w1", "w2"]
     assert [pm_forces(single, w, box(p)) for w in worlds] == \
