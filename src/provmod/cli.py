@@ -60,16 +60,27 @@ def _read_family(path, language):
     return family
 
 
+def _witness_family(loaded, family):
+    """The witness family of an rhd pre-model document: its ``e_family``,
+    else the ``--family`` given."""
+    texts = loaded.meta.get("e_family")
+    return [parse(t, RHD) for t in texts] if texts else family
+
+
 def _materialize(loaded, family):
-    """Regenerate models saved as seeds, and pick the right evaluator."""
-    if loaded.kind == "premodel" and loaded.meta.get("generate"):
-        from provmod.provability import generate_gl, generate_ilm
-        if loaded.language == RHD:
-            e_family = loaded.meta.get("e_family")
-            fam = [parse(t, RHD) for t in e_family] if e_family else family
-            return generate_ilm(loaded.model, e_family=fam)
-        return generate_gl(loaded.model)
-    return loaded.model
+    """The document's model, generated when it is saved as a seed; an rhd
+    pre-model is built with its witness family."""
+    model = loaded.model
+    if loaded.kind != "premodel":
+        return model
+    from provmod.provability import PreModel, generate_gl, generate_ilm
+    if loaded.language == BOX:
+        return generate_gl(model) if loaded.meta.get("generate") else model
+    family = _witness_family(loaded, family)
+    if loaded.meta.get("generate"):
+        return generate_ilm(model, e_family=family)
+    return PreModel(model.worlds, model.edges, model.valuation,
+                    model.theories, RHD, e_family=family)
 
 
 def cmd_decide(args) -> int:
@@ -97,7 +108,7 @@ def cmd_decide(args) -> int:
     return 0 if verdict.is_theorem else 1
 
 
-def _forcing(loaded, model, world, family):
+def _forcing(loaded, model, world):
     """Truth at the world, as a one-argument test, under the forcing
     relation of the document's model kind."""
     if loaded.kind == "kripke":
@@ -109,7 +120,7 @@ def _forcing(loaded, model, world, family):
         return lambda g: glp_forces(model, world, g)
     from provmod.provability import pm_forces, pm_forces_rhd
     if loaded.language == RHD:
-        return lambda g: pm_forces_rhd(model, world, g, family)
+        return lambda g: pm_forces_rhd(model, world, g)
     return lambda g: pm_forces(model, world, g)
 
 
@@ -118,7 +129,7 @@ def cmd_eval(args) -> int:
     family = _read_family(args.family, loaded.language) if args.family else None
     model = _materialize(loaded, family)
     f = parse(args.formula, loaded.language)
-    holds = _forcing(loaded, model, args.world, family)
+    holds = _forcing(loaded, model, args.world)
     value = holds(f)
     # the inputs of the boolean skeleton: each atom and each outermost
     # modal subformula, at the world
@@ -143,7 +154,8 @@ def cmd_generate(args) -> int:
         raise CliError("generation starts from a pre-model document")
     family = _read_family(args.family, RHD) if args.family else None
     if loaded.language == RHD:
-        model = generate_ilm(loaded.model, e_family=family)
+        model = generate_ilm(loaded.model,
+                             e_family=_witness_family(loaded, family))
     else:
         model = generate_gl(loaded.model)
     meta = {"generate": True}
@@ -322,8 +334,7 @@ def cmd_check(args) -> int:
         from provmod.provability import soundness_suite
         names = [a for a in (args.atoms.split(",") if args.atoms else ["p"])
                  if a]
-        failures = soundness_suite(model, args.logic, names, args.depth,
-                                   e_family=family)
+        failures = soundness_suite(model, args.logic, names, args.depth)
         _emit(args, {"failures": [[name, to_text(f), str(w)]
                                   for (name, f, w) in failures]},
               f"{len(failures)} failures")

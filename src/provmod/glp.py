@@ -138,8 +138,7 @@ def glp_forces(model: PolyModel, world, f: Formula) -> bool:
 
 def glp_forces_plus_0(model: PolyModel, world, f: Formula) -> bool:
     """Truth at the world and all its level-0 strict descendants."""
-    if world not in model.worlds:
-        raise PolyModelError(f"unknown world {world!r}")
+    _check_query(model, world, f, OMEGA, PolyModelError)
     region = model._bit[world] | model.descendant_mask(world)
     return _truth(model, f, region) == region
 

@@ -7,15 +7,16 @@ evaluated through diamond-consequence over a finite witness family.  Both
 clauses run on ``kripke.evaluate_region``, which poly models use too: it
 evaluates a formula on a mask of worlds, keeping per formula the worlds
 where its truth is known in the model's one table for the clause, and
-hands a modal node the worlds it is asked at.  The box clause is the
-module function ``_pm_box``; the rhd clause is one closure per witness
-family, kept on the model, since it carries the family's diamonds.  The
-per-world entry points ask one-bit regions, and the axiom suites and
-completeness checks ask one region per formula.  A pre-model
-(``PreModel``) is a ``KripkeModel`` with a theory at each accessible world,
-so frame checks and plus-forcing take it as it is; a ``ProvabilityModel``
-is a pre-model that also carries the certificate for its modal
-completeness, so every function here takes either kind as it is.
+hands a modal node the worlds it is asked at.  Both clauses are module
+functions, ``_pm_box`` and ``_pm_rhd``; a pre-model keeps the one its
+language takes, and an rhd-language pre-model also keeps its witness
+family, whose diamonds the rhd clause reads off the model.  The per-world
+entry points ask one-bit regions, and the axiom suites and completeness
+checks ask one region per formula.  A pre-model (``PreModel``) is a
+``KripkeModel`` with a theory at each accessible world, so frame checks
+and plus-forcing take it as it is; a ``ProvabilityModel`` is a pre-model
+that also carries the certificate for its modal completeness, so every
+function here takes either kind as it is.
 
 On top of evaluation this module builds the two central constructions:
 lifting a Kripke model into an equivalent provability model, and generating
@@ -102,7 +103,9 @@ class ProjectionError(ModelError):
 
 
 class PreModel(KripkeModel):
-    """Frame, valuation and one theory per accessible world.
+    """Frame, valuation and one theory per accessible world; in the rhd
+    language also the witness family ``e_family`` that its rhd clause
+    evaluates over (a seed for generation needs none).
 
     Equality is identity: two pre-models on one frame with different
     theories are different models.
@@ -111,7 +114,8 @@ class PreModel(KripkeModel):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, worlds, edges, valuation, theories, language=BOX):
+    def __init__(self, worlds, edges, valuation, theories, language=BOX,
+                 e_family=None):
         super().__init__(worlds, edges, valuation)
         self.language = language
         accessible = self.accessible_worlds()
@@ -128,12 +132,17 @@ class PreModel(KripkeModel):
                     f"theory at {w!r} speaks {oracle.language}, model "
                     f"speaks {language}")
         self.theories = dict(theories)
+        self.e_family = tuple(e_family) if e_family else None
         # per world bit: the theories of the world's successors
         self._succ_theories = tuple([tuple([self.theories[u]
                                             for u in self._succ[w]])
                                      for w in self._order])
-        # per witness family: its diamonds and its rhd clause
-        self._rhd_memos: dict = {}
+        # the modal clause of the model's language; the family's diamonds,
+        # and per rhd node its right and left side implying each diamond,
+        # each built when first asked
+        self._clause = _pm_rhd if language == RHD else _pm_box
+        self._diamonds = tuple([rdiamond(e) for e in self.e_family or ()])
+        self._rhd_sides: dict = {}
         # per generated-theory query: its free atoms and its instances; and
         # the instances of their subformulas, per set of free atoms
         self._instances: dict = {}
@@ -166,16 +175,15 @@ class Certificate:
 class ProvabilityModel(PreModel):
     """A pre-model that is modally complete: purely modal formulas
     plus-forced at an accessible world are derived there.  The certificate
-    says why that is believed; ``e_family`` is the witness family rhd
-    evaluation defaults to, and ``family_bounded`` marks a family not known
-    to cover the bounded-height representatives."""
+    says why that is believed; ``family_bounded`` marks a witness family
+    not known to cover the bounded-height representatives."""
 
     def __init__(self, worlds, edges, valuation, theories, language,
                  certificate: Certificate, e_family=None,
                  family_bounded=False):
-        super().__init__(worlds, edges, valuation, theories, language)
+        super().__init__(worlds, edges, valuation, theories, language,
+                         e_family)
         self.certificate = certificate
-        self.e_family = e_family
         self.family_bounded = family_bounded
 
     @property
@@ -198,66 +206,33 @@ def _pm_box(P: PreModel, i: int, g) -> bool:
     return True
 
 
-def _rhd_clause(P: PreModel, e_family=None):
-    """The rhd clause over one witness family: A rhd B holds at a world
-    when, at every successor's theory and for every member E of the family,
-    derivability of B -> <>E implies derivability of A -> <>E.  The family
-    defaults to a provability model's own.  The diamonds and the clause are
-    built once per family, so its answers share one table on the model;
-    each rhd node's implications B -> <>E and A -> <>E are built once per
-    node and member, when first asked."""
-    if e_family is None and isinstance(P, ProvabilityModel):
-        e_family = P.e_family
-    if not e_family:
-        raise PreModelError("rhd evaluation needs a nonempty witness family")
-    key = tuple(e_family)
-    family = P._rhd_memos.get(key)
-    if family is None:
-        family = P._rhd_memos[key] = _rhd_family(key)
-    return family[1]
-
-
-def _rhd_family(key: tuple) -> tuple:
-    """A witness family's ``_rhd_memos`` entry: its diamonds and its
-    clause, which keeps each rhd node's implications with the diamonds."""
-    dia = [rdiamond(e) for e in key]
-    members = range(len(dia))
-    # per rhd node: its right and its left side implying each diamond, each
-    # built when first asked
-    sides: dict = {}
-
-    def rhd(P, i, g):
-        theories = P._succ_theories[i]
-        if not theories:
-            return True
-        implications = sides.get(g)
-        if implications is None:
-            implications = sides[g] = ([None] * len(dia), [None] * len(dia))
-        rights, lefts = implications
-        for th in theories:
-            for k in members:
-                right = rights[k]
-                if right is None:
-                    right = rights[k] = imp(g.right, dia[k])
-                if th.derives(right):
-                    left = lefts[k]
-                    if left is None:
-                        left = lefts[k] = imp(g.left, dia[k])
-                    if not th.derives(left):
-                        return False
-        return True
-
-    return dia, rhd
-
-
-def _plus_walk(P: PreModel, world, f: Formula, modal) -> bool:
-    """Plus-forcing world by world: the strict descendants of each
-    predecessor in ``descendants`` order, up to the first world where ``f``
-    fails."""
-    bit = P._bit
-    return any(all(evaluate_region(P, f, bit[v], modal) & bit[v]
-                   for v in P.descendants(u))
-               for u in P.predecessors(world))
+def _pm_rhd(P: PreModel, i: int, g) -> bool:
+    """The rhd clause of a pre-model: A rhd B holds at the world of bit i
+    when, at every successor's theory and for every member E of the model's
+    witness family, derivability of B -> <>E implies derivability of
+    A -> <>E.  Each rhd node's implications B -> <>E and A -> <>E are
+    built once per model and member, when first asked."""
+    sides = P._rhd_sides.get(g)
+    if sides is None:
+        n = len(P._diamonds)
+        if not n:
+            raise PreModelError(
+                "rhd evaluation needs a nonempty witness family")
+        sides = P._rhd_sides[g] = ([None] * n, [None] * n)
+    rights, lefts = sides
+    dia = P._diamonds
+    for th in P._succ_theories[i]:
+        for k, d in enumerate(dia):
+            right = rights[k]
+            if right is None:
+                right = rights[k] = imp(g.right, d)
+            if th.derives(right):
+                left = lefts[k]
+                if left is None:
+                    left = lefts[k] = imp(g.left, d)
+                if not th.derives(left):
+                    return False
+    return True
 
 
 def pm_forces(model, world, f: Formula) -> bool:
@@ -268,32 +243,29 @@ def pm_forces(model, world, f: Formula) -> bool:
 
 
 def pm_forces_plus(model, world, f: Formula) -> bool:
-    """Truth at all strict descendants of some predecessor; false at
-    worlds that are not accessible."""
-    if world not in model.worlds:
-        raise PreModelError(f"unknown world {world!r}")
-    return _plus_walk(model, world, f, _pm_box)
+    """Truth, by the model's own clause, at all strict descendants of some
+    predecessor, walked world by world up to the first world where ``f``
+    fails; false at worlds that are not accessible."""
+    _check_query(model, world, f, model.language, PreModelError)
+    bit = model._bit
+    modal = model._clause
+    return any(all(evaluate_region(model, f, bit[v], modal) & bit[v]
+                   for v in model.descendants(u))
+               for u in model.predecessors(world))
 
 
-def pm_forces_rhd(model, world, f: Formula, e_family=None) -> bool:
+def pm_forces_rhd(model, world, f: Formula) -> bool:
     """Truth in an rhd-language provability model, by the rhd clause over
-    the witness family.  Exactness beyond the family is only guaranteed
-    when the family covers the bounded-height representatives; otherwise
-    the model carries a family_bounded flag.
+    the model's witness family.  Exactness beyond the family is only
+    guaranteed when the family covers the bounded-height representatives;
+    otherwise the model carries a family_bounded flag.
     """
-    modal = _rhd_clause(model, e_family)
     _check_query(model, world, f, RHD, PreModelError)
     bit = model._bit[world]
-    return bool(evaluate_region(model, f, bit, modal) & bit)
+    return bool(evaluate_region(model, f, bit, _pm_rhd) & bit)
 
 
-def pm_forces_plus_rhd(model, world, f: Formula, e_family=None) -> bool:
-    if world not in model.worlds:
-        raise PreModelError(f"unknown world {world!r}")
-    return _plus_walk(model, world, f, _rhd_clause(model, e_family))
-
-
-def is_purely_modal_family_complete(model, family, e_family=None) -> list:
+def is_purely_modal_family_complete(model, family) -> list:
     """Modal-completeness spot check: purely modal family members that are
     plus-forced at an accessible world must be derivable there.  Each
     member is evaluated once, on every accessible world.  Returns the
@@ -303,10 +275,9 @@ def is_purely_modal_family_complete(model, family, e_family=None) -> list:
         return []
     for f in members:
         _check_language(model, f, model.language, PreModelError)
-    clause = _rhd_clause(model, e_family) if model.language == RHD \
-        else _pm_box
     region = sum([model._bit[w] for w in model.theories])
-    truth = [evaluate_region(model, f, region, clause) for f in members]
+    truth = [evaluate_region(model, f, region, model._clause)
+             for f in members]
     out = []
     for w in sorted(model.theories, key=str):
         th = model.theory(w)
@@ -316,14 +287,13 @@ def is_purely_modal_family_complete(model, family, e_family=None) -> list:
     return out
 
 
-def certify_modal_completeness(pre: PreModel, family,
-                               e_family=None) -> ProvabilityModel:
+def certify_modal_completeness(pre: PreModel, family) -> ProvabilityModel:
     """Promote a pre-model to a provability model by checking the modal
     completeness property over a finite family (the constructions coming
-    out of lifting and generation instead carry a provenance guarantee)."""
+    out of lifting and generation instead carry a provenance guarantee).
+    The provability model keeps the pre-model's witness family."""
     family = tuple(family)
-    violations = is_purely_modal_family_complete(pre, family,
-                                                 e_family=e_family)
+    violations = is_purely_modal_family_complete(pre, family)
     if violations:
         w, f = violations[0]
         raise PreModelError(
@@ -331,7 +301,7 @@ def certify_modal_completeness(pre: PreModel, family,
     return ProvabilityModel(pre.worlds, pre.edges, pre.valuation,
                             pre.theories, pre.language,
                             Certificate(kind="family_checked", family=family),
-                            e_family=tuple(e_family) if e_family else None)
+                            e_family=pre.e_family)
 
 
 def check_oracles_classical(model) -> list:
@@ -430,22 +400,21 @@ class GeneratedTheory:
     assignment a to the free atoms of phi -> f, of phi[a] -> f[a]; so f is
     derived when, at every strict descendant of u's predecessor, f[a] holds
     wherever phi[a] does.  phi's instances are built once per theory and
-    f's once per model, and both are evaluated on the table the model's own
-    forcing uses.  When that table knows every phi[a] on the cone and every
-    f[a] where phi[a] holds there, the answer is one mask test per
-    assignment.  Otherwise the cone is walked world by world: f[a] is
-    looked at only where phi[a] holds, and a world fails at its first
-    failing assignment, so the derivability queries reached are those of
-    plus-forcing the pre-interpolant; they recurse through theories
-    strictly higher in the sibling order.
+    f's once per model, and both are evaluated by the clause of the model
+    the theory is bound to, on the table the model's own forcing uses, so
+    the language and the witness family are the model's.  When that table
+    knows every phi[a] on the cone and every f[a] where phi[a] holds there,
+    the answer is one mask test per assignment.  Otherwise the cone is
+    walked world by world: f[a] is looked at only where phi[a] holds, and
+    a world fails at its first failing assignment, so the derivability
+    queries reached are those of plus-forcing the pre-interpolant; they
+    recurse through theories strictly higher in the sibling order.
     """
 
     world: object
     phi: Formula
     seed_axioms: tuple
-    language: str = BOX
     model: ProvabilityModel | None = None
-    e_family: tuple | None = None
     # phi's free atoms and instances, and per set of the query's free atoms
     # the (phi[a], index of f[a]) pairs in assignment order
     _names: tuple = field(init=False, repr=False, compare=False)
@@ -487,8 +456,7 @@ class GeneratedTheory:
         pairs = self._pairs.get(names)
         if pairs is None:
             pairs = self._pairs[names] = self._assignment_pairs(names)
-        modal = _pm_box if self.language == BOX \
-            else _rhd_clause(P, self.e_family)
+        modal = P._clause
         return any(_cone_implies(P, u, pairs, f_instances, modal)
                    for u in P.predecessors(self.world))
 
@@ -571,8 +539,6 @@ def _generate(seed: PreModel, language: str, e_family, family_bounded):
             world=w,
             phi=_phi(seed.theory(w).axioms, language),
             seed_axioms=seed.theory(w).axioms,
-            language=language,
-            e_family=e_family,
         )
         states[w] = st
         oracles[w] = TheoryOracle(
@@ -732,19 +698,20 @@ def ilm_axiom_instances(atom_names, pool=None):
     return out
 
 
-def soundness_suite(model, logic: str, atom_names, depth: int = 2,
-                    e_family=None):
+def soundness_suite(model, logic: str, atom_names, depth: int = 2):
     """Force every axiom instance of the logic at every world of the
-    provability model; returns the failures as (scheme, formula, world)."""
-    if logic == "ilm":
-        instances = ilm_axiom_instances(atom_names)
-        clause = _rhd_clause(model, e_family)
-    else:
-        instances = box_axiom_instances(logic, atom_names, depth)
-        clause = _pm_box
+    provability model; returns the failures as (scheme, formula, world).
+    The logic must speak the model's language: rhd for ilm, box for the
+    others."""
+    language = RHD if logic == "ilm" else BOX
+    if model.language != language:
+        raise PreModelError(f"the {logic} suite takes {language}-language "
+                            f"models; this model speaks {model.language}")
+    instances = ilm_axiom_instances(atom_names) if logic == "ilm" \
+        else box_axiom_instances(logic, atom_names, depth)
     failures = []
     for (name, f) in instances:
-        holds = evaluate_region(model, f, model._full, clause)
+        holds = evaluate_region(model, f, model._full, model._clause)
         failures.extend((name, f, w) for i, w in enumerate(model._order)
                         if not holds >> i & 1)
     return failures

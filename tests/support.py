@@ -500,17 +500,18 @@ def reference_unravelled_forces(u_model, sigma, f, _memo=None) -> bool:
     return reference_evaluate(u_model, sigma, f, rhd, memo)
 
 
-def reference_premodel_clause(model, e_family=None):
+def reference_premodel_clause(model):
     """The per-world modal clause of a pre-model, as pre-models were
-    evaluated before world masks: the box clause, or with a witness family
-    the rhd clause, whose implications are built on every call."""
-    if e_family is None:
+    evaluated before world masks: the box clause, or in the rhd language
+    the rhd clause over the model's witness family, whose implications are
+    built on every call."""
+    if model.language == BOX:
         def box(w, g):
             return all(model.theories[u].derives(g.sub)
                        for u in model._succ[w])
 
         return box
-    dia = [fm.rdiamond(e) for e in e_family]
+    dia = [fm.rdiamond(e) for e in model.e_family]
 
     def rhd_clause(w, g):
         return not any(th.derives(imp(g.right, de))
@@ -522,8 +523,7 @@ def reference_premodel_clause(model, e_family=None):
     return rhd_clause
 
 
-def reference_soundness_suite(model, logic: str, atom_names, depth: int = 2,
-                              e_family=None):
+def reference_soundness_suite(model, logic: str, atom_names, depth: int = 2):
     """``soundness_suite`` as one ``pm_forces``/``pm_forces_rhd`` call per
     (instance, world), as it was before whole-model regions."""
     from provmod.provability import (
@@ -538,7 +538,7 @@ def reference_soundness_suite(model, logic: str, atom_names, depth: int = 2,
         instances = ilm_axiom_instances(atom_names)
         for (name, f) in instances:
             for w in sorted(model.worlds, key=str):
-                if not pm_forces_rhd(model, w, f, e_family):
+                if not pm_forces_rhd(model, w, f):
                     failures.append((name, f, w))
         return failures
     instances = box_axiom_instances(logic, atom_names, depth)
@@ -856,7 +856,7 @@ def tree_seeds(max_nodes: int, axiom_sets):
     return out
 
 
-def seed_premodel(parents, labels, axiom_sets, language=BOX):
+def seed_premodel(parents, labels, axiom_sets, language=BOX, e_family=None):
     from provmod.provability import PreModel
     from provmod.theories import finite_axioms_mp
 
@@ -867,28 +867,22 @@ def seed_premodel(parents, labels, axiom_sets, language=BOX):
     theories = {worlds[i]: finite_axioms_mp(axiom_sets[labels[i]],
                                             language=language)
                 for i, par in enumerate(parents) if par != -1}
-    return PreModel(worlds, edges, [], theories, language)
+    return PreModel(worlds, edges, [], theories, language, e_family)
 
 
 # ---------------------------------------------------------------------------
 # reference generated derivability: plus-forcing of one pre-interpolant per
 # query, as generated theories decided before per-assignment evaluation,
-# verbatim but for the names and imports
+# verbatim but for the names and imports, and for the clause and witness
+# family, which plus-forcing takes from the model
 
 def reference_generated_decide(theory, f) -> bool:
-    from provmod.provability import (
-        GenerationError,
-        pm_forces_plus,
-        pm_forces_plus_rhd,
-    )
+    from provmod.provability import GenerationError, pm_forces_plus
 
     if theory.model is None:
         raise GenerationError("generated theory queried before binding")
     target = fm.pre_interpolant(imp(theory.phi, f))
-    if theory.language == BOX:
-        return pm_forces_plus(theory.model, theory.world, target)
-    return pm_forces_plus_rhd(theory.model, theory.world, target,
-                              theory.e_family)
+    return pm_forces_plus(theory.model, theory.world, target)
 
 
 def reference_generate(generate, seed, **kwargs):

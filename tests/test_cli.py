@@ -3,7 +3,7 @@ import json
 from provmod import docio
 from provmod.cli import main
 from provmod.decide import NO_COUNTERMODEL_UP_TO_BOUND
-from provmod.formulas import atom, box, parse
+from provmod.formulas import atom, box, parse, to_text
 from provmod.kripke import KripkeModel, VeltmanModel, unravel
 from provmod.glp import PolyModel
 from provmod.provability import PreModel
@@ -162,6 +162,12 @@ def test_countermodel_ilm(capsys, tmp_path):
     loaded = docio.load_path(out_file)
     assert loaded.language == "rhd"
     assert loaded.meta["e_family"]
+    # generating again keeps the document's family: the seed lies outside
+    # the representative envelope
+    code, out, err = run(capsys, "--json", "generate", "--seed-model",
+                         str(out_file))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["e_family"] == loaded.meta["e_family"]
 
 
 def test_unravel_command(capsys, tmp_path):
@@ -217,6 +223,102 @@ def test_check_frame_and_soundness(capsys, tmp_path):
                        "--suite", "soundness", "--logic", "gl",
                        "--atoms", "p", "--depth", "1")
     assert code == 0
+
+
+def _rhd_seed():
+    # w1's theory derives <>p, so whether top |> bot holds at w0 depends on
+    # whether the witness family has p
+    return PreModel(["w0", "w1"], [("w0", "w1")], [],
+                    {"w1": finite_axioms_mp([parse("<>p", "rhd")],
+                                            language="rhd")}, "rhd")
+
+
+def test_soundness_suite_of_another_language_is_an_error(capsys, tmp_path):
+    box_pre = PreModel(["w0", "w1"], [("w0", "w1")], [],
+                       {"w1": finite_axioms_mp([p])})
+    docs = {"box": (box_pre, "ilm", {"generate": True}),
+            "rhd": (_rhd_seed(), "gl", {"generate": True,
+                                        "e_family": ["top", "bot"]})}
+    for name, (pre, logic, meta) in docs.items():
+        path = tmp_path / f"{name}.json"
+        docio.save_path(path, docio.model_to_doc(pre, meta=meta))
+        code, out, err = run(capsys, "check", "--model", str(path),
+                             "--suite", "soundness", "--logic", logic)
+        assert (code, out) == (2, ""), name
+        assert err.startswith(f"error: the {logic} suite takes "), err
+        assert "box" in err and "rhd" in err, err
+
+
+def test_eval_of_an_rhd_seed_takes_its_family_from_the_option(capsys,
+                                                              tmp_path):
+    from provmod.provability import pm_forces_rhd
+
+    seed = _rhd_seed()
+    path = tmp_path / "seed.json"
+    docio.save_path(path, docio.model_to_doc(seed))
+    f = parse("top |> bot", "rhd")
+    answers = []
+    for texts in (["p"], ["top", "bot"]):
+        fam = tmp_path / "family.txt"
+        fam.write_text("\n".join(texts) + "\n")
+        family = [parse(t, "rhd") for t in texts]
+        expected = pm_forces_rhd(
+            PreModel(seed.worlds, seed.edges, seed.valuation, seed.theories,
+                     "rhd", family), "w0", f)
+        code, out, _ = run(capsys, "--json", "eval", "--model", str(path),
+                           "--family", str(fam), "--world", "w0",
+                           "top |> bot")
+        assert json.loads(out)["value"] is expected
+        assert code == (0 if expected else 1)
+        answers.append(expected)
+    assert answers == [True, False]
+    # without a family there is nothing to evaluate the rhd clause over
+    code, out, err = run(capsys, "eval", "--model", str(path), "--world",
+                         "w0", "top |> bot")
+    assert (code, out) == (2, "")
+    assert err == "error: rhd evaluation needs a nonempty witness family\n"
+
+
+def test_a_generated_rhd_document_keeps_its_own_family(capsys, tmp_path,
+                                                       monkeypatch):
+    from provmod import provability
+
+    seed = _rhd_seed()
+    path = tmp_path / "gen.json"
+    docio.save_path(path, docio.model_to_doc(
+        seed, meta={"generate": True, "e_family": ["p", "top"]}))
+    fam = tmp_path / "family.txt"
+    fam.write_text("bot\n")
+    own = [parse(t, "rhd") for t in ("p", "top")]
+    model = provability.generate_ilm(seed, e_family=own)
+    f = parse("top |> bot", "rhd")
+    expected = provability.pm_forces_rhd(model, "w0", f)
+    families = []
+
+    def recording(name):
+        original = getattr(provability, name)
+
+        def record(model, *args, **kwargs):
+            families.append((name, kwargs.get("e_family", model.e_family)))
+            return original(model, *args, **kwargs)
+
+        monkeypatch.setattr(provability, name, record)
+
+    recording("generate_ilm")
+    recording("pm_forces_rhd")
+    code, out, _ = run(capsys, "--json", "eval", "--model", str(path),
+                       "--family", str(fam), "--world", "w0", "top |> bot")
+    assert json.loads(out)["value"] is expected
+    assert families[:2] == [("generate_ilm", own),
+                            ("pm_forces_rhd", model.e_family)]
+    families.clear()
+    code, out, _ = run(capsys, "--json", "check", "--model", str(path),
+                       "--suite", "soundness", "--logic", "ilm",
+                       "--family", str(fam))
+    expected = provability.soundness_suite(model, "ilm", ["p"])
+    assert json.loads(out)["failures"] == [
+        [name, to_text(g), w] for (name, g, w) in expected]
+    assert families == [("generate_ilm", own)]
 
 
 def test_check_glp(capsys, tmp_path):

@@ -111,6 +111,8 @@ def test_plus_zero_covers_descendants():
     assert glp_forces_plus_0(m, "v", p)
     assert glp_forces_plus_0(m, "u", p)
     assert not glp_forces_plus_0(m, "w", p)
+    with pytest.raises(PolyModelError):
+        glp_forces_plus_0(m, "v", fm.parse("[]p"))
 
 
 # ---------------------------------------------------------------------------

@@ -110,8 +110,8 @@ def _entry_point(name):
         return (lambda w, f: pm_forces(pre, w, f)), "w0", fm.BOX
     if name == "pm_forces_rhd":
         pre = PreModel(worlds, edges, val,
-                       {"w1": finite_axioms_mp([p], language=RHD)}, RHD)
-        return (lambda w, f: pm_forces_rhd(pre, w, f, [p])), "w0", RHD
+                       {"w1": finite_axioms_mp([p], language=RHD)}, RHD, [p])
+        return (lambda w, f: pm_forces_rhd(pre, w, f)), "w0", RHD
     poly = PolyModel(worlds, {0: edges},
                      {"w1": {0: finite_axioms_mp([p], language=fm.OMEGA)}},
                      val)

@@ -30,7 +30,6 @@ from provmod.provability import (
     PreModelError,
     ProjectionError,
     _pm_box,
-    _rhd_clause,
     certify_modal_completeness,
     check_oracles_classical,
     countermodel_pipeline_gl,
@@ -74,6 +73,18 @@ def test_pm_forces_plus_false_without_predecessor():
     P = two_chain_premodel()
     assert not pm_forces_plus(P, "w0", top())
     assert pm_forces_plus(P, "w1", box(FALSUM))
+
+
+def test_plus_forcing_takes_formulas_of_the_model_language():
+    box_model = two_chain_premodel()
+    rhd_model = rhd_two_chain()
+    with pytest.raises(PreModelError):
+        pm_forces_plus(box_model, "w1", parse("p |> q", RHD))
+    with pytest.raises(PreModelError):
+        pm_forces_plus(rhd_model, "w1", box(p))
+    # the rhd model's plus-forcing runs its own clause
+    assert pm_forces_plus(rhd_model, "w1", parse("[]p", RHD))
+    assert not pm_forces_plus(rhd_model, "w1", parse("<>p", RHD))
 
 
 def test_premodel_theories_must_match_accessible_worlds():
@@ -293,8 +304,8 @@ def rhd_two_chain(axioms=(p,)):
 
 def test_rhd_vacuous_at_leaf():
     model = rhd_two_chain()
-    assert pm_forces_rhd(model, "w1", rhd(p, q), [top(), FALSUM])
-    assert pm_forces_rhd(model, "w1", rhd(top(), FALSUM), [top(), FALSUM])
+    assert pm_forces_rhd(model, "w1", rhd(p, q))
+    assert pm_forces_rhd(model, "w1", rhd(top(), FALSUM))
 
 
 def test_rhd_generated_chain_example():
@@ -326,20 +337,21 @@ def test_pm_forces_rhd_answers_alike_before_and_after_its_memo_is_warm():
     cold = [pm_forces_rhd(generated(), w, f) for w, f in queries]
     model = generated()
     warming = [pm_forces_rhd(model, w, f) for w, f in queries]
-    # one entry per witness family: its diamonds, built once, and its
-    # clause
-    (dia, *_), = model._rhd_memos.values()
-    assert dia == [rdiamond(e) for e in model.e_family]
+    # the model's witness family has its diamonds, built once
+    dia = model._diamonds
+    assert dia == tuple(rdiamond(e) for e in model.e_family)
     warm = [pm_forces_rhd(model, w, f) for w, f in queries]
-    assert model._rhd_memos[model.e_family][0] is dia
+    assert model._diamonds is dia
     assert cold == warming == warm
     assert True in cold and False in cold
 
 
 def test_rhd_needs_family():
-    model = rhd_two_chain()
+    seed = two_chain_premodel(language=RHD)
     with pytest.raises(PreModelError):
-        pm_forces_rhd(model, "w0", rhd(p, q), [])
+        pm_forces_rhd(seed, "w0", rhd(p, q))
+    with pytest.raises(GenerationError):
+        generate_ilm(seed, e_family=[])
 
 
 def test_generate_ilm_envelope_and_flag():
@@ -479,18 +491,15 @@ _MODEL_KINDS = (("seed", BOX), ("seed", RHD), ("generated", BOX),
 
 def _region_model(kind, language, shape):
     """A tree pre-model with finite-axiom theories, or the model generated
-    over it, with its witness family (None in the box language)."""
+    over it; in the rhd language either carries the witness family
+    ``_RHD_FAMILY``."""
     import support
 
-    family = None if language == BOX else _RHD_FAMILY
     if kind == "generated":
-        return _generate(language, shape), family
-    seed = support.seed_premodel(*shape, _seed_axiom_sets(language), language)
-    return seed, family
-
-
-def _clause(model, family):
-    return _pm_box if family is None else _rhd_clause(model, family)
+        return _generate(language, shape)
+    family = None if language == BOX else _RHD_FAMILY
+    return support.seed_premodel(*shape, _seed_axiom_sets(language),
+                                 language, family)
 
 
 @settings(max_examples=120, deadline=None)
@@ -501,24 +510,24 @@ def test_region_evaluation_agrees_with_the_per_world_walk(kind, shape, data):
     language = kind[1]
     queries = _BOX_QUERIES if language == BOX else _RHD_QUERIES
     fam = data.draw(st.lists(queries, min_size=1, max_size=3))
-    model, family = _region_model(*kind, shape)
+    model = _region_model(*kind, shape)
     region = data.draw(st.integers(1, model._full))
     worlds = [w for w in model._order if model._bit[w] & region]
     # the reference: the per-world lazy walk on a model of its own
-    reference, _ = _region_model(*kind, shape)
-    modal = support.reference_premodel_clause(reference, family)
+    reference = _region_model(*kind, shape)
+    modal = support.reference_premodel_clause(reference)
     memo: dict = {}
     # one world at a time, through the public entry points, on a third
-    single, _ = _region_model(*kind, shape)
+    single = _region_model(*kind, shape)
     for f in fam:
-        got = kripke.evaluate_region(model, f, region, _clause(model, family))
+        got = kripke.evaluate_region(model, f, region, model._clause)
         for w in worlds:
             expected = support.reference_evaluate(reference, w, f, modal, memo)
             assert bool(got & model._bit[w]) == expected, (w, fm.to_text(f))
-            if family is None:
+            if language == BOX:
                 assert pm_forces(single, w, f) == expected
             else:
-                assert pm_forces_rhd(single, w, f, family) == expected
+                assert pm_forces_rhd(single, w, f) == expected
     # the same derivability queries reached every theory
     for w in model.theories:
         assert model.theory(w)._memo == single.theory(w)._memo, w
@@ -540,16 +549,16 @@ def test_soundness_suite_matches_the_per_world_loop(shape):
     runs = [(BOX, "gl", 2), (BOX, "s4", 1), (RHD, "ilm", 2)]
     for kind in ("generated", "seed"):
         for language, logic, depth in runs:
-            model, family = _region_model(kind, language, shape)
-            fresh, _ = _region_model(kind, language, shape)
+            model = _region_model(kind, language, shape)
+            fresh = _region_model(kind, language, shape)
             # every derives call, memo hits included, on each side
             asked: dict = {"region": [], "per world": []}
             for m, key in ((model, "region"), (fresh, "per world")):
                 for w, th in m.theories.items():
                     _counting(th, asked[key], w)
-            got = soundness_suite(model, logic, ["p"], depth, family)
+            got = soundness_suite(model, logic, ["p"], depth)
             expected = support.reference_soundness_suite(fresh, logic, ["p"],
-                                                         depth, family)
+                                                         depth)
             assert got == expected, (kind, logic)
             assert sorted(asked["region"], key=str) == \
                 sorted(asked["per world"], key=str), (kind, logic)
@@ -823,7 +832,7 @@ def test_every_provability_model_is_a_pre_model():
             model.worlds, model.edges, model.valuation), name
         # answers exactly like the pre-model of its frame and theories
         pre = PreModel(model.worlds, model.edges, model.valuation,
-                       model.theories, model.language)
+                       model.theories, model.language, model.e_family)
         family = [parse(t, model.language) for t in texts]
         for w in sorted(model.worlds, key=str):
             for f in family:
@@ -831,7 +840,7 @@ def test_every_provability_model_is_a_pre_model():
                     assert pm_forces(model, w, f) == pm_forces(pre, w, f)
                 else:
                     assert pm_forces_rhd(model, w, f) == \
-                        pm_forces_rhd(pre, w, f, model.e_family), (name, w)
+                        pm_forces_rhd(pre, w, f), (name, w)
         if name not in ("lifted", "certified", "pipeline lift"):
             # generated theories are saved as their seeds
             with pytest.raises(docio.DocumentError):
@@ -845,6 +854,36 @@ def test_every_provability_model_is_a_pre_model():
             for f in family:
                 assert loaded.model.theory(w).derives(f) == \
                     model.theory(w).derives(f), (name, w)
+
+
+def test_soundness_suite_takes_logics_of_the_model_language():
+    from provmod.provability import soundness_suite
+
+    for model, logic in ((two_chain_premodel(), "ilm"),
+                         (rhd_two_chain(), "gl"), (rhd_two_chain(), "k")):
+        with pytest.raises(PreModelError) as exc:
+            soundness_suite(model, logic, ["p"])
+        assert f"the {logic} suite takes" in str(exc.value)
+        assert BOX in str(exc.value) and RHD in str(exc.value)
+
+
+def test_certify_modal_completeness_keeps_the_witness_family():
+    pre = PreModel(["w0", "w1", "w2"], [("w0", "w1"), ("w1", "w2")],
+                   [("w2", "p")],
+                   {"w1": finite_axioms_mp([rdiamond(p)], language=RHD),
+                    "w2": finite_axioms_mp([rbox(FALSUM)], language=RHD)},
+                   RHD, [top(), FALSUM, p])
+    certified = certify_modal_completeness(pre, [rbox(FALSUM)])
+    assert certified.certificate.kind == "family_checked"
+    assert certified.e_family == pre.e_family == (top(), FALSUM, p)
+    texts = ("p", "[]p", "<>p", "[]bot", "top |> bot", "p |> bot",
+             "top |> p", "(p |> q) -> (<>p -> <>q)")
+    answers = {}
+    for model in (pre, certified):
+        answers[model] = [pm_forces_rhd(model, w, parse(t, RHD))
+                          for w in ("w0", "w1", "w2") for t in texts]
+    assert answers[pre] == answers[certified]
+    assert True in answers[pre] and False in answers[pre]
 
 
 def test_certify_modal_completeness():
