@@ -61,10 +61,10 @@ def _read_family(path, language):
 
 
 def _witness_family(loaded, family):
-    """The witness family of an rhd pre-model document: its ``e_family``,
-    else the ``--family`` given."""
-    texts = loaded.meta.get("e_family")
-    return [parse(t, RHD) for t in texts] if texts else family
+    """The witness family of an rhd pre-model document, as a list: the
+    loaded model's, else the ``--family`` given."""
+    own = loaded.model.e_family
+    return list(own) if own else family
 
 
 def _materialize(loaded, family):
@@ -79,8 +79,20 @@ def _materialize(loaded, family):
     family = _witness_family(loaded, family)
     if loaded.meta.get("generate"):
         return generate_ilm(model, e_family=family)
+    if model.e_family:
+        return model
     return PreModel(model.worlds, model.edges, model.valuation,
                     model.theories, RHD, e_family=family)
+
+
+def _seed_doc(seed, model, meta: dict) -> dict:
+    """The document of a generated model: its seed, flagged to generate
+    again, with the generated model's witness family."""
+    if model.e_family != seed.e_family:
+        from provmod.provability import PreModel
+        seed = PreModel(seed.worlds, seed.edges, seed.valuation,
+                        seed.theories, seed.language, model.e_family)
+    return docio.model_to_doc(seed, meta={"generate": True, **meta})
 
 
 def cmd_decide(args) -> int:
@@ -158,10 +170,7 @@ def cmd_generate(args) -> int:
                              e_family=_witness_family(loaded, family))
     else:
         model = generate_gl(loaded.model)
-    meta = {"generate": True}
-    if model.e_family:
-        meta["e_family"] = [to_text(e) for e in model.e_family]
-    doc = docio.model_to_doc(loaded.model, meta=meta)
+    doc = _seed_doc(loaded.model, model, {})
     if args.out:
         docio.save_path(args.out, doc)
         _emit(args, {"written": args.out, "worlds": len(model.worlds)},
@@ -185,12 +194,9 @@ def cmd_countermodel(args) -> int:
         result = countermodel_pipeline_ilm(f, size_bound=args.bound)
     else:
         raise CliError("countermodel pipelines exist for gl and ilm")
-    meta = {"generate": True,
-            "designated_world": docio._world_id(result.designated),
+    meta = {"designated_world": docio._world_id(result.designated),
             "refutes": to_text(f), "logic": args.logic}
-    if result.model.e_family:
-        meta["e_family"] = [to_text(e) for e in result.model.e_family]
-    doc = docio.model_to_doc(result.seed, meta=meta)
+    doc = _seed_doc(result.seed, result.model, meta)
     payload = {"logic": args.logic, "formula": to_text(f),
                "level": result.n,
                "designated_world": meta["designated_world"]}

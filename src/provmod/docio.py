@@ -4,7 +4,8 @@ DOT rendering.
 One schema covers all four model kinds; a document loads into exactly one
 of them, inferred from its fields (``preorders`` marks a Veltman model,
 per-level edge maps mark a poly model, ``theories`` marks a pre-model,
-anything else in the box language is a bare Kripke model).  Unravellings
+anything else in the box language is a bare Kripke model).  An rhd
+pre-model keeps its witness family as ``e_family``.  Unravellings
 are written, with their sibling ``preorder``, but not read.  Canonical
 dumps are byte-stable: worlds, edges and valuations are sorted, keys are
 ordered, and a trailing newline is fixed.
@@ -21,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from provmod.formulas import BOX, OMEGA, RHD, parse
+from provmod.formulas import BOX, OMEGA, RHD, parse, to_text
 from provmod.kripke import KripkeModel, UnravelledVeltman, VeltmanModel
 
 if TYPE_CHECKING:
@@ -137,6 +138,8 @@ def model_to_doc(model, meta: dict | None = None) -> dict:
         doc["theories"] = {
             _world_id(w): theory_to_descriptor(model.theory(w))
             for w in sorted(model.theories, key=str)}
+        if model.e_family:
+            doc["e_family"] = [to_text(e) for e in model.e_family]
     elif isinstance(model, KripkeModel):
         doc["language"] = BOX
     else:
@@ -219,7 +222,10 @@ def doc_to_model(doc: dict) -> LoadedDocument:
             w: theory_from_descriptor(desc, language,
                                       kripke_context=kripke_context)
             for w, desc in doc["theories"].items()}
-        model = PreModel(worlds, pairs, valuation, theories, language)
+        e_family = [parse(t, RHD) for t in doc.get("e_family", ())] \
+            if language == RHD else None
+        model = PreModel(worlds, pairs, valuation, theories, language,
+                         e_family)
         return LoadedDocument("premodel", model, language, meta)
 
     if language != BOX:

@@ -56,9 +56,11 @@ def _merge_lang(a: str | None, b: str | None, what: str) -> str | None:
 
 
 class Formula:
-    """Base node.  Immutable; lang is None for purely boolean trees."""
+    """Base node.  Immutable; lang is None for purely boolean trees.
+    ``_text`` and ``_instances`` keep the rendering and the instance table
+    once they are first asked for."""
 
-    __slots__ = ("lang", "_text")
+    __slots__ = ("lang", "_text", "_instances")
 
     def __str__(self) -> str:
         return to_text(self)
@@ -104,6 +106,7 @@ def _make(cls, key: tuple, lang: str | None, **attrs) -> Formula:
             setattr(node, name, value)
         node.lang = lang
         node._text = None
+        node._instances = None
         _intern[key] = node
     return node
 
@@ -619,20 +622,24 @@ def skeleton(f: Formula) -> Skeleton:
     )
 
 
-def instances(f: Formula, memo: dict | None = None) -> tuple[Formula, ...]:
-    """``f`` with top or falsum put in for each of its free atoms, one
-    instance per assignment.  Assignments are enumerated with top first, in
-    lexicographic atom order.
+def instance_table(f: Formula) -> tuple[tuple[str, ...],
+                                         tuple[Formula, ...]]:
+    """The free atoms of ``f`` in lexicographic order, and ``f`` with top or
+    falsum put in for each of them, one instance per assignment.
+    Assignments are enumerated with top first, in lexicographic atom order.
 
-    One walk builds all of them: a node with a free atom below it gets the
-    tuple of its instances, any other node stands for itself in each.
-    ``memo`` maps each tuple of atom names to the values found so far for
-    formulas over those free atoms, so calls that share it build each
-    instance of a shared subformula once.
+    One walk builds all the instances: a node with a free atom below it gets
+    the tuple of its instances, any other node stands for itself in each.
+    The pair is kept on the interned node, so the walk runs once per
+    formula.
     """
+    known = f._instances
+    if known is not None:
+        return known
     names = tuple(sorted(free_atoms(f)))
     if not names:
-        return (f,)
+        known = f._instances = (names, (f,))
+        return known
     width = 1 << len(names)
     rows = {name: tuple(FALSUM if a >> (len(names) - 1 - i) & 1 else top()
                         for a in range(width))
@@ -650,8 +657,14 @@ def instances(f: Formula, memo: dict | None = None) -> tuple[Formula, ...]:
             right = (right,) * width
         return tuple(map(imp, left, right))
 
-    done = None if memo is None else memo.setdefault(names, {})
-    return _fold(f, _boolean_children, combine, done)
+    known = f._instances = (names, _fold(f, _boolean_children, combine))
+    return known
+
+
+def instances(f: Formula) -> tuple[Formula, ...]:
+    """``f`` with top or falsum put in for each of its free atoms, one
+    instance per assignment, as ``instance_table`` orders them."""
+    return instance_table(f)[1]
 
 
 @lru_cache(maxsize=None)

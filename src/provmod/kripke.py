@@ -366,10 +366,16 @@ def plus(model, world, mask: int) -> bool:
                for u in model.predecessors(world))
 
 
-def _check_query(model, world, f: Formula, language: str, error=ModelError):
-    if world not in model.worlds:
+def _check_query(model, world, f: Formula, language: str,
+                 error=ModelError) -> int:
+    """The world's bit, once the world and the formula's language are
+    checked."""
+    bit = model._bit.get(world)
+    if bit is None:
         raise error(f"unknown world {world!r}")
-    _check_language(model, f, language, error)
+    if f.lang is not None and f.lang != language:
+        _check_language(model, f, language, error)
+    return bit
 
 
 def _check_language(model, f: Formula, language: str, error=ModelError):
@@ -378,10 +384,19 @@ def _check_language(model, f: Formula, language: str, error=ModelError):
                     f"{language}-language formulas")
 
 
+# the mask table of a clause that has not evaluated anything yet; never
+# written
+_NOTHING_KNOWN: dict = {}
+
+
 def forces(model: KripkeModel, world, f: Formula, _memo=None) -> bool:
     """Truth at a world; boxes quantify over one-step successors."""
-    _check_query(model, world, f, fm.BOX)
-    return bool(evaluate_mask(model, f, _box, _memo) & model._bit[world])
+    bit = _check_query(model, world, f, fm.BOX)
+    memo = model._masks.get(_box, _NOTHING_KNOWN) if _memo is None else _memo
+    val = memo.get(f)
+    if val is None:
+        val = evaluate_mask(model, f, _box, _memo)
+    return bool(val & bit)
 
 
 def forces_all(model: KripkeModel, formulas) -> dict:
@@ -616,16 +631,23 @@ class VeltmanModel(KripkeModel):
 def veltman_forces(model: VeltmanModel, world, f: Formula, _memo=None) -> bool:
     """Truth at a world.  A rhd B holds when every successor satisfying A
     has a preorder-successor satisfying B."""
-    _check_query(model, world, f, fm.RHD)
-    return bool(evaluate_mask(model, f, _rhd, _memo) & model._bit[world])
+    bit = _check_query(model, world, f, fm.RHD)
+    memo = model._masks.get(_rhd, _NOTHING_KNOWN) if _memo is None else _memo
+    val = memo.get(f)
+    if val is None:
+        val = evaluate_mask(model, f, _rhd, _memo)
+    return bool(val & bit)
 
 
 def veltman_forces_alt(model: VeltmanModel, world, f: Formula) -> bool:
     """Symmetric variant of the rhd clause; agrees with ``veltman_forces``
     on valid Veltman models.  It keeps its own mask table on the model, so
     it re-checks ``veltman_forces`` independently."""
-    _check_query(model, world, f, fm.RHD)
-    return bool(evaluate_mask(model, f, _sibling_rhd) & model._bit[world])
+    bit = _check_query(model, world, f, fm.RHD)
+    val = model._masks.get(_sibling_rhd, _NOTHING_KNOWN).get(f)
+    if val is None:
+        val = evaluate_mask(model, f, _sibling_rhd)
+    return bool(val & bit)
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +708,10 @@ def unravelled_forces(u_model: UnravelledVeltman, sigma, f: Formula,
                       _memo=None) -> bool:
     """rhd clause on the unravelling, with the preorder witness on both
     sides of the implication."""
-    _check_query(u_model, sigma, f, fm.RHD)
-    return bool(evaluate_mask(u_model, f, _sibling_rhd, _memo)
-                & u_model._bit[sigma])
+    bit = _check_query(u_model, sigma, f, fm.RHD)
+    memo = u_model._masks.get(_sibling_rhd, _NOTHING_KNOWN) if _memo is None \
+        else _memo
+    val = memo.get(f)
+    if val is None:
+        val = evaluate_mask(u_model, f, _sibling_rhd, _memo)
+    return bool(val & bit)

@@ -25,11 +25,13 @@ pre-model, which is what makes the countermodel pipelines produce decidable
 models.  A generated theory decides derivability by truth in the model it
 belongs to: per top/bot assignment to the free atoms, the instantiated
 query must hold wherever the instantiated seed axioms do, across the
-world's plus-cone.  Every theory evaluates on the table the model's own
-forcing uses, so a query whose instances that table already knows across
-the cone is answered by operations on world masks; otherwise the cone is
-walked world by world.  Generated models stay lazy: evaluation reaches only
-the worlds and formulas a query needs.
+world's plus-cone.  A query's instances are kept on its formula node, so
+they are built once per formula, whichever model asks.  Every theory
+evaluates on the table the model's own forcing uses, so a query whose
+instances that table already knows across the cone is answered by
+operations on world masks; otherwise the cone is walked world by world.
+Generated models stay lazy: evaluation reaches only the worlds and
+formulas a query needs.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from provmod.kripke import (
     KripkeModel,
     ModelError,
     VeltmanModel,
+    _NOTHING_KNOWN,
     _box,
     _check_language,
     _check_query,
@@ -139,14 +142,11 @@ class PreModel(KripkeModel):
                                      for w in self._order])
         # the modal clause of the model's language; the family's diamonds,
         # and per rhd node its right and left side implying each diamond,
-        # each built when first asked
+        # each built when first asked; the instances a generated theory
+        # asks about are kept on the formula nodes, not here
         self._clause = _pm_rhd if language == RHD else _pm_box
         self._diamonds = tuple([rdiamond(e) for e in self.e_family or ()])
         self._rhd_sides: dict = {}
-        # per generated-theory query: its free atoms and its instances; and
-        # the instances of their subformulas, per set of free atoms
-        self._instances: dict = {}
-        self._instance_parts: dict = {}
 
     def kripke_part(self) -> KripkeModel:
         """The bare frame and valuation, without the theories."""
@@ -237,8 +237,10 @@ def _pm_rhd(P: PreModel, i: int, g) -> bool:
 
 def pm_forces(model, world, f: Formula) -> bool:
     """Truth in a box-language provability model."""
-    _check_query(model, world, f, BOX, PreModelError)
-    bit = model._bit[world]
+    bit = _check_query(model, world, f, BOX, PreModelError)
+    known = model._masks.get(_pm_box, _NOTHING_KNOWN).get(f)
+    if known is not None and known[0] & bit:
+        return bool(known[1] & bit)
     return bool(evaluate_region(model, f, bit, _pm_box) & bit)
 
 
@@ -260,8 +262,10 @@ def pm_forces_rhd(model, world, f: Formula) -> bool:
     guaranteed when the family covers the bounded-height representatives;
     otherwise the model carries a family_bounded flag.
     """
-    _check_query(model, world, f, RHD, PreModelError)
-    bit = model._bit[world]
+    bit = _check_query(model, world, f, RHD, PreModelError)
+    known = model._masks.get(_pm_rhd, _NOTHING_KNOWN).get(f)
+    if known is not None and known[0] & bit:
+        return bool(known[1] & bit)
     return bool(evaluate_region(model, f, bit, _pm_rhd) & bit)
 
 
@@ -399,38 +403,35 @@ class GeneratedTheory:
     axioms.  That pre-interpolant is the conjunction, over each top/bot
     assignment a to the free atoms of phi -> f, of phi[a] -> f[a]; so f is
     derived when, at every strict descendant of u's predecessor, f[a] holds
-    wherever phi[a] does.  phi's instances are built once per theory and
-    f's once per model, and both are evaluated by the clause of the model
-    the theory is bound to, on the table the model's own forcing uses, so
-    the language and the witness family are the model's.  When that table
-    knows every phi[a] on the cone and every f[a] where phi[a] holds there,
-    the answer is one mask test per assignment.  Otherwise the cone is
-    walked world by world: f[a] is looked at only where phi[a] holds, and
-    a world fails at its first failing assignment, so the derivability
-    queries reached are those of plus-forcing the pre-interpolant; they
-    recurse through theories strictly higher in the sibling order.
+    wherever phi[a] does.  The instances of phi and of f are kept on their
+    formula nodes (``formulas.instance_table``), so each is built once per
+    formula, and both are evaluated by the clause of the model the theory
+    is bound to, on the table the model's own forcing uses, so the language
+    and the witness family are the model's.  When that table knows every
+    phi[a] on a predecessor's cone and every f[a] where phi[a] holds there,
+    ``decide`` answers with one mask test per assignment.  Otherwise
+    ``_cone_implies`` walks the cone world by world: f[a] is looked at only
+    where phi[a] holds, and a world fails at its first failing assignment,
+    so the derivability queries reached are those of plus-forcing the
+    pre-interpolant; they recurse through theories strictly higher in the
+    sibling order.
     """
 
     world: object
     phi: Formula
     seed_axioms: tuple
     model: ProvabilityModel | None = None
-    # phi's free atoms and instances, and per set of the query's free atoms
-    # the (phi[a], index of f[a]) pairs in assignment order
-    _names: tuple = field(init=False, repr=False, compare=False)
-    _phi_instances: tuple = field(init=False, repr=False, compare=False)
+    # per set of the query's free atoms, the (phi[a], index of f[a]) pairs
+    # in assignment order
     _pairs: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
-
-    def __post_init__(self):
-        self._names = tuple(sorted(fm.free_atoms(self.phi)))
-        self._phi_instances = fm.instances(self.phi)
 
     def _assignment_pairs(self, names: tuple) -> list:
         """(phi[a], position of f[a] among f's instances) for each
         assignment a, in pre-interpolant order, when f's free atoms are
         ``names``."""
-        union = sorted(set(self._names) | set(names))
+        phi_names, phi_inst = fm.instance_table(self.phi)
+        union = sorted(set(phi_names) | set(names))
 
         def position(value, among):
             # top is 0 and the first name the highest bit, as in instances
@@ -439,7 +440,7 @@ class GeneratedTheory:
         pairs = []
         for bits in itertools.product((0, 1), repeat=len(union)):
             value = dict(zip(union, bits))
-            pairs.append((self._phi_instances[position(value, self._names)],
+            pairs.append((phi_inst[position(value, phi_names)],
                           position(value, names)))
         return pairs
 
@@ -447,52 +448,53 @@ class GeneratedTheory:
         P = self.model
         if P is None:
             raise GenerationError("generated theory queried before binding")
-        known = P._instances.get(f)
-        if known is None:
-            known = P._instances[f] = (
-                tuple(sorted(fm.free_atoms(f))),
-                fm.instances(f, P._instance_parts))
-        names, f_instances = known
+        names, f_inst = fm.instance_table(f)
         pairs = self._pairs.get(names)
         if pairs is None:
             pairs = self._pairs[names] = self._assignment_pairs(names)
         modal = P._clause
-        return any(_cone_implies(P, u, pairs, f_instances, modal)
-                   for u in P.predecessors(self.world))
+        get = P._masks.get(modal, _NOTHING_KNOWN).get
+        cones = P._desc_masks
+        if cones is None:
+            P._index_descendants()
+            cones = P._desc_masks
+        for u in P._pred[self.world]:
+            # the mask test: when the table knows every phi[a] on the cone
+            # and every f[a] where phi[a] holds there, it has the answer
+            cone = cones[u]
+            fails = 0
+            for phi_a, j in pairs:
+                known = get(phi_a)
+                if known is None or cone & ~known[0]:
+                    break
+                holds = cone & known[1]
+                if holds:
+                    known = get(f_inst[j])
+                    if known is None or holds & ~known[0]:
+                        break
+                    fails |= holds & ~known[1]
+            else:
+                if not fails:
+                    return True
+                continue
+            if _cone_implies(P, u, pairs, f_inst, modal):
+                return True
+            # the walk may have made the table
+            get = P._masks[modal].get
+        return False
 
 
-# the table of a clause that has not evaluated anything yet; never written
-_NOTHING_KNOWN: dict = {}
-
-
-def _cone_implies(P: PreModel, u, pairs, f_instances, modal) -> bool:
-    """Whether, at every strict descendant of u, ``f_instances[j]`` holds
+def _cone_implies(P: PreModel, u, pairs, f_inst, modal) -> bool:
+    """Whether, at every strict descendant of u, ``f_inst[j]`` holds
     wherever ``phi_a`` does, for every pair (phi_a, j).
 
-    When the model's table for ``modal`` knows every phi[a] on the cone and
-    every f[a] where phi[a] holds there, the answer is read off the masks;
-    a clause with no table yet knows nothing.  Otherwise the
-    cone is walked world by world in ``descendants`` order, each world's
-    assignments in order, up to the first failure, evaluating phi[a] on the
-    world and f[a] only where phi[a] holds: the same worlds and formulas
-    that plus-forcing the pre-interpolant reaches, so each theory is asked
-    the same derivability queries.
+    The cone is walked world by world in ``descendants`` order, each
+    world's assignments in order, up to the first failure, evaluating
+    phi[a] on the world and f[a] only where phi[a] holds: the same worlds
+    and formulas that plus-forcing the pre-interpolant reaches, so each
+    theory is asked the same derivability queries.
     """
     get = P._masks.get(modal, _NOTHING_KNOWN).get
-    cone = P.descendant_mask(u)
-    fails = 0
-    for phi_a, j in pairs:
-        known = get(phi_a)
-        if known is None or cone & ~known[0]:
-            break
-        holds = cone & known[1]
-        if holds:
-            known = get(f_instances[j])
-            if known is None or holds & ~known[0]:
-                break
-            fails |= holds & ~known[1]
-    else:
-        return not fails
     bit = P._bit
     for v in P.descendants(u):
         b = bit[v]
@@ -501,7 +503,7 @@ def _cone_implies(P: PreModel, u, pairs, f_instances, modal) -> bool:
             holds = known[1] if known is not None and known[0] & b \
                 else evaluate_region(P, phi_a, b, modal)
             if holds & b:
-                f_a = f_instances[j]
+                f_a = f_inst[j]
                 known = get(f_a)
                 holds = known[1] if known is not None and known[0] & b \
                     else evaluate_region(P, f_a, b, modal)
@@ -698,22 +700,34 @@ def ilm_axiom_instances(atom_names, pool=None):
     return out
 
 
+# the scheme instances of each (logic, sorted atoms, depth) the suite ran
+_SUITE_INSTANCES: dict = {}
+
+
 def soundness_suite(model, logic: str, atom_names, depth: int = 2):
     """Force every axiom instance of the logic at every world of the
     provability model; returns the failures as (scheme, formula, world).
     The logic must speak the model's language: rhd for ilm, box for the
-    others."""
+    others.  Each argument triple's instances are built once and kept
+    (as interned formulas, which live as long anyway)."""
     language = RHD if logic == "ilm" else BOX
     if model.language != language:
         raise PreModelError(f"the {logic} suite takes {language}-language "
                             f"models; this model speaks {model.language}")
-    instances = ilm_axiom_instances(atom_names) if logic == "ilm" \
-        else box_axiom_instances(logic, atom_names, depth)
+    key = (logic, tuple(sorted(atom_names)), depth)
+    instances = _SUITE_INSTANCES.get(key)
+    if instances is None:
+        instances = _SUITE_INSTANCES[key] = tuple(
+            ilm_axiom_instances(key[1]) if logic == "ilm"
+            else box_axiom_instances(logic, key[1], depth))
     failures = []
+    full = model._full
+    modal = model._clause
     for (name, f) in instances:
-        holds = evaluate_region(model, f, model._full, model._clause)
-        failures.extend((name, f, w) for i, w in enumerate(model._order)
-                        if not holds >> i & 1)
+        holds = evaluate_region(model, f, full, modal)
+        if holds != full:
+            failures.extend((name, f, w) for i, w in enumerate(model._order)
+                            if not holds >> i & 1)
     return failures
 
 

@@ -66,11 +66,12 @@ class TheoryOracle:
     _memo: dict = field(default_factory=dict, repr=False)
 
     def derives(self, f: Formula) -> bool:
-        if f.lang not in (None, self.language):
-            raise TheoryError(
-                f"formula {to_text(f)} is outside the {self.language} language")
         got = self._memo.get(f)
         if got is None:
+            # only formulas of the theory's language are ever memoized
+            if f.lang not in (None, self.language):
+                raise TheoryError(f"formula {to_text(f)} is outside the "
+                                  f"{self.language} language")
             got = bool(self.decide(f))
             self._memo[f] = got
         return got

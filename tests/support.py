@@ -148,16 +148,21 @@ def tree_skeleton(f):
             tuple(names), tuple(zip(names, mods)))
 
 
-def tree_pre_interpolant(f):
+def tree_instances(f) -> list:
     """The skeleton instantiated with each assignment to the free atoms, top
-    first, with the modal subformulas put back, conjoined."""
+    first, with the modal subformulas put back."""
     sk, p_atoms, _, bindings = tree_skeleton(f)
     instances = []
     for bits in itertools.product((top(), FALSUM), repeat=len(p_atoms)):
         mapping = dict(bindings)
         mapping.update(zip(p_atoms, bits))
         instances.append(tree_substitute(sk, mapping))
-    return fm.conj(instances)
+    return instances
+
+
+def tree_pre_interpolant(f):
+    """The conjunction of ``tree_instances(f)``."""
+    return fm.conj(tree_instances(f))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,31 @@ import json
 
 import pytest
 
-from provmod.formulas import RHD, atom, box, parse, to_text
+from provmod.formulas import (
+    BOX,
+    FALSUM,
+    RHD,
+    atom,
+    box,
+    parse,
+    rbox,
+    rdiamond,
+    to_text,
+    top,
+)
 from provmod.kripke import KripkeModel, VeltmanModel, check_frame, plus, unravel
 from provmod.glp import PolyModel
-from provmod.provability import PreModel, countermodel_pipeline_gl, generate_gl
+from provmod.provability import (
+    PreModel,
+    certify_modal_completeness,
+    countermodel_pipeline_gl,
+    generate_gl,
+    generate_ilm,
+    pm_forces,
+    pm_forces_rhd,
+)
 from provmod.theories import finite_axioms_mp, gl_n
-from provmod import docio
+from provmod import cli, docio
 
 p = atom("p")
 
@@ -168,3 +187,59 @@ def test_dot_export_mentions_worlds_and_styles():
                      [("u", "p")])
     dot = docio.to_dot(v, designated="w")
     assert '"w" ->' in dot and "dashed" in dot and "doublecircle" in dot
+
+
+def _chain_premodel(language, axioms, e_family=None):
+    # w0 -> w1 -> w2, p true at w2
+    return PreModel(["w0", "w1", "w2"], [("w0", "w1"), ("w1", "w2")],
+                    [("w2", "p")],
+                    {w: finite_axioms_mp(axs, language=language)
+                     for w, axs in zip(("w1", "w2"), axioms)},
+                    language, e_family)
+
+
+_SAMPLES = {
+    BOX: ("p", "[]p", "<>p", "[]bot", "[]p -> p", "[](p -> []p)"),
+    RHD: ("p", "[]p", "<>p", "[]bot", "top |> bot", "p |> bot", "top |> p",
+          "(p |> p) -> (<>p -> <>p)"),
+}
+
+
+def test_a_saved_and_loaded_model_keeps_its_witness_family():
+    family = [top(), FALSUM, atom("p")]
+    box_axioms = ([box(atom("p"))], [box(FALSUM), atom("p")])
+    rhd_axioms = ([rdiamond(atom("p"))], [rbox(FALSUM)])
+    rhd_seed = _chain_premodel(RHD, rhd_axioms, family)
+    generated_rhd = generate_ilm(_chain_premodel(RHD, rhd_axioms),
+                                 e_family=family)
+    cases = {
+        "box seed": (_chain_premodel(BOX, box_axioms), None),
+        "rhd seed": (rhd_seed, None),
+        "certified rhd": (certify_modal_completeness(rhd_seed,
+                                                     [rbox(FALSUM)]), None),
+        # a generated model is saved as its seed with a generate flag
+        "generated box": (generate_gl(_chain_premodel(BOX, box_axioms)),
+                          _chain_premodel(BOX, box_axioms)),
+        "generated rhd": (generated_rhd,
+                          _chain_premodel(RHD, rhd_axioms,
+                                          generated_rhd.e_family)),
+    }
+    for name, (model, seed) in cases.items():
+        meta = {"generate": True} if seed is not None else None
+        doc = docio.model_to_doc(model if seed is None else seed, meta=meta)
+        loaded = docio.loads(docio.dumps(doc))
+        again = cli._materialize(loaded, None)
+        holds = pm_forces_rhd if model.language == RHD else pm_forces
+        answers = set()
+        for w in sorted(model.worlds):
+            for text in _SAMPLES[model.language]:
+                f = parse(text, model.language)
+                expected = holds(model, w, f)
+                assert holds(again, w, f) == expected, (name, w, text)
+                answers.add(expected)
+        assert answers == {True, False}, name
+        assert again.e_family == model.e_family, name
+        if model.language == RHD:
+            assert doc["e_family"] == [to_text(e) for e in model.e_family]
+        else:
+            assert "e_family" not in doc

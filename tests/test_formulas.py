@@ -491,6 +491,17 @@ def test_rewriting_matches_a_tree_walk(case):
     assert pre_interpolant(f) is support.tree_pre_interpolant(f)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(LANGUAGES).flatmap(_formula_st))
+def test_instances_are_kept_on_the_node_and_match_a_tree_walk(f):
+    got = fm.instances(f)
+    assert type(got) is tuple
+    assert fm.instances(f) is got
+    assert fm.instance_table(f) == (tuple(sorted(fm.free_atoms(f))), got)
+    assert got == tuple(support.tree_instances(f))
+    assert conj(got) is pre_interpolant(f)
+
+
 def _doubling(g, levels=40):
     for _ in range(levels):
         g = imp(g, g)

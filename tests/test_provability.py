@@ -668,13 +668,62 @@ def test_assignment_instances_conjoin_to_the_pre_interpolant(language):
                 pm_forces_rhd(model, "s0", rhd(f, p))
         state = theory.decide.__self__
         for f in theory._memo:
-            names, f_instances = model._instances[f]
+            names, f_instances = fm.instance_table(f)
             got = fm.conj(imp(phi_a, f_instances[j])
                           for phi_a, j in state._assignment_pairs(names))
             assert got is fm.pre_interpolant(imp(state.phi, f)), \
                 fm.to_text(f)
             checked += 1
     assert checked > 7 * len(queries)
+
+
+def test_models_generated_from_one_seed_share_each_query_instances(
+        monkeypatch):
+    # the second model asks the same queries, and its theories get the very
+    # tuples the first model's theories got
+    import support
+
+    shape = ([-1, 0, 0, 1], [0, 1, 2, 3])
+    seed = support.seed_premodel(*shape, _seed_axiom_sets(BOX), BOX)
+    queries = [parse(t) for t in _FAMILY_TEXTS + _TWO_ATOM_TEXTS]
+    seen: list = []
+    original = fm.instance_table
+
+    def recording(f):
+        got = original(f)
+        seen.append((f, got))
+        return got
+
+    monkeypatch.setattr(fm, "instance_table", recording)
+    asked = []
+    for _ in range(2):
+        seen.clear()
+        model = generate_gl(seed)
+        for w in sorted(model.theories, key=str):
+            for f in queries:
+                model.theory(w).derives(f)
+        asked.append(list(seen))
+    assert len(asked[0]) == len(asked[1]) > len(queries)
+    for (f, first), (g, second) in zip(*asked):
+        assert f is g and first is second, fm.to_text(f)
+        assert first[1] is fm.instances(f)
+
+
+def test_soundness_suite_gives_the_same_failures_on_a_repeat_call():
+    # the s4 suite fails on generated GL models, so the order of the
+    # failures is compared; a fresh model takes the kept instances
+    import support
+    from provmod.provability import soundness_suite
+
+    shape = ([-1, 0, 1], [0, 1, 2])
+    runs = []
+    for atom_names in (["p", "q"], ("q", "p"), iter(["p", "q"])):
+        model = _generate(BOX, shape)
+        runs.append(soundness_suite(model, "s4", atom_names, 1))
+        expected = support.reference_soundness_suite(
+            _generate(BOX, shape), "s4", ["p", "q"], 1)
+        assert runs[-1] == expected
+    assert runs[0] and runs[0] == runs[1] == runs[2]
 
 
 # ---------------------------------------------------------------------------
