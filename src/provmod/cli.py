@@ -130,9 +130,7 @@ def _forcing(loaded, model, world):
     if loaded.kind == "poly":
         from provmod.glp import glp_forces
         return lambda g: glp_forces(model, world, g)
-    from provmod.provability import pm_forces, pm_forces_rhd
-    if loaded.language == RHD:
-        return lambda g: pm_forces_rhd(model, world, g)
+    from provmod.provability import pm_forces
     return lambda g: pm_forces(model, world, g)
 
 
@@ -286,6 +284,9 @@ def cmd_check(args) -> int:
 
     model = _materialize(loaded, family)
     if args.suite == "classical":
+        if loaded.kind not in ("premodel", "poly"):
+            raise CliError("the classical suite takes a pre-model or "
+                           "poly-model document")
         if loaded.kind == "poly":
             from provmod.theories import classicality_violations
             violations = []
@@ -301,6 +302,9 @@ def cmd_check(args) -> int:
         return 0 if not violations else 1
 
     if args.suite == "modal_completeness":
+        if loaded.kind != "premodel":
+            raise CliError("the modal_completeness suite takes a pre-model "
+                           "document")
         if family is None:
             raise CliError("modal_completeness needs --family")
         from provmod.provability import is_purely_modal_family_complete

@@ -58,7 +58,9 @@ def _merge_lang(a: str | None, b: str | None, what: str) -> str | None:
 class Formula:
     """Base node.  Immutable; lang is None for purely boolean trees.
     ``_text`` and ``_instances`` keep the rendering and the instance table
-    once they are first asked for."""
+    once they are first asked for; an rhd node A |> B also has ``_sides``,
+    mapping a witness member E to the pair (B -> <>E, A -> <>E) that the
+    pre-model rhd clause asks about."""
 
     __slots__ = ("lang", "_text", "_instances")
 
@@ -86,7 +88,7 @@ class Box(Formula):
 
 
 class Rhd(Formula):
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "_sides")
 
 
 class BoxN(Formula):
@@ -136,7 +138,8 @@ def box(sub: Formula) -> Formula:
 def rhd(left: Formula, right: Formula) -> Formula:
     if left.lang not in (None, RHD) or right.lang not in (None, RHD):
         raise LanguageError("rhd takes rhd-language arguments")
-    return _make(Rhd, ("r", id(left), id(right)), RHD, left=left, right=right)
+    return _make(Rhd, ("r", id(left), id(right)), RHD, left=left, right=right,
+                 _sides=None)
 
 
 def boxn(index: int, sub: Formula) -> Formula:

@@ -10,13 +10,14 @@ where its truth is known in the model's one table for the clause, and
 hands a modal node the worlds it is asked at.  Both clauses are module
 functions, ``_pm_box`` and ``_pm_rhd``; a pre-model keeps the one its
 language takes, and an rhd-language pre-model also keeps its witness
-family, whose diamonds the rhd clause reads off the model.  The per-world
-entry points ask one-bit regions, and the axiom suites and completeness
-checks ask one region per formula.  A pre-model (``PreModel``) is a
-``KripkeModel`` with a theory at each accessible world, so frame checks
-and plus-forcing take it as it is; a ``ProvabilityModel`` is a pre-model
-that also carries the certificate for its modal completeness, so every
-function here takes either kind as it is.
+family; the implications the rhd clause asks about are kept on the rhd
+node, so every model shares them.  ``pm_forces`` asks one-bit regions of
+the model's clause, and the axiom suites and completeness checks ask one
+region per formula.  A pre-model (``PreModel``) is a ``KripkeModel`` with
+a theory at each accessible world, so frame checks and plus-forcing take
+it as it is; a ``ProvabilityModel`` is a pre-model that also carries the
+certificate for its modal completeness, so every function here takes
+either kind as it is.
 
 On top of evaluation this module builds the two central constructions:
 lifting a Kripke model into an equivalent provability model, and generating
@@ -108,7 +109,8 @@ class ProjectionError(ModelError):
 class PreModel(KripkeModel):
     """Frame, valuation and one theory per accessible world; in the rhd
     language also the witness family ``e_family`` that its rhd clause
-    evaluates over (a seed for generation needs none).
+    evaluates over (a seed for generation needs none).  What the clause of
+    its language asks theories is kept on the formula nodes.
 
     Equality is identity: two pre-models on one frame with different
     theories are different models.
@@ -136,17 +138,13 @@ class PreModel(KripkeModel):
                     f"speaks {language}")
         self.theories = dict(theories)
         self.e_family = tuple(e_family) if e_family else None
+        if any(e.lang not in (None, RHD) for e in self.e_family or ()):
+            raise PreModelError("witness family members must be rhd-language")
         # per world bit: the theories of the world's successors
         self._succ_theories = tuple([tuple([self.theories[u]
                                             for u in self._succ[w]])
                                      for w in self._order])
-        # the modal clause of the model's language; the family's diamonds,
-        # and per rhd node its right and left side implying each diamond,
-        # each built when first asked; the instances a generated theory
-        # asks about are kept on the formula nodes, not here
         self._clause = _pm_rhd if language == RHD else _pm_box
-        self._diamonds = tuple([rdiamond(e) for e in self.e_family or ()])
-        self._rhd_sides: dict = {}
 
     def kripke_part(self) -> KripkeModel:
         """The bare frame and valuation, without the theories."""
@@ -210,38 +208,41 @@ def _pm_rhd(P: PreModel, i: int, g) -> bool:
     """The rhd clause of a pre-model: A rhd B holds at the world of bit i
     when, at every successor's theory and for every member E of the model's
     witness family, derivability of B -> <>E implies derivability of
-    A -> <>E.  Each rhd node's implications B -> <>E and A -> <>E are
-    built once per model and member, when first asked."""
-    sides = P._rhd_sides.get(g)
+    A -> <>E.  The pair of implications is kept on the rhd node
+    (``g._sides``), so it is built once per node and member, whichever
+    model asks."""
+    family = P.e_family
+    if not family:
+        raise PreModelError("rhd evaluation needs a nonempty witness family")
+    sides = g._sides
     if sides is None:
-        n = len(P._diamonds)
-        if not n:
-            raise PreModelError(
-                "rhd evaluation needs a nonempty witness family")
-        sides = P._rhd_sides[g] = ([None] * n, [None] * n)
-    rights, lefts = sides
-    dia = P._diamonds
+        sides = g._sides = {}
     for th in P._succ_theories[i]:
-        for k, d in enumerate(dia):
-            right = rights[k]
-            if right is None:
-                right = rights[k] = imp(g.right, d)
-            if th.derives(right):
-                left = lefts[k]
-                if left is None:
-                    left = lefts[k] = imp(g.left, d)
-                if not th.derives(left):
-                    return False
+        for e in family:
+            pair = sides.get(e)
+            if pair is None:
+                d = rdiamond(e)
+                pair = sides[e] = (imp(g.right, d), imp(g.left, d))
+            if th.derives(pair[0]) and not th.derives(pair[1]):
+                return False
     return True
 
 
 def pm_forces(model, world, f: Formula) -> bool:
-    """Truth in a box-language provability model."""
-    bit = _check_query(model, world, f, BOX, PreModelError)
-    known = model._masks.get(_pm_box, _NOTHING_KNOWN).get(f)
+    """Truth in a provability model, by the clause of its language: for an
+    rhd-language model, the rhd clause over the model's witness family,
+    exact beyond the family only when the family covers the bounded-height
+    representatives (otherwise a generated model is ``family_bounded``)."""
+    bit = _check_query(model, world, f, model.language, PreModelError)
+    modal = model._clause
+    known = model._masks.get(modal, _NOTHING_KNOWN).get(f)
     if known is not None and known[0] & bit:
         return bool(known[1] & bit)
-    return bool(evaluate_region(model, f, bit, _pm_box) & bit)
+    return bool(evaluate_region(model, f, bit, modal) & bit)
+
+
+# the benchmark in ``perfbench/`` imports and traces this name
+pm_forces_rhd = pm_forces
 
 
 def pm_forces_plus(model, world, f: Formula) -> bool:
@@ -254,19 +255,6 @@ def pm_forces_plus(model, world, f: Formula) -> bool:
     return any(all(evaluate_region(model, f, bit[v], modal) & bit[v]
                    for v in model.descendants(u))
                for u in model.predecessors(world))
-
-
-def pm_forces_rhd(model, world, f: Formula) -> bool:
-    """Truth in an rhd-language provability model, by the rhd clause over
-    the model's witness family.  Exactness beyond the family is only
-    guaranteed when the family covers the bounded-height representatives;
-    otherwise the model carries a family_bounded flag.
-    """
-    bit = _check_query(model, world, f, RHD, PreModelError)
-    known = model._masks.get(_pm_rhd, _NOTHING_KNOWN).get(f)
-    if known is not None and known[0] & bit:
-        return bool(known[1] & bit)
-    return bool(evaluate_region(model, f, bit, _pm_rhd) & bit)
 
 
 def is_purely_modal_family_complete(model, family) -> list:
@@ -534,6 +522,11 @@ def _phi(axioms, language) -> Formula:
 
 
 def _generate(seed: PreModel, language: str, e_family, family_bounded):
+    if language == RHD:
+        # the family's order sets the order of derivability queries
+        e_family = tuple(sorted(set(e_family), key=fm.sort_key))
+        if not e_family:
+            raise GenerationError("e_family must be nonempty")
     states = {}
     oracles = {}
     for w in seed.theories:
@@ -586,22 +579,17 @@ def generate_ilm(seed: PreModel, e_family=None) -> ProvabilityModel:
     family works at any size but marks the model family-bounded.
     """
     _check_seed(seed, RHD)
-    family_bounded = e_family is not None
-    if e_family is None:
-        n = len(seed.worlds)
-        names = sorted({a for (_, a) in seed.valuation}
-                       | {a for th in seed.theories.values()
-                          for ax in th.axioms for a in fm.atoms(ax)})
-        try:
-            rep = representatives_ilm(n, names)
-        except EnvelopeError as exc:
-            raise GenerationError(
-                f"{exc}; pass e_family explicitly for larger models") from exc
-        e_family = rep.members
-    e_family = tuple(sorted(set(e_family), key=fm.sort_key))
-    if not e_family:
-        raise GenerationError("e_family must be nonempty")
-    return _generate(seed, RHD, e_family, family_bounded)
+    if e_family is not None:
+        return _generate(seed, RHD, e_family, True)
+    names = sorted({a for (_, a) in seed.valuation}
+                   | {a for th in seed.theories.values()
+                      for ax in th.axioms for a in fm.atoms(ax)})
+    try:
+        rep = representatives_ilm(len(seed.worlds), names)
+    except EnvelopeError as exc:
+        raise GenerationError(
+            f"{exc}; pass e_family explicitly for larger models") from exc
+    return _generate(seed, RHD, rep.members, False)
 
 
 # ---------------------------------------------------------------------------
@@ -853,9 +841,9 @@ def countermodel_pipeline_ilm(f: Formula, size_bound: int = 3) -> PipelineResult
         theories[sigma] = finite_axioms_mp(stable, language=RHD)
     seed = PreModel(unravelled.worlds, unravelled.edges,
                     unravelled.valuation, theories, RHD)
-    generated = generate_ilm(seed, e_family=family)
-    generated.family_bounded = family_bounded
-    if pm_forces_rhd(generated, sigma0, f):
+    _check_seed(seed, RHD)
+    generated = _generate(seed, RHD, family, family_bounded)
+    if pm_forces(generated, sigma0, f):
         raise PipelineError("generated model failed to refute the formula")
     return PipelineResult(formula=f, n=n, kripke=veltman, designated=sigma0,
                           seed=seed, model=generated, representatives=rep,

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from provmod import docio
 from provmod.cli import main
 from provmod.decide import NO_COUNTERMODEL_UP_TO_BOUND
@@ -305,12 +307,12 @@ def test_a_generated_rhd_document_keeps_its_own_family(capsys, tmp_path,
         monkeypatch.setattr(provability, name, record)
 
     recording("generate_ilm")
-    recording("pm_forces_rhd")
+    recording("pm_forces")
     code, out, _ = run(capsys, "--json", "eval", "--model", str(path),
                        "--family", str(fam), "--world", "w0", "top |> bot")
     assert json.loads(out)["value"] is expected
     assert families[:2] == [("generate_ilm", own),
-                            ("pm_forces_rhd", model.e_family)]
+                            ("pm_forces", model.e_family)]
     families.clear()
     code, out, _ = run(capsys, "--json", "check", "--model", str(path),
                        "--suite", "soundness", "--logic", "ilm",
@@ -319,6 +321,33 @@ def test_a_generated_rhd_document_keeps_its_own_family(capsys, tmp_path,
     assert json.loads(out)["failures"] == [
         [name, to_text(g), w] for (name, g, w) in expected]
     assert families == [("generate_ilm", own)]
+
+
+_SUITE_KINDS = {"classical": "a pre-model or poly-model document",
+                "modal_completeness": "a pre-model document"}
+
+
+@pytest.mark.parametrize("suite, kind", [
+    ("classical", "kripke"), ("classical", "veltman"),
+    ("modal_completeness", "kripke"), ("modal_completeness", "veltman"),
+    ("modal_completeness", "poly")])
+def test_a_theory_suite_on_a_document_without_theories_is_an_error(
+        capsys, tmp_path, suite, kind):
+    models = {
+        "kripke": KripkeModel(["w0", "w1"], [("w0", "w1")], [("w1", "p")]),
+        "veltman": VeltmanModel(["w", "u"], [("w", "u")], {"w": [("u", "u")]},
+                                [("u", "p")]),
+        "poly": PolyModel(["w"], {0: []}, {}, [("w", "p")]),
+    }
+    path = tmp_path / "model.json"
+    docio.save_path(path, docio.model_to_doc(models[kind]))
+    assert docio.load_path(path).kind == kind
+    fam = tmp_path / "family.txt"
+    fam.write_text("p\n")
+    code, out, err = run(capsys, "check", "--model", str(path), "--suite",
+                         suite, "--family", str(fam))
+    assert (code, out) == (2, "")
+    assert err == f"error: the {suite} suite takes {_SUITE_KINDS[suite]}\n"
 
 
 def test_check_glp(capsys, tmp_path):

@@ -1,10 +1,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import glp_fixtures
+from provmod.decide import enumerate_veltman_models
 from provmod.formulas import (
     BOX,
     FALSUM,
+    OMEGA,
     RHD,
     atom,
     box,
@@ -14,8 +18,17 @@ from provmod.formulas import (
     to_text,
     top,
 )
-from provmod.kripke import KripkeModel, VeltmanModel, check_frame, plus, unravel
-from provmod.glp import PolyModel
+from provmod.kripke import (
+    KripkeModel,
+    ModelError,
+    VeltmanModel,
+    check_frame,
+    forces,
+    plus,
+    unravel,
+    veltman_forces,
+)
+from provmod.glp import PolyModel, glp_forces
 from provmod.provability import (
     PreModel,
     certify_modal_completeness,
@@ -243,3 +256,111 @@ def test_a_saved_and_loaded_model_keeps_its_witness_family():
             assert doc["e_family"] == [to_text(e) for e in model.e_family]
         else:
             assert "e_family" not in doc
+
+
+# ---------------------------------------------------------------------------
+# every loadable kind survives a save and load
+
+_POOLS = {
+    BOX: ("p", "q", "~p", "[]p", "<>q", "[]bot", "[]p -> p",
+          "[](p -> []q)", "p & <>~q"),
+    RHD: ("p", "q", "~p", "[]p", "<>q", "[]bot", "top |> bot", "p |> q",
+          "q |> p", "(p |> q) -> (<>p -> <>q)"),
+    OMEGA: ("p", "q", "~p", "[0]p", "[1]p", "[0]bot", "[1]p -> [0]p",
+            "[0][1]bot", "~[1]~p"),
+}
+
+_VELTMAN = [m for n in (1, 2, 3) for m in enumerate_veltman_models(n, ["p"])]
+
+# the glp fixtures whose theories all have descriptors, so can be saved
+_SAVED_POLY = [make for make in glp_fixtures.COMPLIANT
+               + [make for (make, _, _) in glp_fixtures.VIOLATING]
+               if all(o.descriptor for o in make()._theories.values())]
+
+_HOLDS = {"kripke": forces, "veltman": veltman_forces,
+          "premodel": pm_forces, "poly": glp_forces}
+
+
+def _formulas(draw, language, most):
+    return [parse(t, language) for t in draw(st.lists(
+        st.sampled_from(_POOLS[language]), max_size=most, unique=True))]
+
+
+@st.composite
+def loadable_models(draw):
+    """(kind, model): Kripke and Veltman models, box and rhd pre-models
+    with and without a witness family, and poly models, generated and
+    from the glp fixtures."""
+    kind = draw(st.sampled_from(
+        ["kripke", "veltman", "box", "rhd", "rhd family", "poly",
+         "poly fixture"]))
+    if kind == "veltman":
+        return "veltman", draw(st.sampled_from(_VELTMAN))
+    if kind == "poly fixture":
+        return "poly", draw(st.sampled_from(_SAVED_POLY))()
+    n = draw(st.integers(1, 3))
+    worlds = [f"w{i}" for i in range(n)]
+    forward = [(a, b) for i, a in enumerate(worlds) for b in worlds[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(forward), unique=True)
+                 if forward else st.just([]))
+    valuation = draw(st.lists(st.sampled_from(
+        [(w, a) for w in worlds for a in ("p", "q")]), unique=True))
+    accessible = sorted({b for (_, b) in edges})
+    if kind == "kripke":
+        return "kripke", KripkeModel(worlds, edges, valuation)
+    if kind == "poly":
+        upper = [(a, b) for (a, b) in forward if b in accessible]
+        levels = {0: edges, 1: draw(st.lists(st.sampled_from(upper),
+                                             unique=True)
+                                    if upper else st.just([]))}
+        theories = {w: {k: finite_axioms_mp(_formulas(draw, OMEGA, 2),
+                                            language=OMEGA)
+                        for k in levels} for w in accessible}
+        return "poly", PolyModel(worlds, levels, theories, valuation,
+                                 max_index=1)
+    language = BOX if kind == "box" else RHD
+    theories = {w: finite_axioms_mp(_formulas(draw, language, 2),
+                                    language=language) for w in accessible}
+    family = None
+    if kind == "rhd family":
+        family = _formulas(draw, RHD, 4) or [top()]
+    return "premodel", PreModel(worlds, edges, valuation, theories,
+                                language, family)
+
+
+def _answer(holds, model, w, f):
+    try:
+        return holds(model, w, f)
+    except ModelError as exc:
+        # an rhd pre-model without a family evaluates no rhd node
+        return str(exc)
+
+
+def _descriptors(model):
+    theories = getattr(model, "_theories", None) or \
+        getattr(model, "theories", {})
+    return {key: oracle.descriptor for key, oracle in theories.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(loadable_models(), st.data())
+def test_every_loadable_kind_round_trips_and_answers_alike(drawn, data):
+    kind, model = drawn
+    text = docio.dumps(docio.model_to_doc(model))
+    loaded = docio.loads(text)
+    m = loaded.model
+    assert loaded.kind == kind
+    assert type(m) is type(model)
+    assert (m.worlds, m.edges, m.valuation) == \
+        (model.worlds, model.edges, model.valuation)
+    assert getattr(m, "preorders", None) == getattr(model, "preorders", None)
+    assert [level.edges for level in getattr(m, "levels", ())] == \
+        [level.edges for level in getattr(model, "levels", ())]
+    assert _descriptors(m) == _descriptors(model)
+    assert getattr(m, "e_family", None) == getattr(model, "e_family", None)
+    assert docio.dumps(docio.model_to_doc(m)) == text
+    f = parse(data.draw(st.sampled_from(_POOLS[loaded.language])),
+              loaded.language)
+    holds = _HOLDS[kind]
+    for w in sorted(model.worlds):
+        assert _answer(holds, m, w, f) == _answer(holds, model, w, f), w

@@ -324,10 +324,10 @@ def test_rhd_box_encoding_matches_direct_derivability():
 
 
 def test_pm_forces_rhd_answers_alike_before_and_after_its_memo_is_warm():
-    def generated():
+    def generated(a_axioms=(p,)):
         seed = PreModel(["r", "a", "b"], [("r", "a"), ("a", "b")],
                         [("a", "p")],
-                        {"a": finite_axioms_mp([p], language=RHD),
+                        {"a": finite_axioms_mp(a_axioms, language=RHD),
                          "b": finite_axioms_mp([], language=RHD)}, RHD)
         return generate_ilm(seed, e_family=[top(), FALSUM, p, q])
 
@@ -337,13 +337,33 @@ def test_pm_forces_rhd_answers_alike_before_and_after_its_memo_is_warm():
     cold = [pm_forces_rhd(generated(), w, f) for w, f in queries]
     model = generated()
     warming = [pm_forces_rhd(model, w, f) for w, f in queries]
-    # the model's witness family has its diamonds, built once
-    dia = model._diamonds
-    assert dia == tuple(rdiamond(e) for e in model.e_family)
     warm = [pm_forces_rhd(model, w, f) for w, f in queries]
-    assert model._diamonds is dia
     assert cold == warming == warm
     assert True in cold and False in cold
+    # the rhd node keeps its implications per member, and a model generated
+    # from another seed with the same family asks about the same pairs
+    g = rhd(p, q)
+    pairs = {e: g._sides[e] for e in model.e_family if e in g._sides}
+    assert pairs
+    for e, pair in pairs.items():
+        assert pair == (imp(q, rdiamond(e)), imp(p, rdiamond(e)))
+    other = generated(a_axioms=(neg(p),))
+    assert other.e_family == model.e_family
+    assert other.theory("a").axioms != model.theory("a").axioms
+    for w in ("r", "a"):
+        pm_forces(other, w, g)
+    assert all(g._sides[e] is pair for e, pair in pairs.items())
+
+
+def test_pm_forces_takes_only_formulas_of_the_model_language():
+    assert pm_forces_rhd is pm_forces
+    box_model = two_chain_premodel()
+    rhd_model = generate_ilm(two_chain_premodel(language=RHD),
+                             e_family=[top(), p])
+    for model, other in ((box_model, rhd(p, q)), (rhd_model, box(p))):
+        for holds in (pm_forces, pm_forces_rhd):
+            with pytest.raises(PreModelError, match=model.language):
+                holds(model, "w0", other)
 
 
 def test_rhd_needs_family():
@@ -352,6 +372,15 @@ def test_rhd_needs_family():
         pm_forces_rhd(seed, "w0", rhd(p, q))
     with pytest.raises(GenerationError):
         generate_ilm(seed, e_family=[])
+
+
+def test_a_witness_family_of_another_language_is_refused_when_built():
+    seed = two_chain_premodel(language=RHD)
+    with pytest.raises(PreModelError, match="rhd-language"):
+        PreModel(seed.worlds, seed.edges, seed.valuation, seed.theories, RHD,
+                 [top(), box(p)])
+    with pytest.raises(PreModelError, match="rhd-language"):
+        generate_ilm(seed, e_family=[box(p)])
 
 
 def test_generate_ilm_envelope_and_flag():
@@ -794,6 +823,15 @@ def test_ilm_pipeline_refutes_rhd_and_box():
         f = parse(text, RHD)
         result = countermodel_pipeline_ilm(f)
         assert not pm_forces_rhd(result.model, result.designated, f)
+
+
+def test_ilm_pipeline_flags_a_family_outside_the_envelope():
+    # []p -> p is refuted within the representative envelope, p |> q only
+    # over the fallback family
+    for text, bounded in (("[]p -> p", False), ("p |> q", True)):
+        result = countermodel_pipeline_ilm(parse(text, RHD))
+        assert result.family_bounded is bounded, text
+        assert result.model.family_bounded is bounded, text
 
 
 def test_ilm_pipeline_montagna_on_result():
