@@ -89,11 +89,17 @@ class DecisionVerdict:
 #
 # Saturation is lazy: branches are yielded one at a time, in a fixed order,
 # and the search stops at the first one whose successors all succeed, so
-# the branches after it are never built.  One decision keeps one cache from
-# demand sets to search results.  It holds every demand set found
-# unsatisfiable, in all four logics, and for k and gl, whose search keeps no
-# history, every result.  Why an unsatisfiable entry is safe is argued at
-# ``_search``.
+# the branches after it are never built.  It also backjumps (Horrocks and
+# Patel-Schneider, J. Logic Comput. 9(3), 1999): each pending formula and
+# literal carries a bit mask of the implication splits it rests on, a failed
+# branch blames the masks of the literals its failure rests on, and the
+# splits above the highest blamed one are skipped, because every branch
+# under them keeps those literals and fails the same way.
+#
+# One decision keeps one cache from demand sets to search results.  It
+# holds every demand set found unsatisfiable, in all four logics, and for k
+# and gl, whose search keeps no history, every result.  Why an
+# unsatisfiable entry is safe is argued at ``_search``.
 
 
 @dataclass
@@ -106,36 +112,65 @@ class _Node:
 def _saturate(demand, logic: str):
     """Open saturated branches of a signed-formula set, as literal maps.
 
-    A generator with an explicit stack of (pending, literals) branches.  At
-    a positive implication the right branch is pushed with copies of both,
-    and the left one goes on in place, so branches come out depth first,
-    left before right."""
-    stack = [(list(demand), {})]
-    while stack:
-        pending, literals = stack.pop()
-        while pending:
-            f, sign = pending.pop()
-            if isinstance(f, Bot):
-                if sign:
-                    break
-                continue
+    Pending formulas are linked (formula, sign, mask, rest) cells, and
+    ``masks`` keeps each literal's mask.  Bit j stands for the split at
+    depth j of the choice stack, while its left branch is active.  At a
+    positive implication the left branch goes on in place, and the stack
+    keeps the pending list, a copy of the literals, the right formula and
+    the implication's mask.  A clash blames the masks of its two literals,
+    a true falsum its own.  For a yielded branch the caller may send back
+    the literals its failure rests on; sending None blames every split, so
+    plain iteration yields every branch, depth first, left before right.
+    On a failure the splits outside the blame are popped, and the first
+    one in it takes its right branch, whose formula rests on the
+    implication and on the rest of the blame."""
+    pending = None
+    for f, sign in demand:
+        pending = (f, sign, 0, pending)
+    literals = {}
+    masks = {}
+    choices = []
+    while True:
+        while pending is not None:
+            f, sign, d, pending = pending
             if isinstance(f, Imp):
                 if sign:
-                    stack.append((pending + [(f.right, True)], dict(literals)))
-                    pending.append((f.left, False))
-                    continue
-                pending.append((f.left, True))
-                pending.append((f.right, False))
+                    k = 1 << len(choices)
+                    choices.append((pending, dict(literals), f.right, d))
+                    pending = (f.left, False, d | k, pending)
+                else:
+                    pending = (f.right, False, d, (f.left, True, d, pending))
+                continue
+            if isinstance(f, Bot):
+                if sign:
+                    blame = d
+                    break
                 continue
             got = literals.get(f)
             if got is None:
                 literals[f] = sign
+                masks[f] = d
                 if sign and logic == S4_LOGIC and isinstance(f, Box):
-                    pending.append((f.sub, True))
+                    pending = (f.sub, True, d, pending)
             elif got != sign:
+                blame = d | masks[f]
                 break
         else:
-            yield literals
+            failed = yield literals
+            if failed is None:
+                blame = -1
+            else:
+                blame = 0
+                for f in failed:
+                    blame |= masks[f]
+        while choices:
+            pending, literals, right, d = choices.pop()
+            k = 1 << len(choices)
+            if blame & k:
+                pending = (right, True, d | blame & ~k, pending)
+                break
+        else:
+            return
 
 
 def _successor_demand(logic: str, beta: Formula, pos_boxes: list) -> frozenset:
@@ -157,6 +192,13 @@ def _search(logic: str, demand: frozenset, history: tuple,
             cache: dict | None = None) -> _Node | None:
     """A tableau for ``demand``, or None when it is unsatisfiable.
 
+    A branch fails when the search for one of its successors fails, and
+    that failure rests on the branch's negative box and its positive boxes.
+    The search sends those literals back to ``_saturate``, which skips the
+    later branches that keep them.  Such a branch has the same negative box
+    and at least the same positive boxes, so in all four logics its
+    successor demand contains the failed one, and it is unsatisfiable too.
+
     ``cache`` maps demand sets to results within one decision.  It keeps
     every None, and for k and gl, where the result depends on the demand
     alone, every result.  A None is safe to reuse under any history in k4
@@ -168,34 +210,44 @@ def _search(logic: str, demand: frozenset, history: tuple,
       means the set is unsatisfiable.
     - The search is an OR over branches of ANDs over successors.  A
       satisfiable set succeeds through the branch a model picks, whose
-      successor demands are all satisfiable, so never cached as failures.
-      Failing an unsatisfiable set early can turn no satisfiable root into
-      a failure, and every success is still a tableau that ``_materialize``
-      turns into a model and the caller checks."""
+      successor demands are all satisfiable, so never cached as failures;
+      nor is that branch skipped, since every skipped branch is
+      unsatisfiable.  Failing an unsatisfiable set early can turn no
+      satisfiable root into a failure, and every success is still a
+      tableau that ``_materialize`` turns into a model and the caller
+      checks."""
     if cache is None:
         cache = {}
     if demand in cache:
         return cache[demand]
     found = None
-    for literals in _saturate(demand, logic):
-        pos = sorted((f for f, s in literals.items()
-                      if s and isinstance(f, Box)), key=fm.sort_key)
-        negs = sorted((f for f, s in literals.items()
-                       if not s and isinstance(f, Box)), key=fm.sort_key)
-        node = _Node(demand=demand, literals=literals)
-        for nb in negs:
-            child_demand = _successor_demand(logic, nb.sub, pos)
-            if logic in (K4_LOGIC, S4_LOGIC) and child_demand in history:
-                node.children.append(child_demand)
-                continue
-            child = _search(logic, child_demand, history + (child_demand,),
-                            cache)
-            if child is None:
+    branches = _saturate(demand, logic)
+    try:
+        literals = next(branches)
+        while True:
+            negs, pos = [], []
+            for f, s in literals.items():
+                if isinstance(f, Box):
+                    (pos if s else negs).append(f)
+            negs.sort(key=fm.sort_key)
+            pos.sort(key=fm.sort_key)
+            node = _Node(demand=demand, literals=literals)
+            for nb in negs:
+                child_demand = _successor_demand(logic, nb.sub, pos)
+                if logic in (K4_LOGIC, S4_LOGIC) and child_demand in history:
+                    node.children.append(child_demand)
+                    continue
+                child = _search(logic, child_demand,
+                                history + (child_demand,), cache)
+                if child is None:
+                    break
+                node.children.append(child)
+            else:
+                found = node
                 break
-            node.children.append(child)
-        else:
-            found = node
-            break
+            literals = branches.send([nb, *pos])
+    except StopIteration:
+        pass
     if found is None or logic in (K_LOGIC, GL_LOGIC):
         cache[demand] = found
     return found

@@ -138,6 +138,9 @@ class PreModel(KripkeModel):
                     f"speaks {language}")
         self.theories = dict(theories)
         self.e_family = tuple(e_family) if e_family else None
+        if self.e_family and language != RHD:
+            raise PreModelError(
+                f"a {language}-language pre-model has no witness family")
         if any(e.lang not in (None, RHD) for e in self.e_family or ()):
             raise PreModelError("witness family members must be rhd-language")
         # per world bit: the theories of the world's successors

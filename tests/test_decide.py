@@ -267,19 +267,57 @@ def test_lazy_saturation_yields_the_eager_branches_in_order(demand):
                 == support.reference_saturate(demand, logic))
 
 
-@pytest.mark.parametrize("logic", ["k", "gl"])
-@settings(max_examples=80, deadline=None)
-@given(_BOX_FORMULAS)
-def test_k_and_gl_countermodels_are_the_eager_ones(logic, f):
+@settings(max_examples=120, deadline=None)
+@given(st.frozensets(st.tuples(_BOX_FORMULAS, st.booleans()), max_size=4),
+       st.randoms(use_true_random=False))
+def test_saturation_skips_only_branches_that_keep_blamed_literals(demand,
+                                                                  rng):
+    import support
+
+    # a right branch inherits the blame that sent the search to it, so a
+    # skipped branch may keep an earlier blamed set rather than the last one
+    def blamed_before(branch, sent):
+        return any(all(branch.get(f) == s for f, s in blamed)
+                   for blamed in sent)
+
+    for logic in BOX_LOGICS:
+        eager = [list(b.items())
+                 for b in support.reference_saturate(demand, logic)]
+        branches = _saturate(demand, logic)
+        at = 0
+        sent = []
+        try:
+            literals = next(branches)
+            while True:
+                while eager[at] != list(literals.items()):
+                    assert blamed_before(dict(eager[at]), sent), logic
+                    at += 1
+                at += 1
+                items = list(literals.items())
+                sent.append(rng.sample(items, rng.randint(0, len(items))))
+                literals = branches.send([f for f, _ in sent[-1]])
+        except StopIteration:
+            pass
+        assert all(blamed_before(dict(b), sent) for b in eager[at:]), logic
+
+
+def _assert_countermodel_is_the_eager_one(logic, f):
     import support
 
     reference = support.reference_search(logic, frozenset({(f, False)}), ())
     verdict = decide(logic, f)
     if reference is None:
-        assert verdict.is_theorem
+        assert verdict.is_theorem, (logic, fm.to_text(f))
     else:
         assert ((verdict.countermodel, verdict.world)
-                == _materialize(logic, reference))
+                == _materialize(logic, reference)), (logic, fm.to_text(f))
+
+
+@pytest.mark.parametrize("logic", BOX_LOGICS)
+@settings(max_examples=80, deadline=None)
+@given(_BOX_FORMULAS)
+def test_k_and_gl_countermodels_are_the_eager_ones(logic, f):
+    _assert_countermodel_is_the_eager_one(logic, f)
 
 
 def _cnf_clause(rng, depth):
@@ -309,6 +347,15 @@ def test_depth_two_modal_cnf_is_decided_within_seconds():
                                           for logic in BOX_LOGICS
                                           for f in queries])
     assert statuses == [NON_THEOREM] * 48
+
+
+def test_depth_one_modal_cnf_countermodels_are_the_eager_ones():
+    rng = random.Random(0)
+    queries = [neg(conj([_cnf_clause(rng, 1) for _ in range(6)]))
+               for _ in range(48)]
+    for f in queries:
+        for logic in BOX_LOGICS:
+            _assert_countermodel_is_the_eager_one(logic, f)
 
 
 # ---------------------------------------------------------------------------

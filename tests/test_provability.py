@@ -383,6 +383,15 @@ def test_a_witness_family_of_another_language_is_refused_when_built():
         generate_ilm(seed, e_family=[box(p)])
 
 
+def test_a_box_pre_model_refuses_a_witness_family():
+    seed = two_chain_premodel()
+    with pytest.raises(PreModelError, match="no witness family"):
+        PreModel(seed.worlds, seed.edges, seed.valuation, seed.theories, BOX,
+                 [p])
+    assert PreModel(seed.worlds, seed.edges, seed.valuation, seed.theories,
+                    BOX, []).e_family is None
+
+
 def test_generate_ilm_envelope_and_flag():
     single = PreModel(["w"], [], [], {}, RHD)
     model = generate_ilm(single)
