@@ -222,8 +222,8 @@ def doc_to_model(doc: dict) -> LoadedDocument:
             w: theory_from_descriptor(desc, language,
                                       kripke_context=kripke_context)
             for w, desc in doc["theories"].items()}
-        e_family = [parse(t, RHD) for t in doc.get("e_family", ())] \
-            if language == RHD else None
+        # a family in a box-language document is refused, not dropped
+        e_family = [parse(t, RHD) for t in doc.get("e_family", ())]
         model = PreModel(worlds, pairs, valuation, theories, language,
                          e_family)
         return LoadedDocument("premodel", model, language, meta)

@@ -16,8 +16,8 @@ table per clause on the model (``_masks``).
 - ``evaluate_mask`` decides a formula at every world of a Kripke model,
   Veltman model or unravelling at once, children first: each subformula
   gets one integer mask of the worlds where it holds.  ``forces``,
-  ``forces_all``, ``forces_plus``, ``veltman_forces``,
-  ``veltman_forces_alt`` and ``unravelled_forces`` read it.
+  ``forces_plus``, ``veltman_forces``, ``veltman_forces_alt`` and
+  ``unravelled_forces`` read it.
 - ``evaluate_region`` decides a formula on a region, a mask of requested
   worlds, for the models whose modal clause asks theories (pre-models and
   poly models in ``provability`` and ``glp``).  Those theories may recurse
@@ -397,16 +397,6 @@ def forces(model: KripkeModel, world, f: Formula, _memo=None) -> bool:
     if val is None:
         val = evaluate_mask(model, f, _box, _memo)
     return bool(val & bit)
-
-
-def forces_all(model: KripkeModel, formulas) -> dict:
-    """Evaluate many formulas on the model's own mask table.
-    Returns {(world, formula): bool}."""
-    out = {}
-    for f in formulas:
-        for w in model.worlds:
-            out[(w, f)] = forces(model, w, f)
-    return out
 
 
 def forces_plus(model: KripkeModel, world, f: Formula) -> bool:

@@ -28,9 +28,9 @@ belongs to: per top/bot assignment to the free atoms, the instantiated
 query must hold wherever the instantiated seed axioms do, across the
 world's plus-cone.  A query's instances are kept on its formula node, so
 they are built once per formula, whichever model asks.  Every theory
-evaluates on the table the model's own forcing uses, so a query whose
-instances that table already knows across the cone is answered by
-operations on world masks; otherwise the cone is walked world by world.
+evaluates each predecessor's cone as one region of ``evaluate_region``, on
+the table the model's own forcing uses, so evaluating a query is
+region-evaluating its pre-interpolant without building it.
 Generated models stay lazy: evaluation reaches only the worlds and
 formulas a query needs.
 """
@@ -58,7 +58,6 @@ from provmod.kripke import (
     KripkeModel,
     ModelError,
     VeltmanModel,
-    _NOTHING_KNOWN,
     _box,
     _check_language,
     _check_query,
@@ -237,11 +236,7 @@ def pm_forces(model, world, f: Formula) -> bool:
     exact beyond the family only when the family covers the bounded-height
     representatives (otherwise a generated model is ``family_bounded``)."""
     bit = _check_query(model, world, f, model.language, PreModelError)
-    modal = model._clause
-    known = model._masks.get(modal, _NOTHING_KNOWN).get(f)
-    if known is not None and known[0] & bit:
-        return bool(known[1] & bit)
-    return bool(evaluate_region(model, f, bit, modal) & bit)
+    return bool(evaluate_region(model, f, bit, model._clause) & bit)
 
 
 # the benchmark in ``perfbench/`` imports and traces this name
@@ -250,14 +245,15 @@ pm_forces_rhd = pm_forces
 
 def pm_forces_plus(model, world, f: Formula) -> bool:
     """Truth, by the model's own clause, at all strict descendants of some
-    predecessor, walked world by world up to the first world where ``f``
-    fails; false at worlds that are not accessible."""
+    predecessor, each predecessor's cone evaluated as one region; false at
+    worlds that are not accessible."""
     _check_query(model, world, f, model.language, PreModelError)
-    bit = model._bit
     modal = model._clause
-    return any(all(evaluate_region(model, f, bit[v], modal) & bit[v]
-                   for v in model.descendants(u))
-               for u in model.predecessors(world))
+    for u in model.predecessors(world):
+        cone = model.descendant_mask(u)
+        if not cone & ~evaluate_region(model, f, cone, modal):
+            return True
+    return False
 
 
 def is_purely_modal_family_complete(model, family) -> list:
@@ -398,14 +394,13 @@ class GeneratedTheory:
     formula nodes (``formulas.instance_table``), so each is built once per
     formula, and both are evaluated by the clause of the model the theory
     is bound to, on the table the model's own forcing uses, so the language
-    and the witness family are the model's.  When that table knows every
-    phi[a] on a predecessor's cone and every f[a] where phi[a] holds there,
-    ``decide`` answers with one mask test per assignment.  Otherwise
-    ``_cone_implies`` walks the cone world by world: f[a] is looked at only
-    where phi[a] holds, and a world fails at its first failing assignment,
-    so the derivability queries reached are those of plus-forcing the
-    pre-interpolant; they recurse through theories strictly higher in the
-    sibling order.
+    and the witness family are the model's.  ``decide`` evaluates each
+    predecessor's cone as one region, in assignment order: phi[a] on the
+    worlds where every earlier phi[b] -> f[b] held, and f[a] only where
+    phi[a] holds there.  That is the order in which ``evaluate_region``
+    walks the pre-interpolant itself, so the derivability queries reached
+    are those of plus-forcing it (``pm_forces_plus``); they recurse through
+    theories strictly higher in the sibling order.
     """
 
     world: object
@@ -444,63 +439,18 @@ class GeneratedTheory:
         if pairs is None:
             pairs = self._pairs[names] = self._assignment_pairs(names)
         modal = P._clause
-        get = P._masks.get(modal, _NOTHING_KNOWN).get
-        cones = P._desc_masks
-        if cones is None:
-            P._index_descendants()
-            cones = P._desc_masks
         for u in P._pred[self.world]:
-            # the mask test: when the table knows every phi[a] on the cone
-            # and every f[a] where phi[a] holds there, it has the answer
-            cone = cones[u]
-            fails = 0
+            # the cone as one region, narrowed as evaluating the conjunction
+            # of the phi[a] -> f[a] narrows it: f[a] only where phi[a] holds
+            cone = left = P.descendant_mask(u)
             for phi_a, j in pairs:
-                known = get(phi_a)
-                if known is None or cone & ~known[0]:
-                    break
-                holds = cone & known[1]
+                holds = evaluate_region(P, phi_a, left, modal) & left
                 if holds:
-                    known = get(f_inst[j])
-                    if known is None or holds & ~known[0]:
-                        break
-                    fails |= holds & ~known[1]
-            else:
-                if not fails:
-                    return True
-                continue
-            if _cone_implies(P, u, pairs, f_inst, modal):
+                    f_holds = evaluate_region(P, f_inst[j], holds, modal)
+                    left &= ~holds | f_holds
+            if left == cone:
                 return True
-            # the walk may have made the table
-            get = P._masks[modal].get
         return False
-
-
-def _cone_implies(P: PreModel, u, pairs, f_inst, modal) -> bool:
-    """Whether, at every strict descendant of u, ``f_inst[j]`` holds
-    wherever ``phi_a`` does, for every pair (phi_a, j).
-
-    The cone is walked world by world in ``descendants`` order, each
-    world's assignments in order, up to the first failure, evaluating
-    phi[a] on the world and f[a] only where phi[a] holds: the same worlds
-    and formulas that plus-forcing the pre-interpolant reaches, so each
-    theory is asked the same derivability queries.
-    """
-    get = P._masks.get(modal, _NOTHING_KNOWN).get
-    bit = P._bit
-    for v in P.descendants(u):
-        b = bit[v]
-        for phi_a, j in pairs:
-            known = get(phi_a)
-            holds = known[1] if known is not None and known[0] & b \
-                else evaluate_region(P, phi_a, b, modal)
-            if holds & b:
-                f_a = f_inst[j]
-                known = get(f_a)
-                holds = known[1] if known is not None and known[0] & b \
-                    else evaluate_region(P, f_a, b, modal)
-                if not holds & b:
-                    return False
-    return True
 
 
 def _check_seed(seed: PreModel, language: str):

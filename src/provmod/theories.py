@@ -158,22 +158,17 @@ def gl_n(n: int) -> TheoryOracle:
     )
 
 
-def classicality_violations(oracle: TheoryOracle, sample=None) -> list:
+def classicality_violations(oracle: TheoryOracle) -> list:
     """Spot-check that the oracle behaves classically: derives a sample of
     tautologies and respects modus ponens on a sample of derivable pairs.
     Returns witnesses, empty when the checks pass."""
     p = atom("p")
     tautologies = [top(), imp(p, p), lor(p, neg(p))]
-    if sample:
-        tautologies.extend(imp(a, a) for a in sample)
-        tautologies.extend(lor(a, neg(a)) for a in sample)
     out = []
     for t in tautologies:
         if not oracle.derives(t):
             out.append(("tautology", t))
     mp_pairs = [(t, lor(t, p)) for t in tautologies[:2]]
-    if sample:
-        mp_pairs.extend((a, lor(a, p)) for a in sample)
     for a, b in mp_pairs:
         if oracle.derives(a) and oracle.derives(imp(a, b)) \
                 and not oracle.derives(b):

@@ -194,6 +194,22 @@ def test_schema_errors():
                                 "edges": [["w", "w"]]}))
 
 
+def test_a_box_document_with_a_witness_family_is_refused(capsys, tmp_path):
+    # a box-language pre-model has no witness family, so a document that
+    # gives one is malformed: loading refuses it instead of dropping it
+    doc = docio.model_to_doc(PreModel(["w0", "w1"], [("w0", "w1")], [],
+                                      {"w1": finite_axioms_mp([p])}))
+    doc["e_family"] = ["p"]
+    with pytest.raises(ModelError, match="no witness family"):
+        docio.doc_to_model(doc)
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["eval", "--model", str(path), "--world", "w0", "[]p"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "no witness family" in err, err
+
+
 def test_dot_export_mentions_worlds_and_styles():
     v = VeltmanModel(["w", "u", "z"], [("w", "u"), ("w", "z")],
                      {"w": [("u", "u"), ("z", "z"), ("u", "z")]},

@@ -29,7 +29,6 @@ from provmod.kripke import (
     VeltmanModel,
     check_frame,
     forces,
-    forces_all,
     forces_plus,
     hat_less,
     immediate_predecessors,
@@ -142,15 +141,6 @@ def test_long_conjunctions_evaluate_without_recursion(name):
         items = [item] * 7000
         assert holds(world, fm.conj(items))
         assert not holds(world, fm.conj(items + [FALSUM]))
-
-
-def test_forces_all_matches_forces():
-    k = chain(3, [("w1", "p")])
-    fam = [p, box(p), diamond(p), imp(box(p), p)]
-    table = forces_all(k, fam)
-    for f in fam:
-        for w in k.worlds:
-            assert table[(w, f)] == forces(k, w, f)
 
 
 # ---------------------------------------------------------------------------

@@ -679,14 +679,67 @@ _FAMILY_TEXTS = ("p", "~p", "[]p", "[]bot", "<>p", "p -> []p", "[]p -> p",
 @pytest.mark.parametrize("language", [BOX, RHD])
 def test_generated_theories_ask_the_pre_interpolant_queries_on_a_seed_sample(
         language):
-    # every 11th of the 1173 tree seeds: a fixed sample on which walking
-    # the cone one assignment at a time over all of its worlds, instead of
-    # world by world, asks other derivability queries
+    # every 11th of the 1173 tree seeds: a fixed sample on which a theory
+    # that evaluated phi[a] and f[a] on other regions of the cone than the
+    # region walk of the pre-interpolant, such as f[a] on every world
+    # still undecided instead of only where phi[a] holds, or the cone
+    # world by world up to the first failing world, asks other
+    # derivability queries
     import support
 
     queries = [parse(t, language) for t in _FAMILY_TEXTS]
     for shape in support.tree_seeds(4, _seed_axiom_sets(language))[::11]:
         _assert_agrees_with_the_pre_interpolant_path(language, shape, queries)
+
+
+def _sample_memos():
+    """Each theory's memo as sorted (text, answer) pairs, once every theory
+    of the models generated from every 11th tree seed, in both languages,
+    has been asked each of ``_FAMILY_TEXTS``."""
+    import support
+
+    out = []
+    for language in (BOX, RHD):
+        queries = [parse(t, language) for t in _FAMILY_TEXTS]
+        for shape in support.tree_seeds(4, _seed_axiom_sets(language))[::11]:
+            model = _generate(language, shape)
+            worlds = sorted(model.theories, key=str)
+            for w in worlds:
+                for f in queries:
+                    model.theory(w).derives(f)
+            out.append([sorted((fm.to_text(f), answer) for f, answer
+                               in model.theory(w)._memo.items())
+                        for w in worlds])
+    return out
+
+
+def test_generated_theories_ask_the_same_queries_under_every_hash_seed():
+    # sets of worlds iterate in an order that follows the string hash, so
+    # two interpreters with different hash seeds must still reach the same
+    # derivability queries
+    import json
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    tests = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    code = ("import json, test_provability\n"
+            "print(json.dumps(test_provability._sample_memos()))")
+    procs = [subprocess.Popen([sys.executable, "-c", code],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True,
+                              env=dict(os.environ, PYTHONPATH=path,
+                                       PYTHONHASHSEED=seed))
+             for seed in ("0", "1")]
+    memos = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        memos.append(json.loads(out.splitlines()[-1]))
+    assert memos[0] == memos[1]
+    assert sum(len(memo) for model in memos[0] for memo in model) > 10000
 
 
 @pytest.mark.parametrize("language", [BOX, RHD])

@@ -126,7 +126,7 @@ def test_classicality_spot_check():
         gl_theorems(),
         gl_n(2),
     ]:
-        assert classicality_violations(oracle, sample=[box(p)]) == []
+        assert classicality_violations(oracle) == []
 
 
 def test_language_mismatch_raises():
