@@ -389,13 +389,12 @@ def _check_language(model, f: Formula, language: str, error=ModelError):
 _NOTHING_KNOWN: dict = {}
 
 
-def forces(model: KripkeModel, world, f: Formula, _memo=None) -> bool:
+def forces(model: KripkeModel, world, f: Formula) -> bool:
     """Truth at a world; boxes quantify over one-step successors."""
     bit = _check_query(model, world, f, fm.BOX)
-    memo = model._masks.get(_box, _NOTHING_KNOWN) if _memo is None else _memo
-    val = memo.get(f)
+    val = model._masks.get(_box, _NOTHING_KNOWN).get(f)
     if val is None:
-        val = evaluate_mask(model, f, _box, _memo)
+        val = evaluate_mask(model, f, _box)
     return bool(val & bit)
 
 

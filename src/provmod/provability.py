@@ -21,15 +21,15 @@ either kind as it is.
 
 On top of evaluation this module builds the two central constructions:
 lifting a Kripke model into an equivalent provability model, and generating
-the minimum necessitation-closed provability model over a bi-finite tree
-pre-model, which is what makes the countermodel pipelines produce decidable
-models.  A generated theory decides derivability by truth in the model it
-belongs to: per top/bot assignment to the free atoms, the instantiated
-query must hold wherever the instantiated seed axioms do, across the
-world's plus-cone.  A query's instances are kept on its formula node, so
+the minimum necessitation-closed provability model over a forest pre-model,
+which is what makes the countermodel pipelines produce decidable models.
+A generated theory decides derivability by truth in the model it belongs
+to: per top/bot assignment to the free atoms, the instantiated query must
+hold wherever the instantiated seed axioms do, across the world's
+plus-cone.  A query's instances are kept on its formula node, so
 they are built once per formula, whichever model asks.  Every theory
-evaluates each predecessor's cone as one region of ``evaluate_region``, on
-the table the model's own forcing uses, so evaluating a query is
+evaluates its parent's cone as one region of ``evaluate_region``, on the
+table the model's own forcing uses, so evaluating a query is
 region-evaluating its pre-interpolant without building it.
 Generated models stay lazy: evaluation reaches only the worlds and
 formulas a query needs.
@@ -65,7 +65,6 @@ from provmod.kripke import (
     check_frame,
     evaluate_mask,
     evaluate_region,
-    forces,
     plus,
     unravel,
 )
@@ -389,23 +388,26 @@ class GeneratedTheory:
     plus-forced at u, phi being the boxed-dotted conjunction of the seed
     axioms.  That pre-interpolant is the conjunction, over each top/bot
     assignment a to the free atoms of phi -> f, of phi[a] -> f[a]; so f is
-    derived when, at every strict descendant of u's predecessor, f[a] holds
+    derived when, at every strict descendant of u's parent, f[a] holds
     wherever phi[a] does.  The instances of phi and of f are kept on their
     formula nodes (``formulas.instance_table``), so each is built once per
     formula, and both are evaluated by the clause of the model the theory
     is bound to, on the table the model's own forcing uses, so the language
-    and the witness family are the model's.  ``decide`` evaluates each
-    predecessor's cone as one region, in assignment order: phi[a] on the
-    worlds where every earlier phi[b] -> f[b] held, and f[a] only where
-    phi[a] holds there.  That is the order in which ``evaluate_region``
-    walks the pre-interpolant itself, so the derivability queries reached
-    are those of plus-forcing it (``pm_forces_plus``); they recurse through
-    theories strictly higher in the sibling order.
+    and the witness family are the model's.  ``decide`` evaluates the
+    parent's cone as one region, in assignment order: phi[a] on the worlds
+    where every earlier phi[b] -> f[b] held, and f[a] only where phi[a]
+    holds there.  That is the order in which ``evaluate_region`` walks the
+    pre-interpolant itself, so the derivability queries reached are those
+    of plus-forcing it (``pm_forces_plus``).
+
+    The seed is a forest, so the queries end: if u has d ancestors, its
+    parent's cone holds worlds with at least d, whose successors, the only
+    theories a modal node there asks, have at least d + 1.  A theory asks
+    only deeper theories, so a chain of queries is no longer than a branch.
     """
 
     world: object
     phi: Formula
-    seed_axioms: tuple
     model: ProvabilityModel | None = None
     # per set of the query's free atoms, the (phi[a], index of f[a]) pairs
     # in assignment order
@@ -439,18 +441,17 @@ class GeneratedTheory:
         if pairs is None:
             pairs = self._pairs[names] = self._assignment_pairs(names)
         modal = P._clause
-        for u in P._pred[self.world]:
-            # the cone as one region, narrowed as evaluating the conjunction
-            # of the phi[a] -> f[a] narrows it: f[a] only where phi[a] holds
-            cone = left = P.descendant_mask(u)
-            for phi_a, j in pairs:
-                holds = evaluate_region(P, phi_a, left, modal) & left
-                if holds:
-                    f_holds = evaluate_region(P, f_inst[j], holds, modal)
-                    left &= ~holds | f_holds
-            if left == cone:
-                return True
-        return False
+        # the parent's cone as one region, narrowed as evaluating the
+        # conjunction of the phi[a] -> f[a] narrows it: f[a] only where
+        # phi[a] holds
+        (parent,) = P._pred[self.world]
+        cone = left = P.descendant_mask(parent)
+        for phi_a, j in pairs:
+            holds = evaluate_region(P, phi_a, left, modal) & left
+            if holds:
+                f_holds = evaluate_region(P, f_inst[j], holds, modal)
+                left &= ~holds | f_holds
+        return left == cone
 
 
 def _check_seed(seed: PreModel, language: str):
@@ -460,9 +461,13 @@ def _check_seed(seed: PreModel, language: str):
     if not report.converse_well_founded:
         raise GenerationError(
             f"seed frame has a cycle: {report.converse_well_founded.witness}")
-    if not report.tree:
-        raise GenerationError(
-            f"seed frame is not a tree: {report.tree.witness}")
+    # one parent per world gives the depth order ``GeneratedTheory`` needs
+    for w in seed._order:
+        preds = seed._pred[w]
+        if len(preds) > 1:
+            raise GenerationError(
+                f"seed frame is not a forest: {w!r} has the predecessors "
+                f"{', '.join(map(repr, preds))}")
     for w, oracle in seed.theories.items():
         if oracle.provenance != "finite_axioms_mp":
             raise GenerationError(
@@ -480,30 +485,22 @@ def _generate(seed: PreModel, language: str, e_family, family_bounded):
         e_family = tuple(sorted(set(e_family), key=fm.sort_key))
         if not e_family:
             raise GenerationError("e_family must be nonempty")
-    states = {}
-    oracles = {}
-    for w in seed.theories:
-        st = GeneratedTheory(
-            world=w,
-            phi=_phi(seed.theory(w).axioms, language),
-            seed_axioms=seed.theory(w).axioms,
-        )
-        states[w] = st
-        oracles[w] = TheoryOracle(
-            language=language,
-            axioms=st.seed_axioms,
-            rules=frozenset({MP, NEC}),
-            provenance="generated",
-            decide=st.decide,
-            label=f"gen[{w}]",
-        )
+    oracles = {w: TheoryOracle(
+        language=language,
+        axioms=th.axioms,
+        rules=frozenset({MP, NEC}),
+        provenance="generated",
+        decide=GeneratedTheory(w, _phi(th.axioms, language)).decide,
+        label=f"gen[{w}]",
+    ) for w, th in seed.theories.items()}
     generated = ProvabilityModel(seed.worlds, seed.edges, seed.valuation,
                                  oracles, language,
                                  Certificate(kind="generated"),
                                  e_family=e_family,
                                  family_bounded=family_bounded)
-    for st in states.values():
-        st.model = generated
+    # each oracle decides by its theory's bound method
+    for oracle in oracles.values():
+        oracle.decide.__self__.model = generated
     for w in sorted(oracles, key=str):
         for ax in oracles[w].axioms:
             if not oracles[w].derives(ax):
@@ -518,8 +515,8 @@ def _generate(seed: PreModel, language: str, e_family, family_bounded):
 
 
 def generate_gl(seed: PreModel) -> ProvabilityModel:
-    """Minimum necessitation-closed provability model over a bi-finite
-    converse well-founded tree pre-model (box language)."""
+    """Minimum necessitation-closed provability model over a forest
+    pre-model (box language): no cycle, and at most one parent per world."""
     _check_seed(seed, BOX)
     return _generate(seed, BOX, None, False)
 
@@ -620,7 +617,9 @@ def rhd_instance_pool(atom_names) -> list[Formula]:
 
 def ilm_axiom_instances(atom_names, pool=None):
     """The five rhd schemes and the box of each, instantiated over the
-    pool (boolean arguments over the atoms)."""
+    pool (boolean arguments over the atoms).  The scheme labelled ``j4`` is
+    <>A |> A, which is J5 in de Jongh and Veltman's numbering; their J4,
+    (A |> B) -> (<>A -> <>B), and L1-L3 are not instantiated."""
     if pool is None:
         pool = rhd_instance_pool(atom_names)
     out = []
@@ -688,39 +687,58 @@ class PipelineResult:
 _PIPELINE_N_CAP = 6
 
 
+def _least_level(refute, failure: str):
+    """The least level k up to the cap at which ``refute(k)`` is a
+    non-theorem verdict, with that verdict."""
+    for k in range(1, _PIPELINE_N_CAP + 1):
+        verdict = refute(k)
+        if verdict.status == NON_THEOREM:
+            return k, verdict
+    raise PipelineError(failure)
+
+
+def _seed_generate_verify(f, refuting, w0, modal, stable, family,
+                          language, family_bounded):
+    """Seed each accessible world w of the refuting model with the family
+    members that hold on all of the mask ``stable[w]``, each member's truth
+    taken once on the whole model under ``modal``; generate over the seed,
+    and check that the generated model still refutes f at w0.  Returns the
+    seed and the generated model."""
+    truth = [evaluate_mask(refuting, b, modal) for b in family]
+    theories = {w: finite_axioms_mp([b for b, mask in zip(family, truth)
+                                     if not stable[w] & ~mask], language)
+                for w in refuting.accessible_worlds()}
+    seed = PreModel(refuting.worlds, refuting.edges, refuting.valuation,
+                    theories, language)
+    _check_seed(seed, language)
+    generated = _generate(seed, language,
+                          family if language == RHD else None,
+                          family_bounded)
+    if pm_forces(generated, w0, f):
+        raise PipelineError("generated model failed to refute the formula")
+    return seed, generated
+
+
 def countermodel_pipeline_gl(f: Formula) -> PipelineResult:
     """Finitary refutation: find the least bounded-falsum level the formula
     escapes, refute it on a tree Kripke model, seed each world with the
     boxed-dotted true representatives, generate, and verify."""
-    base = decide_gl(f)
-    if base.is_theorem:
+    if decide_gl(f).is_theorem:
         raise PipelineError(f"{to_text(f)} is a theorem")
-    n = None
-    verdict = None
-    for k in range(1, _PIPELINE_N_CAP + 1):
-        verdict = decide_gl(imp(boxes(FALSUM, k), f))
-        if verdict.status == NON_THEOREM:
-            n = k
-            break
-    if n is None:
-        raise PipelineError("no bounded-falsum refutation within the cap")
+    n, verdict = _least_level(
+        lambda k: decide_gl(imp(boxes(FALSUM, k), f)),
+        "no bounded-falsum refutation within the cap")
     kripke: KripkeModel = verdict.countermodel
-    w0 = verdict.world
     rep = representatives_gl(n, sorted(fm.atoms(f)))
-    theories = {}
-    for w in kripke.accessible_worlds():
-        axioms = tuple(b for b in rep.members
-                       if forces(kripke, w, boxdot(b)))
-        theories[w] = finite_axioms_mp(axioms)
-    seed = PreModel(kripke.worlds, kripke.edges, kripke.valuation,
-                    theories, BOX)
-    generated = generate_gl(seed)
-    if pm_forces(generated, w0, f):
-        raise PipelineError("generated model failed to refute the formula")
-    lifted = lift_kripke(kripke, transitive=True)
-    return PipelineResult(formula=f, n=n, kripke=kripke, designated=w0,
-                          seed=seed, model=generated, representatives=rep,
-                          lifted=lifted)
+    # boxdot(b) holds at w when b holds at w and at its successors
+    stable = {w: bit | succ
+              for w, (bit, succ) in zip(kripke._order, kripke._box_table)}
+    seed, generated = _seed_generate_verify(
+        f, kripke, verdict.world, _box, stable, rep.members, BOX, False)
+    return PipelineResult(formula=f, n=n, kripke=kripke,
+                          designated=verdict.world, seed=seed,
+                          model=generated, representatives=rep,
+                          lifted=lift_kripke(kripke, transitive=True))
 
 
 def _literal_clause_family(atom_names) -> list[Formula]:
@@ -749,55 +767,33 @@ def countermodel_pipeline_ilm(f: Formula, size_bound: int = 3) -> PipelineResult
     seeding from preorder-stable truths, generation, verification."""
     if f.lang not in (None, RHD):
         raise PipelineError("the rhd pipeline takes rhd-language formulas")
-    n = None
-    verdict = None
-    for k in range(1, _PIPELINE_N_CAP + 1):
-        verdict = decide_ilm(imp(boxes(FALSUM, k, RHD), f),
-                             size_bound=size_bound, max_height=k)
-        if verdict.status == NON_THEOREM:
-            n = k
-            break
-    if n is None:
-        raise PipelineError(
-            f"no countermodel within {size_bound} worlds; cannot refute")
+    n, verdict = _least_level(
+        lambda k: decide_ilm(imp(boxes(FALSUM, k, RHD), f),
+                             size_bound=size_bound, max_height=k),
+        f"no countermodel within {size_bound} worlds; cannot refute")
     veltman: VeltmanModel = verdict.countermodel
     w0 = verdict.world
 
-    # restrict to the refuting world's cone so the height bound is global
+    # max_height=k already bounds the whole model; restricting it to the
+    # refuting world's cone drops only the worlds outside that cone
     cone = {w0} | set(veltman.descendants(w0))
     veltman = VeltmanModel(
-        cone,
-        [(a, b) for (a, b) in veltman.edges if a in cone and b in cone],
-        {w: [(x, y) for (x, y) in veltman.preorders[w]] for w in cone},
-        [(w, a) for (w, a) in veltman.valuation if w in cone],
-    )
+        cone, [(a, b) for (a, b) in veltman.edges if a in cone],
+        {w: veltman.preorders[w] for w in cone},
+        [(w, a) for (w, a) in veltman.valuation if w in cone])
     unravelled = unravel(veltman)
-    sigma0 = (w0,)
 
     names = sorted(fm.atoms(f))
-    family_bounded = True
     try:
         rep = representatives_ilm(n, names)
-        family = rep.members
-        family_bounded = False
     except EnvelopeError:
         rep = None
-        family = pipeline_family_rhd(names, n)
-
-    theories = {}
-    for sigma in unravelled.accessible_worlds():
-        # b holds at every path preorder-above sigma
-        up = unravelled._above[sigma]
-        stable = tuple(
-            b for b in family
-            if evaluate_mask(unravelled, b, _sibling_rhd) & up == up)
-        theories[sigma] = finite_axioms_mp(stable, language=RHD)
-    seed = PreModel(unravelled.worlds, unravelled.edges,
-                    unravelled.valuation, theories, RHD)
-    _check_seed(seed, RHD)
-    generated = _generate(seed, RHD, family, family_bounded)
-    if pm_forces(generated, sigma0, f):
-        raise PipelineError("generated model failed to refute the formula")
-    return PipelineResult(formula=f, n=n, kripke=veltman, designated=sigma0,
+    family_bounded = rep is None
+    family = pipeline_family_rhd(names, n) if rep is None else rep.members
+    # b is seeded at a path when it holds at every path preorder-above it
+    seed, generated = _seed_generate_verify(
+        f, unravelled, (w0,), _sibling_rhd, unravelled._above, family, RHD,
+        family_bounded)
+    return PipelineResult(formula=f, n=n, kripke=veltman, designated=(w0,),
                           seed=seed, model=generated, representatives=rep,
                           family_bounded=family_bounded)

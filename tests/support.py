@@ -446,9 +446,9 @@ def reference_plus(model, world, holds) -> bool:
                for u in model.predecessors(world))
 
 
-def reference_forces(model, world, f, _memo=None) -> bool:
+def reference_forces(model, world, f) -> bool:
     _check_query(model, world, f, fm.BOX)
-    memo = {} if _memo is None else _memo
+    memo: dict = {}
 
     def box(w, g):
         return all(reference_evaluate(model, u, g.sub, box, memo)
@@ -817,7 +817,7 @@ def vector_lift_sweep(codes: np.ndarray, n: int, ops) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bi-finite tree seeds with axiom labels, one per isomorphism class
+# forest seeds with axiom labels, one per isomorphism class
 
 def _forest_parent_vectors(n: int):
     return itertools.product(*([(-1,)] + [tuple(range(-1, i))

@@ -4,7 +4,7 @@ import pytest
 
 from provmod import docio
 from provmod.cli import main
-from provmod.decide import NO_COUNTERMODEL_UP_TO_BOUND
+from provmod.decide import NO_COUNTERMODEL_UP_TO_BOUND, representatives_ilm
 from provmod.formulas import atom, box, parse, to_text
 from provmod.kripke import KripkeModel, VeltmanModel, unravel
 from provmod.glp import PolyModel
@@ -138,6 +138,18 @@ def test_generate_and_eval_generated(capsys, tmp_path):
     assert code == 0
 
 
+def test_generate_refuses_a_seed_that_is_not_a_forest(capsys, tmp_path):
+    chain = PreModel("abc", [("a", "b"), ("b", "c"), ("a", "c")], [],
+                     {x: finite_axioms_mp([]) for x in "bc"})
+    path = tmp_path / "chain.json"
+    docio.save_path(path, docio.model_to_doc(chain))
+    code, out, err = run(capsys, "generate", "--seed-model", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: seed frame is not a forest: 'c' has the predecessors 'a', "
+        "'b'"]
+
+
 def test_countermodel_roundtrip_verifies(capsys, tmp_path):
     out_file = tmp_path / "finitary.json"
     code, out, _ = run(capsys, "--json", "countermodel", "--logic", "gl",
@@ -208,6 +220,13 @@ def test_reps_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert len(payload["members"]) == 4
+    code, out, err = run(capsys, "--json", "reps", "--logic", "ilm",
+                         "--n", "1", "--atoms", "p")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "logic": "ilm", "n": 1, "atoms": ["p"],
+        "members": [to_text(m)
+                    for m in representatives_ilm(1, ["p"]).members]}
 
 
 def test_check_frame_and_soundness(capsys, tmp_path):
@@ -350,12 +369,17 @@ def test_a_theory_suite_on_a_document_without_theories_is_an_error(
     assert err == f"error: the {suite} suite takes {_SUITE_KINDS[suite]}\n"
 
 
-def test_check_glp(capsys, tmp_path):
+def _poly_document(tmp_path):
     finite = finite_axioms_mp([p], language="omega")
     m = PolyModel(["w", "u"], {0: [("w", "u")], 1: []},
                   {"u": {0: finite, 1: finite}}, [("u", "p")], max_index=1)
     path = tmp_path / "poly.json"
     docio.save_path(path, docio.model_to_doc(m))
+    return path
+
+
+def test_check_glp(capsys, tmp_path):
+    path = _poly_document(tmp_path)
     fam = tmp_path / "family.txt"
     fam.write_text("top\np\n[0]p\n")
     code, out, _ = run(capsys, "check", "--model", str(path),
@@ -466,3 +490,83 @@ def test_json_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, "--json", "decide", "--logic", "gl", "[]p->p")
     _, out2, _ = run(capsys, "--json", "decide", "--logic", "gl", "[]p->p")
     assert out1 == out2
+
+
+def test_check_glp_soundness_and_classical_on_a_poly_document(capsys,
+                                                             tmp_path):
+    from provmod.glp import glp_soundness_suite
+
+    path = _poly_document(tmp_path)
+    model = docio.load_path(path).model
+    expected = glp_soundness_suite(model, ["p"], 1).violations
+    assert expected  # finite axiom theories are not nec-closed
+    code, out, err = run(capsys, "--json", "check", "--model", str(path),
+                         "--suite", "glp_soundness", "--atoms", "p")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"failures": [
+        [name, to_text(f), w] for (name, n, f, w) in expected]}
+    code, out, err = run(capsys, "--json", "check", "--model", str(path),
+                         "--suite", "classical")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"violations": []}
+
+
+def test_check_modal_completeness_on_a_pre_model(capsys, tmp_path):
+    pre = PreModel(["w0", "w1"], [("w0", "w1")], [],
+                   {"w1": finite_axioms_mp([p])})
+    fam = tmp_path / "family.txt"
+    fam.write_text("[]bot\np\n[]p\n")
+    plain, seed = tmp_path / "pre.json", tmp_path / "seed.json"
+    docio.save_path(plain, docio.model_to_doc(pre))
+    docio.save_path(seed, docio.model_to_doc(pre, meta={"generate": True}))
+    # the leaf plus-forces every box, which a bare axiom set does not derive
+    code, out, err = run(capsys, "--json", "check", "--model", str(plain),
+                         "--suite", "modal_completeness", "--family",
+                         str(fam))
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"violations": [["w1", "[]bot"],
+                                              ["w1", "[]p"]]}
+    # the generated model is modally complete
+    code, out, err = run(capsys, "--json", "check", "--model", str(seed),
+                         "--suite", "modal_completeness", "--family",
+                         str(fam))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"violations": []}
+    code, out, err = run(capsys, "check", "--model", str(plain),
+                         "--suite", "modal_completeness")
+    assert (code, out) == (2, "")
+    assert err == "error: modal_completeness needs --family\n"
+
+
+def test_eval_on_a_veltman_document(capsys, tmp_path):
+    v = VeltmanModel(["w", "u", "z"], [("w", "u"), ("w", "z")],
+                     {"w": [("u", "u"), ("z", "z"), ("u", "z")]},
+                     [("u", "p"), ("z", "q")])
+    path = tmp_path / "v.json"
+    docio.save_path(path, docio.model_to_doc(v))
+    code, out, _ = run(capsys, "--json", "eval", "--model", str(path),
+                       "--world", "w", "(p |> q) & ~(q |> p)")
+    assert code == 0
+    assert json.loads(out) == {"value": True, "world": "w",
+                               "trace": {"p |> q": True, "q |> p": False}}
+    code, out, _ = run(capsys, "--json", "eval", "--model", str(path),
+                       "--world", "w", "q |> p")
+    assert code == 1
+    assert json.loads(out)["value"] is False
+
+
+def test_decide_and_countermodel_write_dot_before_the_payload(capsys):
+    for argv, code, keys in (
+            (["decide", "--logic", "gl"], 1,
+             {"logic", "formula", "status", "countermodel"}),
+            (["countermodel", "--logic", "gl"], 0,
+             {"logic", "formula", "level", "designated_world",
+              "countermodel"})):
+        got, out, err = run(capsys, "--json", *argv, "--dot", "p -> []p")
+        assert (got, err) == (code, "")
+        *dot, line = out.splitlines(keepends=True)
+        payload = json.loads(line)
+        assert set(payload) == keys
+        loaded = docio.doc_to_model(payload["countermodel"])
+        assert "".join(dot) == docio.to_dot(
+            loaded.model, designated=loaded.meta["designated_world"])

@@ -12,6 +12,8 @@ from provmod.formulas import (
     boxn,
     imp,
     land,
+    lor,
+    neg,
     top,
 )
 from provmod.glp import (
@@ -22,7 +24,7 @@ from provmod.glp import (
     glp_forces_plus_0,
     glp_soundness_suite,
 )
-from provmod.theories import finite_axioms_mp
+from provmod.theories import TheoryOracle, finite_axioms_mp
 from provmod.provability import PreModel, pm_forces
 from glp_fixtures import (
     COMPLIANT,
@@ -163,6 +165,25 @@ def test_broken_necessitation_detected():
     suite = glp_soundness_suite(m, ["p"], 1)
     assert any(name in ("four", "four_boxed")
                for (name, n, f, w) in suite.violations)
+
+
+def test_checker_reports_the_classical_poly_loeb_and_ascending_clauses():
+    empty = TheoryOracle(language=OMEGA, axioms=(), rules=frozenset(),
+                         provenance="custom", decide=lambda f: False)
+    loeb_only = finite_axioms_mp([imp(boxn(0, p), p)], language=OMEGA)
+    m = PolyModel(["w", "u", "v"], {0: [("w", "u"), ("w", "v")], 1: []},
+                  {"u": {0: finite_axioms_mp([p], language=OMEGA), 1: empty},
+                   "v": {0: loeb_only, 1: loeb_only}}, [], max_index=1)
+    report = check_glp_model(m, [p])
+    # the empty oracle derives no tautology
+    assert report.by_clause("classical") == [
+        ("classical", "u", 1, "tautology", t)
+        for t in (top(), imp(p, p), lor(p, neg(p)))]
+    # v's level-0 theory derives [0]p -> p but not p
+    assert report.by_clause("poly_loeb") == [("poly_loeb", "v", 0, p)]
+    # u derives p at level 0 and nothing at level 1
+    assert report.by_clause("ascending_theories") == [
+        ("ascending_theories", "u", 0, p)]
 
 
 def test_checker_reports_are_witnessed():

@@ -12,7 +12,8 @@ from provmod.formulas import (
     top,
 )
 from provmod.decide import decide_gl
-from provmod.theories import finite_axioms_mp, gl_n, gl_theorems
+from provmod.theories import MP, TheoryOracle, finite_axioms_mp, gl_n, \
+    gl_theorems
 from provmod.interpret import (
     InterpretationError,
     incompleteness_witness,
@@ -113,6 +114,19 @@ def test_soundness_gate_fails_with_matching_probe():
     probe = next(pr for pr in report.probes if pr[0] == "nec")
     assert probe[1] == parse("[]p -> [][]p")
     assert probe[2] is False
+
+
+def test_soundness_gate_fails_the_mp_gate_with_matching_probe():
+    # derives every formula but top: so a -> top but not top
+    theory = TheoryOracle(language="box", axioms=(), rules=frozenset({MP}),
+                          provenance="custom", decide=lambda f: f != top())
+    report = soundness_gate(theory, CORPUS)
+    assert [g.name for g in report.gates if not g.passed] == ["mp"]
+    a = parse("[]([]p -> p) -> []p")
+    assert report.gate("mp").witness == (a, top())
+    probe = parse("[](([]([]p -> p) -> []p) -> top) -> "
+                  "([]([]([]p -> p) -> []p) -> []top)")
+    assert report.probes == (("mp", probe, False),)
 
 
 def test_soundness_gate_rejects_non_theorem_corpus():

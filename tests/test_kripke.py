@@ -457,12 +457,10 @@ def _enumerated_veltman_models():
 @settings(max_examples=150, deadline=None)
 @given(_kripke_models(), st.lists(_BOX_FORMULAS, min_size=1, max_size=4))
 def test_world_masks_agree_with_the_reference_on_kripke_models(k, fam):
-    memo: dict = {}
     for f in fam:
         for w in k.worlds:
             expected = support.reference_forces(k, w, f)
             assert forces(k, w, f) == expected
-            assert forces(k, w, f, _memo=memo) == expected
             assert forces_plus(k, w, f) == support.reference_plus(
                 k, w, lambda v: support.reference_forces(k, v, f))
 

@@ -256,6 +256,20 @@ def test_generate_requires_tree_and_finite_seed():
         generate_gl(seed)
 
 
+@pytest.mark.parametrize("language, generate", [(BOX, generate_gl),
+                                                (RHD, generate_ilm)])
+def test_generation_refuses_a_seed_that_is_not_a_forest(language, generate):
+    # a transitive three-chain: c's theory would evaluate the cone of its
+    # predecessor a, where a modal node at b asks c's theory again
+    chain = PreModel("abc", [("a", "b"), ("b", "c"), ("a", "c")], [],
+                     {x: finite_axioms_mp([], language=language)
+                      for x in "bc"}, language)
+    with pytest.raises(GenerationError) as info:
+        generate(chain)
+    assert str(info.value) == \
+        "seed frame is not a forest: 'c' has the predecessors 'a', 'b'"
+
+
 def test_generated_oracles_closed_under_nec_and_loeb():
     seed = PreModel(
         ["r", "a", "b"],
