@@ -9,7 +9,9 @@ violations, exceeded envelopes) and for any unexpected exception, 3 for
 Each process runs one command, so start-up is most of its time.  This
 module imports only ``formulas``, ``kripke``, ``decide`` and ``docio``;
 a subcommand imports ``provability``, ``glp``, ``interpret`` or
-``theories`` when it runs, and only the ones it uses.
+``theories`` when it runs, and only the ones it uses.  Records are named
+tuples and plain classes, which generate no methods at import, so no
+command loads ``inspect``.
 """
 
 from __future__ import annotations
@@ -273,11 +275,10 @@ def cmd_check(args) -> int:
         # frame is read off the document as it was loaded
         report = check_frame(loaded.model)
         payload = {
-            name: {"holds": bool(getattr(report, name)),
-                   "witness": list(map(str, getattr(report, name).witness))
-                   if getattr(report, name).witness else None}
-            for name in ("reflexive", "irreflexive", "transitive",
-                         "converse_well_founded", "tree")}
+            name: {"holds": bool(check),
+                   "witness": list(map(str, check.witness))
+                   if check.witness else None}
+            for name, check in zip(report._fields, report)}
         _emit(args, payload,
               "\n".join(f"{k}: {v['holds']}" for k, v in payload.items()))
         return 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from provmod import formulas as fm
 from provmod.formulas import (
@@ -61,12 +61,13 @@ class EnvelopeError(DecisionError):
     """Requested parameters fall outside the supported envelope."""
 
 
-@dataclass(frozen=True)
-class DecisionVerdict:
-    status: str
-    countermodel: object | None = None
-    world: object | None = None
-    bound: int | None = None
+class DecisionVerdict(namedtuple("DecisionVerdict",
+                                  "status countermodel world bound",
+                                  defaults=(None, None, None))):
+    """A status; a non-theorem carries its countermodel and refuting world,
+    and a bounded search the bound it ran to."""
+
+    __slots__ = ()
 
     @property
     def is_theorem(self) -> bool:
@@ -102,11 +103,13 @@ class DecisionVerdict:
 # unsatisfiable entry is safe is argued at ``_search``.
 
 
-@dataclass
 class _Node:
-    demand: frozenset
-    literals: dict
-    children: list = field(default_factory=list)  # (_Node | frozenset loop demand)
+    __slots__ = ("demand", "literals", "children")
+
+    def __init__(self, demand: frozenset, literals: dict):
+        self.demand = demand
+        self.literals = literals
+        self.children = []  # (_Node | frozenset loop demand)
 
 
 def _saturate(demand, logic: str):
@@ -354,14 +357,13 @@ def gl_consequence(gamma, f: Formula) -> bool:
     return decide_gl(imp(premises, f)).is_theorem
 
 
-@dataclass(frozen=True)
-class FinfalsReport:
-    """How theoremhood interacts with the bounded-falsum prefixes."""
+class FinfalsReport(namedtuple("FinfalsReport",
+                                "base per_k agrees least_failing_k")):
+    """How theoremhood interacts with the bounded-falsum prefixes: the
+    verdict on f itself, and ``per_k[k-1]``, whether box^k bot -> f is a
+    theorem."""
 
-    base: DecisionVerdict
-    per_k: tuple[bool, ...]          # per_k[k-1]: box^k bot -> f is a theorem
-    agrees: bool
-    least_failing_k: int | None
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -688,25 +690,20 @@ def decide_ilm(f: Formula, size_bound: int = 3,
 # ---------------------------------------------------------------------------
 # representative sets for the bounded-height fragments
 
-@dataclass(frozen=True)
-class TreeType:
+class TreeType(namedtuple("TreeType", "valuation succs")):
     """Bounded-height world type: a valuation plus the set of types of the
     strict successors (indices into the owning set's type list)."""
 
-    valuation: frozenset
-    succs: frozenset
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RepresentativeSet:
-    logic: str
-    n: int
-    atoms: tuple[str, ...]
-    members: tuple[Formula, ...]
-    classes: tuple[frozenset, ...]
-    types: tuple[TreeType, ...]
-    characteristic: tuple[Formula, ...]
-    models: tuple
+class RepresentativeSet(namedtuple("RepresentativeSet", (
+        "logic", "n", "atoms", "members", "classes", "types",
+        "characteristic", "models"))):
+    """One member formula per class of types (a frozenset of indices into
+    ``types``), with the characteristic formula and model of each type."""
+
+    __slots__ = ()
 
     def equivalent_member(self, f: Formula) -> Formula:
         """The member whose class is the set of types satisfying f."""

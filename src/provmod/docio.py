@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from provmod.formulas import BOX, OMEGA, RHD, parse, to_text
@@ -161,12 +160,12 @@ def dumps(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 # loading
 
-@dataclass
 class LoadedDocument:
-    kind: str           # kripke | veltman | premodel | poly
-    model: object
-    language: str
-    meta: dict
+    def __init__(self, kind: str, model, language: str, meta: dict):
+        self.kind = kind  # kripke | veltman | premodel | poly
+        self.model = model
+        self.language = language
+        self.meta = meta
 
 
 _META_KEYS = ("designated_world", "refutes", "generate", "e_family", "logic")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, partial
 from typing import Iterable, Mapping
 
@@ -578,19 +578,16 @@ def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
 # ---------------------------------------------------------------------------
 # propositional skeleton and the purely modal uniform pre-interpolant
 
-@dataclass(frozen=True)
-class Skeleton:
+class Skeleton(namedtuple("Skeleton", "skeleton p_atoms q_atoms bindings")):
     """Modal-operator-free core of a formula.
 
     ``skeleton`` mentions the free atoms ``p_atoms`` plus fresh atoms
-    ``q_atoms``; substituting each binding for its fresh atom restores the
+    ``q_atoms`` (tuples of names); substituting each formula of the
+    ``bindings`` pairs (name, formula) for its fresh atom restores the
     original formula exactly.
     """
 
-    skeleton: Formula
-    p_atoms: tuple[str, ...]
-    q_atoms: tuple[str, ...]
-    bindings: tuple[tuple[str, Formula], ...]
+    __slots__ = ()
 
     @property
     def binding_map(self) -> dict[str, Formula]:
@@ -756,18 +753,16 @@ def _literal_key(x) -> tuple:
     return (1, to_text(x))
 
 
-@dataclass(frozen=True)
-class Phrase:
+class Phrase(namedtuple("Phrase", "antecedent consequent")):
     """A clause: conjunction of ``antecedent`` implies disjunction of
     ``consequent``.  Members are atom names or boxed formulas, stored under
     the fixed order (atoms first, then boxes by canonical text)."""
 
-    antecedent: tuple
-    consequent: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        ante = tuple(sorted(set(self.antecedent), key=_literal_key))
-        cons = tuple(sorted(set(self.consequent), key=_literal_key))
+    def __new__(cls, antecedent, consequent):
+        ante = tuple(sorted(set(antecedent), key=_literal_key))
+        cons = tuple(sorted(set(consequent), key=_literal_key))
         if set(ante) & set(cons):
             raise FormulaError("phrase sides must be disjoint")
         for x in ante + cons:
@@ -775,8 +770,7 @@ class Phrase:
                 continue
             if not isinstance(x, Box):
                 raise FormulaError("phrase members are atoms or boxed formulas")
-        object.__setattr__(self, "antecedent", ante)
-        object.__setattr__(self, "consequent", cons)
+        return super().__new__(cls, ante, cons)
 
     def _as_formula(self, x) -> Formula:
         return atom(x) if isinstance(x, str) else x

@@ -11,7 +11,7 @@ table of masks on the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from provmod.formulas import (
     FALSUM,
@@ -143,9 +143,10 @@ def glp_forces_plus_0(model: PolyModel, world, f: Formula) -> bool:
     return _truth(model, f, region) == region
 
 
-@dataclass(frozen=True)
-class GlpReport:
-    violations: tuple
+class GlpReport(namedtuple("GlpReport", "violations")):
+    """The clause violations found, each a tuple led by the clause name."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

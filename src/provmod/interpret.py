@@ -9,7 +9,7 @@ derivability content: they are recorded in the trace and otherwise inert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from provmod import formulas as fm
 from provmod.formulas import (
@@ -46,21 +46,22 @@ def phrase_truth(ph: Phrase, theory: TheoryOracle) -> bool:
                for y in ph.consequent if isinstance(y, Box))
 
 
-@dataclass(frozen=True)
-class PhraseTrace:
-    phrase: Phrase
-    antecedent_checks: tuple   # (boxed content, derivable) pairs
-    consequent_witness: Formula | None
-    inert_atoms: tuple         # bare atoms present in the clause
-    truth: bool
+class PhraseTrace(namedtuple("PhraseTrace", (
+        "phrase", "antecedent_checks", "consequent_witness", "inert_atoms",
+        "truth"))):
+    """One phrase's reading: its (boxed content, derivable) antecedent
+    checks, the consequent content found derivable if any, and the bare
+    atoms of the clause, which the reading ignores."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InterpretationResult:
-    formula: Formula
-    theory: str
-    truth: bool
-    traces: tuple
+class InterpretationResult(namedtuple("InterpretationResult",
+                                       "formula theory truth traces")):
+    """The truth of a formula's reading in a theory (named by its repr),
+    with one ``PhraseTrace`` per phrase."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.truth
@@ -123,19 +124,18 @@ _GATE_THEOREM_SAMPLE = (
 )
 
 
-@dataclass(frozen=True)
-class GateCheck:
-    name: str
-    passed: bool
-    witness: tuple = ()
+class GateCheck(namedtuple("GateCheck", "name passed witness",
+                            defaults=((),))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SoundnessGateReport:
-    gates: tuple
-    corpus_results: tuple      # (formula, interpretation truth)
-    probes: tuple              # (gate name, probe formula, interpretation truth)
-    sample_size: int
+class SoundnessGateReport(namedtuple("SoundnessGateReport", (
+        "gates", "corpus_results", "probes", "sample_size"))):
+    """The ``GateCheck`` of each gate, the (formula, interpretation truth)
+    of each corpus member, and the (gate name, probe formula,
+    interpretation truth) of each probe."""
+
+    __slots__ = ()
 
     @property
     def gates_pass(self) -> bool:

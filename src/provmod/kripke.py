@@ -43,7 +43,7 @@ the same frame that shares every frame table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from provmod import formulas as fm
 from provmod.formulas import Atom, Bot, Box, Formula, Imp
@@ -408,22 +408,22 @@ def forces_plus(model: KripkeModel, world, f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # frame analysis
 
-@dataclass(frozen=True)
-class PropertyCheck:
-    holds: bool
-    witness: tuple | None = None
+class PropertyCheck(namedtuple("PropertyCheck", "holds witness",
+                                defaults=(None,))):
+    """Whether a frame property holds; when it fails, a witness tuple."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.holds
 
 
-@dataclass(frozen=True)
-class FrameReport:
-    reflexive: PropertyCheck
-    irreflexive: PropertyCheck
-    transitive: PropertyCheck
-    converse_well_founded: PropertyCheck
-    tree: PropertyCheck
+class FrameReport(namedtuple("FrameReport", (
+        "reflexive", "irreflexive", "transitive", "converse_well_founded",
+        "tree", "forest"))):
+    """One ``PropertyCheck`` per frame property."""
+
+    __slots__ = ()
 
 
 def _find_cycle(worlds, succ):
@@ -473,6 +473,9 @@ def check_frame(model) -> FrameReport:
                    for i, w in enumerate(model.predecessors(v))
                    for u in model.predecessors(v)[i + 1:]
                    if u not in desc(w) and w not in desc(u)), None)
+    # a forest: no world has two predecessors
+    forest_w = next(((v,) + model.predecessors(v)[:2] for v in worlds
+                     if len(model.predecessors(v)) > 1), None)
 
     model._report = FrameReport(
         reflexive=PropertyCheck(refl_w is None,
@@ -482,6 +485,7 @@ def check_frame(model) -> FrameReport:
         transitive=PropertyCheck(trans_w is None, trans_w),
         converse_well_founded=PropertyCheck(cycle is None, cycle),
         tree=PropertyCheck(tree_w is None, tree_w),
+        forest=PropertyCheck(forest_w is None, forest_w),
     )
     return model._report
 

@@ -38,7 +38,7 @@ formulas a query needs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from provmod import formulas as fm
 from provmod.formulas import (
@@ -162,13 +162,12 @@ class PreModel(KripkeModel):
                 f"{self.language}, {len(self.theories)} theories)")
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "kind family", defaults=((),))):
     """Why the modal-completeness property is believed to hold: a structural
-    guarantee from the construction, or a finite family it was checked on."""
+    guarantee from the construction, or a finite family it was checked on.
+    ``kind`` is "lifted", "generated" or "family_checked"."""
 
-    kind: str                      # "lifted" | "generated" | "family_checked"
-    family: tuple = ()
+    __slots__ = ()
 
 
 class ProvabilityModel(PreModel):
@@ -332,11 +331,12 @@ def lift_kripke(model: KripkeModel, transitive: bool = False,
 # ---------------------------------------------------------------------------
 # projecting a provability model back onto its frame
 
-@dataclass(frozen=True)
-class ProjectionReport:
-    family: tuple
-    equivalent: bool
-    mismatches: tuple
+class ProjectionReport(namedtuple("ProjectionReport",
+                                   "family equivalent mismatches")):
+    """The closed family checked, and the (world, formula) pairs on which
+    the model and its bare frame disagree."""
+
+    __slots__ = ()
 
 
 def project_and_check(model, family) -> tuple[KripkeModel, ProjectionReport]:
@@ -380,7 +380,6 @@ def project_and_check(model, family) -> tuple[KripkeModel, ProjectionReport]:
 # ---------------------------------------------------------------------------
 # generated models
 
-@dataclass
 class GeneratedTheory:
     """Decision state for one world u of a generated model.
 
@@ -406,13 +405,13 @@ class GeneratedTheory:
     only deeper theories, so a chain of queries is no longer than a branch.
     """
 
-    world: object
-    phi: Formula
-    model: ProvabilityModel | None = None
-    # per set of the query's free atoms, the (phi[a], index of f[a]) pairs
-    # in assignment order
-    _pairs: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    def __init__(self, world, phi: Formula):
+        self.world = world
+        self.phi = phi
+        self.model = None  # the generated ProvabilityModel, once bound
+        # per set of the query's free atoms, the (phi[a], index of f[a])
+        # pairs in assignment order
+        self._pairs = {}
 
     def _assignment_pairs(self, names: tuple) -> list:
         """(phi[a], position of f[a] among f's instances) for each
@@ -462,12 +461,11 @@ def _check_seed(seed: PreModel, language: str):
         raise GenerationError(
             f"seed frame has a cycle: {report.converse_well_founded.witness}")
     # one parent per world gives the depth order ``GeneratedTheory`` needs
-    for w in seed._order:
-        preds = seed._pred[w]
-        if len(preds) > 1:
-            raise GenerationError(
-                f"seed frame is not a forest: {w!r} has the predecessors "
-                f"{', '.join(map(repr, preds))}")
+    if not report.forest:
+        w, *preds = report.forest.witness
+        raise GenerationError(
+            f"seed frame is not a forest: {w!r} has the predecessors "
+            f"{', '.join(map(repr, preds))}")
     for w, oracle in seed.theories.items():
         if oracle.provenance != "finite_axioms_mp":
             raise GenerationError(
@@ -671,17 +669,17 @@ def soundness_suite(model, logic: str, atom_names, depth: int = 2):
     return failures
 
 
-@dataclass
-class PipelineResult:
-    formula: Formula
-    n: int
-    kripke: object                # refuting Kripke or Veltman model
-    designated: object            # refuting world (or path) in the output
-    seed: PreModel
-    model: ProvabilityModel
-    representatives: object = None
-    lifted: ProvabilityModel | None = None
-    family_bounded: bool = False
+class PipelineResult(namedtuple("PipelineResult", (
+        "formula", "n", "kripke", "designated", "seed", "model",
+        "representatives", "lifted", "family_bounded"),
+        defaults=(None, None, False))):
+    """A checked countermodel: the level ``n``, the refuting Kripke or
+    Veltman model ``kripke``, the refuting world (or path) ``designated``,
+    the seed pre-model and the provability ``model`` generated over it,
+    with the representative set and lifted model when the representatives
+    seeded it."""
+
+    __slots__ = ()
 
 
 _PIPELINE_N_CAP = 6

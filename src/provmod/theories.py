@@ -9,7 +9,6 @@ procedure), and the rule tags are metadata for the property checkers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from provmod import formulas as fm
@@ -47,7 +46,6 @@ class TheoryError(ValueError):
     pass
 
 
-@dataclass
 class TheoryOracle:
     """A theory with a derivability decision method.
 
@@ -56,14 +54,18 @@ class TheoryOracle:
     idempotent, so concurrent use behaves as if the oracle were stateless.
     """
 
-    language: str
-    axioms: tuple[Formula, ...]
-    rules: frozenset[str]
-    provenance: str
-    decide: Callable[[Formula], bool]
-    label: str = ""
-    descriptor: dict | None = None
-    _memo: dict = field(default_factory=dict, repr=False)
+    def __init__(self, language: str, axioms: tuple[Formula, ...],
+                 rules: frozenset[str], provenance: str,
+                 decide: Callable[[Formula], bool], label: str = "",
+                 descriptor: dict | None = None):
+        self.language = language
+        self.axioms = axioms
+        self.rules = rules
+        self.provenance = provenance
+        self.decide = decide
+        self.label = label
+        self.descriptor = descriptor
+        self._memo = {}
 
     def derives(self, f: Formula) -> bool:
         got = self._memo.get(f)

@@ -148,6 +148,10 @@ def test_generate_refuses_a_seed_that_is_not_a_forest(capsys, tmp_path):
     assert err.splitlines() == [
         "error: seed frame is not a forest: 'c' has the predecessors 'a', "
         "'b'"]
+    # the frame report names the same world and predecessors
+    payload = _frame_payload(capsys, path)
+    assert payload["tree"] == {"holds": True, "witness": None}
+    assert payload["forest"] == {"holds": False, "witness": ["c", "a", "b"]}
 
 
 def test_countermodel_roundtrip_verifies(capsys, tmp_path):
@@ -430,7 +434,7 @@ def test_check_frame_on_a_seed_document_does_not_generate(capsys, tmp_path,
     assert expected["reflexive"] == {"holds": False, "witness": ["w0"]}
     assert all(expected[name] == {"holds": True, "witness": None}
                for name in ("irreflexive", "transitive",
-                            "converse_well_founded", "tree"))
+                            "converse_well_founded", "tree", "forest"))
 
     from provmod import provability
 

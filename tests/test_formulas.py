@@ -398,7 +398,7 @@ def test_phrase_cnf_invariant_under_equivalence():
 
 
 def test_phrase_ordering_is_canonical():
-    ph = Phrase((box(q), "p", box(FALSUM)), ())
+    ph = Phrase((box(q), "p", box(FALSUM), "p", box(q)), ())
     assert ph.antecedent == ("p", box(FALSUM), box(q))
     with pytest.raises(fm.FormulaError):
         Phrase(("p",), ("p",))

@@ -95,6 +95,32 @@ print(json.dumps([code, sorted(m for m in sys.modules
                 "provmod.theories"} & set(modules)
 
 
+def test_no_module_or_command_loads_dataclasses_or_inspect():
+    loaded = _run("""
+import contextlib, importlib, io, json, os, sys
+import provmod
+from provmod import cli
+
+# pkgutil imports inspect, so the package directory is listed by hand
+modules = [f[:-3] for f in os.listdir(provmod.__path__[0])
+           if f.endswith(".py") and f != "__init__.py"]
+for name in modules:
+    importlib.import_module(f"provmod.{name}")
+codes = []
+for command in ("decide", "countermodel"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(["--json", command, "--logic", "gl",
+                               "[]p -> p"]))
+print(json.dumps([sorted(modules), codes,
+                  sorted({"dataclasses", "inspect"} & set(sys.modules))]))
+""")
+    modules, codes, heavy = loaded
+    assert {"cli", "decide", "docio", "formulas", "glp", "interpret",
+            "kripke", "provability", "theories"} <= set(modules)
+    assert codes == [1, 0]
+    assert heavy == []
+
+
 def test_decide_names_the_function_in_either_import_order():
     for first, second in (("decide", "cli"), ("cli", "decide")):
         kinds = _run(f"""

@@ -178,6 +178,7 @@ def test_self_loop_not_converse_well_founded():
 def test_two_chain_frame_report():
     report = check_frame(chain(2))
     assert report.tree
+    assert report.forest
     assert report.transitive
     assert report.irreflexive
     assert report.converse_well_founded
@@ -193,6 +194,17 @@ def test_diamond_is_not_a_tree():
     report = check_frame(k)
     assert not report.tree
     assert report.tree.witness == ("u", "v", "z")
+    assert report.forest.witness == ("z", "u", "v")
+
+
+def test_a_transitive_chain_is_a_tree_but_not_a_forest():
+    k = KripkeModel("abcd", [("a", "b"), ("b", "c"), ("a", "c"),
+                             ("a", "d"), ("b", "d"), ("c", "d")], [])
+    report = check_frame(k)
+    assert report.tree
+    assert not report.forest
+    # the first world with two predecessors, and the first two of them
+    assert report.forest.witness == ("c", "a", "b")
 
 
 def test_longer_cycle_detected():
