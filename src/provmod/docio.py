@@ -5,7 +5,10 @@ One schema covers all four model kinds; a document loads into exactly one
 of them, inferred from its fields (``preorders`` marks a Veltman model,
 per-level edge maps mark a poly model, ``theories`` marks a pre-model,
 anything else in the box language is a bare Kripke model).  An rhd
-pre-model keeps its witness family as ``e_family``.  Unravellings
+pre-model keeps its witness family as ``e_family``.  Loading refuses a
+field of the wrong shape with a ``DocumentError`` that names it, so a
+string where a list of names belongs is not read character by character,
+and an edge that is not a pair is not unpacked.  Unravellings
 are written, with their sibling ``preorder``, but not read.  Canonical
 dumps are byte-stable: worlds, edges and valuations are sorted, keys are
 ordered, and a trailing newline is fixed.
@@ -63,19 +66,24 @@ def theory_from_descriptor(desc: dict, language: str,
 
     kind = desc.get("kind")
     if kind == "finite_axioms_mp":
-        axioms = [parse(text, language) for text in desc.get("axioms", [])]
+        axioms = [parse(text, language)
+                  for text in _strings(desc.get("axioms", []), "axioms")]
         return finite_axioms_mp(axioms, language=language)
     if kind == "gl_theorems":
         return gl_theorems()
     if kind == "gl_n":
-        return gl_n(int(desc["n"]))
+        n = desc.get("n")
+        # int() would read 2.7 as 2 and true as 1
+        if type(n) is not int:
+            raise DocumentError(f"n must be an integer, not {n!r}")
+        return gl_n(n)
     if kind == "kripke_world":
         if kripke_context is None:
             raise DocumentError("kripke_world theory needs the document's "
                                 "own frame")
-        return kripke_world_theory(kripke_context, desc["world"],
-                                   transitive=bool(desc.get("transitive",
-                                                            False)))
+        return kripke_world_theory(
+            kripke_context, desc["world"],
+            transitive=_flag(desc.get("transitive", False), "transitive"))
     raise DocumentError(f"unknown theory descriptor kind {kind!r}")
 
 
@@ -171,22 +179,61 @@ class LoadedDocument:
 _META_KEYS = ("designated_world", "refutes", "generate", "e_family", "logic")
 
 
+def _strings(value, field: str, key=None) -> list:
+    """``value`` if it is a list of strings; a string would be read
+    character by character, so it is refused like any other value.  The
+    message names ``field``, or its entry ``key`` when one is given."""
+    if isinstance(value, list):
+        for x in value:
+            if not isinstance(x, str):
+                break
+        else:
+            return value
+    if key is not None:
+        field = f"{field} of {key!r}"
+    raise DocumentError(f"{field} must be a list of strings")
+
+
+def _flag(value, field: str) -> bool:
+    """``value`` if it is true or false; ``bool`` would read the string
+    "false" as true."""
+    if not isinstance(value, bool):
+        raise DocumentError(f"{field} must be true or false")
+    return value
+
+
+def _pairs(value, field: str) -> list:
+    """The [a, b] pairs of the list ``value`` as tuples."""
+    if isinstance(value, list):
+        out = [tuple(e) for e in value if isinstance(e, list) and len(e) == 2]
+        if len(out) == len(value):
+            return out
+    raise DocumentError(f"{field} must be a list of [a, b] pairs")
+
+
+def _field_map(doc: dict, field: str) -> dict:
+    value = doc.get(field, {})
+    if not isinstance(value, dict):
+        raise DocumentError(f"{field} must be an object")
+    return value
+
+
 def doc_to_model(doc: dict) -> LoadedDocument:
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     version = doc.get("version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise DocumentError(f"unsupported document version {version!r}")
-    try:
-        worlds = list(doc["worlds"])
-    except KeyError as exc:
-        raise DocumentError("document lacks a worlds list") from exc
+    if "worlds" not in doc:
+        raise DocumentError("document lacks a worlds list")
+    worlds = list(_strings(doc["worlds"], "worlds"))
     language = doc.get("language", BOX)
     if language not in (BOX, RHD, OMEGA):
         raise DocumentError(f"unknown language {language!r}")
-    valuation = [(w, a) for w, atoms in doc.get("valuation", {}).items()
-                 for a in atoms]
+    valuation = [(w, a) for w, atoms in _field_map(doc, "valuation").items()
+                 for a in _strings(atoms, "valuation", w)]
     meta = {k: doc[k] for k in _META_KEYS if k in doc}
+    _flag(meta.get("generate", False), "generate")
 
     edges = doc.get("edges", [])
     if isinstance(edges, dict) or language == OMEGA:
@@ -194,23 +241,26 @@ def doc_to_model(doc: dict) -> LoadedDocument:
             raise DocumentError("omega-language documents use per-level "
                                 "edge maps")
         from provmod.glp import PolyModel
-        theories = {
-            w: {int(n): theory_from_descriptor(desc, OMEGA)
-                for n, desc in per_level.items()}
-            for w, per_level in doc.get("theories", {}).items()}
+        theories = {}
+        for w, per_level in _field_map(doc, "theories").items():
+            if not isinstance(per_level, dict):
+                raise DocumentError(f"theories of {w!r} must map levels to "
+                                    f"theories")
+            theories[w] = {int(n): theory_from_descriptor(desc, OMEGA)
+                           for n, desc in per_level.items()}
         model = PolyModel(worlds,
-                          {int(n): [tuple(e) for e in es]
+                          {int(n): _pairs(es, f"edges of level {n}")
                            for n, es in edges.items()},
                           theories, valuation,
                           max_index=doc.get("max_index"))
         return LoadedDocument("poly", model, OMEGA, meta)
 
-    pairs = [tuple(e) for e in edges]
+    pairs = _pairs(edges, "edges")
     if "preorders" in doc:
         model = VeltmanModel(
             worlds, pairs,
-            {w: [tuple(e) for e in es]
-             for w, es in doc["preorders"].items()},
+            {w: _pairs(es, f"preorder of {w!r}")
+             for w, es in _field_map(doc, "preorders").items()},
             valuation)
         return LoadedDocument("veltman", model, RHD, meta)
 
@@ -220,9 +270,10 @@ def doc_to_model(doc: dict) -> LoadedDocument:
         theories = {
             w: theory_from_descriptor(desc, language,
                                       kripke_context=kripke_context)
-            for w, desc in doc["theories"].items()}
+            for w, desc in _field_map(doc, "theories").items()}
         # a family in a box-language document is refused, not dropped
-        e_family = [parse(t, RHD) for t in doc.get("e_family", ())]
+        e_family = [parse(t, RHD)
+                    for t in _strings(doc.get("e_family", []), "e_family")]
         model = PreModel(worlds, pairs, valuation, theories, language,
                          e_family)
         return LoadedDocument("premodel", model, language, meta)

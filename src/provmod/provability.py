@@ -392,12 +392,21 @@ class GeneratedTheory:
     formula nodes (``formulas.instance_table``), so each is built once per
     formula, and both are evaluated by the clause of the model the theory
     is bound to, on the table the model's own forcing uses, so the language
-    and the witness family are the model's.  ``decide`` evaluates the
-    parent's cone as one region, in assignment order: phi[a] on the worlds
-    where every earlier phi[b] -> f[b] held, and f[a] only where phi[a]
-    holds there.  That is the order in which ``evaluate_region`` walks the
-    pre-interpolant itself, so the derivability queries reached are those
-    of plus-forcing it (``pm_forces_plus``).
+    and the witness family are the model's.
+
+    What does not depend on the query is kept on the theory: the parent's
+    cone, and on the first query the mask of every phi[a] on the whole
+    cone, in the order of phi's instance table.  Per set of the query's
+    free atoms the theory keeps the (mask of phi[a], position of f[a])
+    pairs in assignment order, and ``decide`` evaluates f[a] only where
+    phi[a] holds on the worlds where every earlier phi[b] -> f[b] held.
+    Evaluating the pre-interpolant's own region walk would ask phi[a] only
+    on those worlds, but the set of derivability queries reached is the
+    same: generation first asks every theory for each of its seed axioms
+    (and then for top), and for those queries f[a] holds wherever phi[a]
+    does, so the walk never narrows and evaluates every phi[a] on the
+    whole cone before ``generate_gl`` or ``generate_ilm`` returns.  Only
+    the order in which generation asks its queries differs.
 
     The seed is a forest, so the queries end: if u has d ancestors, its
     parent's cone holds worlds with at least d, whose successors, the only
@@ -409,8 +418,10 @@ class GeneratedTheory:
         self.world = world
         self.phi = phi
         self.model = None  # the generated ProvabilityModel, once bound
-        # per set of the query's free atoms, the (phi[a], index of f[a])
-        # pairs in assignment order
+        self._cone = None  # the parent's descendants, on the first query
+        self._phi_masks = None  # phi[a] -> its mask on the cone
+        # per set of the query's free atoms, the (mask of phi[a], index of
+        # f[a]) pairs in assignment order
         self._pairs = {}
 
     def _assignment_pairs(self, names: tuple) -> list:
@@ -431,6 +442,20 @@ class GeneratedTheory:
                           position(value, names)))
         return pairs
 
+    def _mask_pairs(self, names: tuple) -> list:
+        """``_assignment_pairs(names)`` with each phi[a] replaced by its
+        mask on the parent's cone; the first call evaluates every phi[a]."""
+        masks = self._phi_masks
+        if masks is None:
+            P = self.model
+            (parent,) = P._pred[self.world]
+            cone = self._cone = P.descendant_mask(parent)
+            masks = self._phi_masks = {
+                phi_a: evaluate_region(P, phi_a, cone, P._clause)
+                for phi_a in fm.instance_table(self.phi)[1]}
+        return [(masks[phi_a], j)
+                for phi_a, j in self._assignment_pairs(names)]
+
     def decide(self, f: Formula) -> bool:
         P = self.model
         if P is None:
@@ -438,18 +463,13 @@ class GeneratedTheory:
         names, f_inst = fm.instance_table(f)
         pairs = self._pairs.get(names)
         if pairs is None:
-            pairs = self._pairs[names] = self._assignment_pairs(names)
+            pairs = self._pairs[names] = self._mask_pairs(names)
         modal = P._clause
-        # the parent's cone as one region, narrowed as evaluating the
-        # conjunction of the phi[a] -> f[a] narrows it: f[a] only where
-        # phi[a] holds
-        (parent,) = P._pred[self.world]
-        cone = left = P.descendant_mask(parent)
-        for phi_a, j in pairs:
-            holds = evaluate_region(P, phi_a, left, modal) & left
+        cone = left = self._cone
+        for mask, j in pairs:
+            holds = mask & left
             if holds:
-                f_holds = evaluate_region(P, f_inst[j], holds, modal)
-                left &= ~holds | f_holds
+                left &= ~holds | evaluate_region(P, f_inst[j], holds, modal)
         return left == cone
 
 
@@ -647,7 +667,12 @@ def soundness_suite(model, logic: str, atom_names, depth: int = 2):
     provability model; returns the failures as (scheme, formula, world).
     The logic must speak the model's language: rhd for ilm, box for the
     others.  Each argument triple's instances are built once and kept
-    (as interned formulas, which live as long anyway)."""
+    in the process-wide ``_SUITE_INSTANCES``.  They depend only on that
+    triple, never on the model, so every caller may share them, and a
+    table held by the caller would only make each caller build them
+    again.  Keeping them costs no memory of their own: they are interned
+    formulas, which the intern table keeps for the life of the process
+    anyway, and the triples a process asks are few."""
     language = RHD if logic == "ilm" else BOX
     if model.language != language:
         raise PreModelError(f"the {logic} suite takes {language}-language "

@@ -468,6 +468,25 @@ def test_malformed_model_documents_are_rejected(capsys, tmp_path):
         assert err.startswith("error: ") and "Traceback" not in err, err
 
 
+def test_documents_that_would_be_misread_exit_two(capsys, tmp_path):
+    # a string of atoms, a string of worlds and a one-world edge: read
+    # as lists they would give the atoms p and q, the worlds a and b, and
+    # an edge that does not unpack
+    docs = {"valuation of 'a'": {"worlds": ["a"], "edges": [],
+                                 "valuation": {"a": "pq"}},
+            "worlds": {"worlds": "ab", "edges": [], "valuation": {}},
+            "edges": {"worlds": ["a", "b"], "edges": [["a"]],
+                      "valuation": {}}}
+    for field, doc in docs.items():
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "--json", "eval", "--model", str(path),
+                             "--world", "a", "p & q")
+        assert (code, out) == (2, ""), field
+        assert err.startswith(f"error: {field} must be a list of "), err
+        assert len(err.splitlines()) == 1, err
+
+
 def test_error_exit_code(capsys):
     code, _, err = run(capsys, "decide", "--logic", "gl", "p |> q")
     assert code == 2

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,6 +193,56 @@ def test_schema_errors():
         docio.loads(json.dumps({"version": 1, "worlds": ["w"],
                                 "theories": {"w": {"kind": "nope"}},
                                 "edges": [["w", "w"]]}))
+
+
+_RHD_SEED = {"language": "rhd", "worlds": ["a", "b"], "edges": [["a", "b"]],
+             "theories": {"b": {"kind": "finite_axioms_mp", "axioms": []}}}
+
+
+@pytest.mark.parametrize("doc, field", [
+    # a string where a list belongs would be read character by character
+    ({"worlds": ["a"], "edges": [], "valuation": {"a": "pq"}},
+     "valuation of 'a'"),
+    ({"worlds": "ab", "edges": [], "valuation": {}}, "worlds"),
+    ({"worlds": ["a", "b"], "edges": ["ab"]}, "edges"),
+    ({**_RHD_SEED, "e_family": "top"}, "e_family"),
+    ({**_RHD_SEED, "theories": {"b": {"kind": "finite_axioms_mp",
+                                      "axioms": "pq"}}}, "axioms"),
+    # a string where true or false belongs would be read as true
+    ({**_RHD_SEED, "generate": "false"}, "generate"),
+    ({**_RHD_SEED, "theories": {"b": {"kind": "kripke_world", "world": "b",
+                                      "transitive": "false"}}},
+     "transitive"),
+    # a number that is no integer would be truncated, true read as 1
+    ({**_RHD_SEED, "language": "box",
+      "theories": {"b": {"kind": "gl_n", "n": 2.7}}}, "n"),
+    ({**_RHD_SEED, "language": "box",
+      "theories": {"b": {"kind": "gl_n", "n": True}}}, "n"),
+    # a pair of the wrong length, a name that is no string, a list for a map
+    ({"worlds": ["a", "b"], "edges": [["a"]]}, "edges"),
+    ({"worlds": ["a", "b"], "edges": [["a", "b", "a"]]}, "edges"),
+    ({"worlds": ["a", 1]}, "worlds"),
+    ({"worlds": ["a"], "valuation": {"a": ["p", 2]}}, "valuation of 'a'"),
+    ({"worlds": ["a"], "valuation": [["a", "p"]]}, "valuation"),
+    ({"language": "rhd", "worlds": ["a", "b"], "edges": [["a", "b"]],
+      "preorders": {"a": [["b"]]}}, "preorder of 'a'"),
+    ({"language": "rhd", "worlds": ["a", "b"], "edges": [["a", "b"]],
+      "preorders": [["b", "b"]]}, "preorders"),
+    ({"language": "omega", "worlds": ["a", "b"], "edges": {"0": ["ab"]}},
+     "edges of level 0"),
+    ({**_RHD_SEED, "theories": [["b", "p"]]}, "theories"),
+    ({"language": "omega", "worlds": ["a", "b"], "edges": {"0": [["a", "b"]]},
+      "theories": {"b": [["0", "gl"]]}}, "theories of 'b'"),
+])
+def test_a_malformed_field_is_refused_by_name(doc, field):
+    with pytest.raises(docio.DocumentError, match=f"^{re.escape(field)} "):
+        docio.doc_to_model(doc)
+
+
+def test_the_seed_document_of_the_malformed_cases_loads():
+    loaded = docio.doc_to_model({**_RHD_SEED, "e_family": ["top"]})
+    assert loaded.kind == "premodel"
+    assert loaded.model.e_family == (top(),)
 
 
 def test_a_box_document_with_a_witness_family_is_refused(capsys, tmp_path):

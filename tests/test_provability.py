@@ -782,6 +782,54 @@ def test_assignment_instances_conjoin_to_the_pre_interpolant(language):
     assert checked > 7 * len(queries)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_tree_seed_shapes())
+@pytest.mark.parametrize("language", [BOX, RHD])
+def test_generation_self_checks_evaluate_every_phi_instance_on_the_whole_cone(
+        language, shape):
+    # generation asks every theory for its seed axioms, for which f[a]
+    # holds wherever phi[a] does, so the pre-interpolant's region walk
+    # never narrows and reaches every phi[a] on the whole parent's cone;
+    # that is why a theory may evaluate each phi[a] on the whole cone on
+    # its first query and still ask only the queries plus-forcing asks
+    for reference in (False, True):
+        model = _generate(language, shape, fresh_reference=reference)
+        memos = {w: dict(model.theory(w)._memo) for w in model.theories}
+        for w in model.theories:
+            (parent,) = model._pred[w]
+            cone = model.descendant_mask(parent)
+            phi = model.theory(w).decide.__self__.phi
+            for phi_a in fm.instance_table(phi)[1]:
+                kripke.evaluate_region(model, phi_a, cone, model._clause)
+        assert {w: model.theory(w)._memo for w in model.theories} == memos, \
+            reference
+
+
+@pytest.mark.parametrize("language", [BOX, RHD])
+def test_decide_evaluates_each_phi_instance_at_most_once_per_theory(
+        language, monkeypatch):
+    from provmod import provability
+
+    evaluated: list = []
+    original = provability.evaluate_region
+
+    def counting(model, f, region, modal):
+        evaluated.append(f)
+        return original(model, f, region, modal)
+
+    monkeypatch.setattr(provability, "evaluate_region", counting)
+    queries = [parse(t, language) for t in _FAMILY_TEXTS + _TWO_ATOM_TEXTS]
+    for label in range(7):
+        evaluated.clear()
+        model = _generate(language, ([-1, 0], [0, label]))
+        theory = model.theory("s1")
+        for f in queries:
+            theory.derives(f)
+        _, phi_instances = fm.instance_table(theory.decide.__self__.phi)
+        counts = [evaluated.count(phi_a) for phi_a in phi_instances]
+        assert max(counts) == 1, (label, counts)
+
+
 def test_models_generated_from_one_seed_share_each_query_instances(
         monkeypatch):
     # the second model asks the same queries, and its theories get the very
