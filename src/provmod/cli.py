@@ -62,11 +62,16 @@ def _read_family(path, language):
     return family
 
 
-def _witness_family(loaded, family):
-    """The witness family of an rhd pre-model document, as a list: the
-    loaded model's, else the ``--family`` given."""
-    own = loaded.model.e_family
-    return list(own) if own else family
+def _generated(seed, family):
+    """The model generated over a seed pre-model; an rhd seed takes its own
+    witness family, else the ``--family`` given."""
+    from provmod.provability import generate_gl, generate_ilm
+    if seed.language == BOX:
+        return generate_gl(seed)
+    family = list(seed.e_family) if seed.e_family else family
+    if not family:
+        raise CliError("generating an rhd seed needs its e_family or --family")
+    return generate_ilm(seed, e_family=family)
 
 
 def _materialize(loaded, family):
@@ -75,14 +80,11 @@ def _materialize(loaded, family):
     model = loaded.model
     if loaded.kind != "premodel":
         return model
-    from provmod.provability import PreModel, generate_gl, generate_ilm
-    if loaded.language == BOX:
-        return generate_gl(model) if loaded.meta.get("generate") else model
-    family = _witness_family(loaded, family)
     if loaded.meta.get("generate"):
-        return generate_ilm(model, e_family=family)
-    if model.e_family:
+        return _generated(model, family)
+    if loaded.language == BOX or model.e_family:
         return model
+    from provmod.provability import PreModel
     return PreModel(model.worlds, model.edges, model.valuation,
                     model.theories, RHD, e_family=family)
 
@@ -159,17 +161,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    from provmod.provability import generate_gl, generate_ilm
-
     loaded = docio.load_path(args.seed)
     if loaded.kind != "premodel":
         raise CliError("generation starts from a pre-model document")
     family = _read_family(args.family, RHD) if args.family else None
-    if loaded.language == RHD:
-        model = generate_ilm(loaded.model,
-                             e_family=_witness_family(loaded, family))
-    else:
-        model = generate_gl(loaded.model)
+    model = _generated(loaded.model, family)
     doc = _seed_doc(loaded.model, model, {})
     if args.out:
         docio.save_path(args.out, doc)
@@ -266,6 +262,23 @@ def cmd_reps(args) -> int:
     return 0
 
 
+# per theory suite: the document kinds it takes, named as its error names
+# them, and whether it needs --family
+_SUITES = {
+    "classical": (("premodel", "poly"), "a pre-model or poly-model", False),
+    "modal_completeness": (("premodel",), "a pre-model", True),
+    "glp": (("poly",), "a poly-model", True),
+    "glp_soundness": (("poly",), "a poly-model", False),
+    "soundness": (("premodel",), "a pre-model", False),
+}
+
+
+def _report(args, key: str, rows: list) -> int:
+    """Emit the rows found under ``key``; exit 1 when there are any."""
+    _emit(args, {key: rows}, f"{len(rows)} {key}")
+    return 1 if rows else 0
+
+
 def cmd_check(args) -> int:
     loaded = docio.load_path(args.model)
     family = _read_family(args.family, loaded.language) if args.family else None
@@ -283,75 +296,50 @@ def cmd_check(args) -> int:
               "\n".join(f"{k}: {v['holds']}" for k, v in payload.items()))
         return 0
 
+    kinds, takes, needs_family = _SUITES[args.suite]
+    if loaded.kind not in kinds:
+        raise CliError(f"the {args.suite} suite takes {takes} document")
+    if needs_family and family is None:
+        raise CliError(f"the {args.suite} suite needs --family")
     model = _materialize(loaded, family)
+    names = [a for a in (args.atoms.split(",") if args.atoms else ["p"]) if a]
+
     if args.suite == "classical":
-        if loaded.kind not in ("premodel", "poly"):
-            raise CliError("the classical suite takes a pre-model or "
-                           "poly-model document")
         if loaded.kind == "poly":
             from provmod.theories import classicality_violations
             violations = []
             for (w, n), oracle in sorted(model._theories.items(), key=str):
                 for v in classicality_violations(oracle):
-                    violations.append((str(w), n) + tuple(map(str, v)))
+                    violations.append([str(w), n] + list(map(str, v)))
         else:
             from provmod.provability import check_oracles_classical
-            violations = [tuple(map(str, v))
+            violations = [list(map(str, v))
                           for v in check_oracles_classical(model)]
-        _emit(args, {"violations": [list(v) for v in violations]},
-              f"{len(violations)} violations")
-        return 0 if not violations else 1
+        return _report(args, "violations", violations)
 
     if args.suite == "modal_completeness":
-        if loaded.kind != "premodel":
-            raise CliError("the modal_completeness suite takes a pre-model "
-                           "document")
-        if family is None:
-            raise CliError("modal_completeness needs --family")
         from provmod.provability import is_purely_modal_family_complete
         violations = is_purely_modal_family_complete(model, family)
-        _emit(args, {"violations": [[str(w), to_text(f)]
-                                    for (w, f) in violations]},
-              f"{len(violations)} violations")
-        return 0 if not violations else 1
+        return _report(args, "violations",
+                       [[str(w), to_text(f)] for (w, f) in violations])
 
     if args.suite == "glp":
-        if loaded.kind != "poly":
-            raise CliError("the glp suite takes a poly-model document")
-        if family is None:
-            raise CliError("the glp suite needs --family")
         from provmod.glp import check_glp_model
         report = check_glp_model(model, family)
-        _emit(args, {"violations": [list(map(str, v))
-                                    for v in report.violations]},
-              f"{len(report.violations)} violations")
-        return 0 if report.ok else 1
+        return _report(args, "violations",
+                       [list(map(str, v)) for v in report.violations])
 
     if args.suite == "glp_soundness":
-        if loaded.kind != "poly":
-            raise CliError("glp_soundness takes a poly-model document")
         from provmod.glp import glp_soundness_suite
-        names = [a for a in (args.atoms.split(",") if args.atoms else ["p"])
-                 if a]
         report = glp_soundness_suite(model, names, args.depth)
-        _emit(args, {"failures": [[name, to_text(f), str(w)]
-                                  for (name, n, f, w) in report.violations]},
-              f"{len(report.violations)} failures")
-        return 0 if report.ok else 1
+        return _report(args, "failures",
+                       [[name, to_text(f), str(w)]
+                        for (name, n, f, w) in report.violations])
 
-    if args.suite == "soundness":
-        if loaded.kind not in ("premodel",):
-            raise CliError("the soundness suite takes a pre-model document")
-        from provmod.provability import soundness_suite
-        names = [a for a in (args.atoms.split(",") if args.atoms else ["p"])
-                 if a]
-        failures = soundness_suite(model, args.logic, names, args.depth)
-        _emit(args, {"failures": [[name, to_text(f), str(w)]
-                                  for (name, f, w) in failures]},
-              f"{len(failures)} failures")
-        return 0 if not failures else 1
-
-    raise CliError(f"unknown suite {args.suite!r}")
+    from provmod.provability import soundness_suite
+    failures = soundness_suite(model, args.logic, names, args.depth)
+    return _report(args, "failures",
+                   [[name, to_text(f), str(w)] for (name, f, w) in failures])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,10 +8,10 @@ anything else in the box language is a bare Kripke model).  An rhd
 pre-model keeps its witness family as ``e_family``.  Loading refuses a
 field of the wrong shape with a ``DocumentError`` that names it, so a
 string where a list of names belongs is not read character by character,
-and an edge that is not a pair is not unpacked.  Unravellings
-are written, with their sibling ``preorder``, but not read.  Canonical
-dumps are byte-stable: worlds, edges and valuations are sorted, keys are
-ordered, and a trailing newline is fixed.
+an edge that is not a pair is not unpacked, and a number is not truncated.
+Unravellings are written, with their sibling ``preorder``, but not read.
+Canonical dumps are byte-stable: worlds, edges and valuations are sorted,
+keys are ordered, and a trailing newline is fixed.
 
 Only the Kripke and Veltman kinds are imported up front: loading a poly
 model or a pre-model imports its module, and saving one needs no import,
@@ -64,6 +64,8 @@ def theory_from_descriptor(desc: dict, language: str,
         kripke_world_theory,
     )
 
+    if not isinstance(desc, dict):
+        raise DocumentError(f"theory must be an object, not {desc!r}")
     kind = desc.get("kind")
     if kind == "finite_axioms_mp":
         axioms = [parse(text, language)
@@ -211,6 +213,14 @@ def _pairs(value, field: str) -> list:
     raise DocumentError(f"{field} must be a list of [a, b] pairs")
 
 
+def _level(key, field: str) -> int:
+    """A level key such as "1"; ``int`` would read "1_0" as 10 and refuse
+    "0.5" without naming the field."""
+    if isinstance(key, str) and key.isdecimal() and key == str(int(key)):
+        return int(key)
+    raise DocumentError(f"{field} key {key!r} is not a level number")
+
+
 def _field_map(doc: dict, field: str) -> dict:
     value = doc.get(field, {})
     if not isinstance(value, dict):
@@ -246,13 +256,16 @@ def doc_to_model(doc: dict) -> LoadedDocument:
             if not isinstance(per_level, dict):
                 raise DocumentError(f"theories of {w!r} must map levels to "
                                     f"theories")
-            theories[w] = {int(n): theory_from_descriptor(desc, OMEGA)
+            theories[w] = {_level(n, f"theories of {w!r}"):
+                           theory_from_descriptor(desc, OMEGA)
                            for n, desc in per_level.items()}
-        model = PolyModel(worlds,
-                          {int(n): _pairs(es, f"edges of level {n}")
-                           for n, es in edges.items()},
-                          theories, valuation,
-                          max_index=doc.get("max_index"))
+        by_level = {_level(n, "edges"): _pairs(es, f"edges of level {n}")
+                    for n, es in edges.items()}
+        max_index = doc.get("max_index")
+        if max_index is not None and type(max_index) is not int:
+            raise DocumentError(f"max_index must be an integer, not "
+                                f"{max_index!r}")
+        model = PolyModel(worlds, by_level, theories, valuation, max_index)
         return LoadedDocument("poly", model, OMEGA, meta)
 
     pairs = _pairs(edges, "edges")

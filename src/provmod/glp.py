@@ -5,8 +5,8 @@ axiom-soundness harness for the poly-modal provability logic.
 A poly model is a ``kripke.KripkeModel`` on its level-0 edges, and each
 higher index adds one more Kripke model on the same worlds and valuation.
 It is evaluated on world masks by ``kripke.evaluate_region``, with one box
-clause, the module function ``_box``, serving every index, and so one
-table of masks on the model.
+clause, the module function ``_box``, serving every index: the model keeps
+it as ``_clause``, and so one table of masks.
 """
 
 from __future__ import annotations
@@ -95,6 +95,7 @@ class PolyModel(KripkeModel):
             tuple([tuple([flat[(u, n)] for u in level._succ[w]])
                    for w in self._order])
             for n, level in enumerate(self.levels))
+        self._clause = _box
 
     def successors(self, w, n=0):
         return self.levels[n]._succ[w]
@@ -126,7 +127,7 @@ def _box(model: PolyModel, i: int, g) -> bool:
 
 def _truth(model: PolyModel, f: Formula, region: int) -> int:
     """The worlds of the region where ``f`` holds, as a mask."""
-    return evaluate_region(model, f, region, _box) & region
+    return evaluate_region(model, f, region) & region
 
 
 def glp_forces(model: PolyModel, world, f: Formula) -> bool:

@@ -8,25 +8,25 @@ one more Kripke model per higher level), so ``check_frame`` and ``plus``
 take any of them as it is.
 
 Every semantics in the package shares the boolean clauses and differs only
-in its modal clause, so there are two evaluators, each taking a modal
-clause, and both on world masks: bit i stands for the i-th world in ``str``
-order.  A clause takes the model first, and both evaluators keep one
-table per clause on the model (``_masks``).
+in its modal clause, so there are two evaluators, both on world masks: bit
+i stands for the i-th world in ``str`` order.  A clause takes the model
+first, and both evaluators keep one table per clause on the model.
 
 - ``evaluate_mask`` decides a formula at every world of a Kripke model,
   Veltman model or unravelling at once, children first: each subformula
-  gets one integer mask of the worlds where it holds.  ``forces``,
-  ``forces_plus``, ``veltman_forces``, ``veltman_forces_alt`` and
-  ``unravelled_forces`` read it.
+  gets one integer mask of the worlds where it holds.  It takes the
+  clause from its caller: ``veltman_forces`` and ``veltman_forces_alt``
+  read one model under two.  ``forces``, ``forces_plus`` and
+  ``unravelled_forces`` read it too.
 - ``evaluate_region`` decides a formula on a region, a mask of requested
   worlds, for the models whose modal clause asks theories (pre-models and
-  poly models in ``provability`` and ``glp``).  Those theories may recurse
-  into the model, so per formula it keeps a known mask beside the value
-  mask and computes only the unknown bits of the region: an implication's
-  right side only where its left side holds, and a modal node world by
-  world on the bits it is handed.  A one-bit region is the lazy walk of a
-  single world; a whole-model region answers an axiom suite with one call
-  per formula.
+  poly models in ``provability`` and ``glp``), by the one clause such a
+  model keeps as ``_clause``.  The theories may recurse into the model, so
+  per formula it keeps a known mask beside the value mask and computes
+  only the unknown bits of the region: an implication's right side only
+  where its left side holds, and a modal node world by world on the bits
+  it is handed.  A one-bit region is the lazy walk of a single world; a
+  whole-model region answers an axiom suite with one call per formula.
 
 Plus-forcing is likewise one function, ``plus``, a test of a truth mask
 against the descendant masks of a world's predecessors.
@@ -203,14 +203,14 @@ class KripkeModel:
                 f"{len(self.edges)} edges)")
 
 
-def evaluate_region(model, f: Formula, region: int, modal) -> int:
+def evaluate_region(model, f: Formula, region: int) -> int:
     """Truth of ``f`` on a region of a model whose modal clause asks
     theories (pre-models and poly models), as a mask that is exact on the
     region's bits.
 
-    The model's own table for ``modal`` maps each formula to its (known,
-    value) masks, and every call on the model with that clause shares it;
-    only the bits of the region that are not yet known are computed.
+    The model's table for its own clause, ``model._clause``, maps each
+    formula to its (known, value) masks, and every call on the model shares
+    it; only the bits of the region that are not yet known are computed.
     Implication, atom and falsum nodes are walked with an explicit stack,
     so long boolean chains need no recursion; the right side of an
     implication is asked only for the bits where its left side holds.
@@ -220,6 +220,7 @@ def evaluate_region(model, f: Formula, region: int, modal) -> int:
     theories that evaluate the same node at other worlds, and no world is
     asked twice for one node.
     """
+    modal = model._clause
     memo = model._masks.get(modal)
     if memo is None:
         memo = model._masks[modal] = {}

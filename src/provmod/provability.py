@@ -4,25 +4,26 @@ A provability model is a Kripke model whose modal clause asks a theory: a
 boxed formula holds at a world when every successor's theory derives the
 argument, and the binary modal operator of the interpretability language is
 evaluated through diamond-consequence over a finite witness family.  Both
-clauses run on ``kripke.evaluate_region``, which poly models use too: it
-evaluates a formula on a mask of worlds, keeping per formula the worlds
-where its truth is known in the model's one table for the clause, and
-hands a modal node the worlds it is asked at.  Both clauses are module
-functions, ``_pm_box`` and ``_pm_rhd``; a pre-model keeps the one its
-language takes, and an rhd-language pre-model also keeps its witness
-family; the implications the rhd clause asks about are kept on the rhd
-node, so every model shares them.  ``pm_forces`` asks one-bit regions of
-the model's clause, and the axiom suites and completeness checks ask one
-region per formula.  A pre-model (``PreModel``) is a ``KripkeModel`` with
-a theory at each accessible world, so frame checks and plus-forcing take
-it as it is; a ``ProvabilityModel`` is a pre-model that also carries the
-certificate for its modal completeness, so every function here takes
-either kind as it is.
+clauses, the module functions ``_pm_box`` and ``_pm_rhd``, run on
+``kripke.evaluate_region``, which poly models use too: it evaluates a
+formula on a mask of worlds, keeping per formula the worlds where its
+truth is known in the model's one table for the clause, and hands a modal
+node the worlds it is asked at.  A pre-model keeps the clause its language
+takes as ``_clause``, where the evaluator reads it, and an rhd-language
+pre-model also keeps its witness family; the implications the rhd clause
+asks about are kept on the rhd node, so every model shares them.
+``pm_forces`` asks one-bit regions of the model, and the axiom suites and
+completeness checks ask one region per formula.  A pre-model
+(``PreModel``) is a ``KripkeModel`` with a theory at each accessible
+world, so frame checks and plus-forcing take it as it is; a
+``ProvabilityModel`` is a pre-model that also carries the certificate for
+its modal completeness, so every function here takes either kind as it is.
 
 On top of evaluation this module builds the two central constructions:
 lifting a Kripke model into an equivalent provability model, and generating
 the minimum necessitation-closed provability model over a forest pre-model,
-which is what makes the countermodel pipelines produce decidable models.
+which is what makes the countermodel pipelines produce decidable models;
+ILM generation takes its witness family from the caller.
 A generated theory decides derivability by truth in the model it belongs
 to: per top/bot assignment to the free atoms, the instantiated query must
 hold wherever the instantiated seed axioms do, across the world's
@@ -234,7 +235,7 @@ def pm_forces(model, world, f: Formula) -> bool:
     exact beyond the family only when the family covers the bounded-height
     representatives (otherwise a generated model is ``family_bounded``)."""
     bit = _check_query(model, world, f, model.language, PreModelError)
-    return bool(evaluate_region(model, f, bit, model._clause) & bit)
+    return bool(evaluate_region(model, f, bit) & bit)
 
 
 # the benchmark in ``perfbench/`` imports and traces this name
@@ -246,10 +247,9 @@ def pm_forces_plus(model, world, f: Formula) -> bool:
     predecessor, each predecessor's cone evaluated as one region; false at
     worlds that are not accessible."""
     _check_query(model, world, f, model.language, PreModelError)
-    modal = model._clause
     for u in model.predecessors(world):
         cone = model.descendant_mask(u)
-        if not cone & ~evaluate_region(model, f, cone, modal):
+        if not cone & ~evaluate_region(model, f, cone):
             return True
     return False
 
@@ -265,8 +265,7 @@ def is_purely_modal_family_complete(model, family) -> list:
     for f in members:
         _check_language(model, f, model.language, PreModelError)
     region = sum([model._bit[w] for w in model.theories])
-    truth = [evaluate_region(model, f, region, model._clause)
-             for f in members]
+    truth = [evaluate_region(model, f, region) for f in members]
     out = []
     for w in sorted(model.theories, key=str):
         th = model.theory(w)
@@ -320,7 +319,7 @@ def lift_kripke(model: KripkeModel, transitive: bool = False,
         for f in certify_family:
             _check_language(model, f, BOX)
             differ = evaluate_mask(model, f, _box) ^ \
-                evaluate_region(lifted, f, lifted._full, _pm_box)
+                evaluate_region(lifted, f, lifted._full)
             if differ:
                 w = lifted._order[(differ & -differ).bit_length() - 1]
                 raise PreModelError(
@@ -355,8 +354,7 @@ def project_and_check(model, family) -> tuple[KripkeModel, ProjectionReport]:
     closed_family = tuple(closed)
     for f in closed_family:
         _check_language(model, f, BOX, PreModelError)
-    truth = [evaluate_region(model, f, model._full, _pm_box)
-             for f in closed_family]
+    truth = [evaluate_region(model, f, model._full) for f in closed_family]
     for w in sorted(model.theories, key=str):
         th = model.theory(w)
         bit = model._bit[w]
@@ -451,7 +449,7 @@ class GeneratedTheory:
             (parent,) = P._pred[self.world]
             cone = self._cone = P.descendant_mask(parent)
             masks = self._phi_masks = {
-                phi_a: evaluate_region(P, phi_a, cone, P._clause)
+                phi_a: evaluate_region(P, phi_a, cone)
                 for phi_a in fm.instance_table(self.phi)[1]}
         return [(masks[phi_a], j)
                 for phi_a, j in self._assignment_pairs(names)]
@@ -464,12 +462,11 @@ class GeneratedTheory:
         pairs = self._pairs.get(names)
         if pairs is None:
             pairs = self._pairs[names] = self._mask_pairs(names)
-        modal = P._clause
         cone = left = self._cone
         for mask, j in pairs:
             holds = mask & left
             if holds:
-                left &= ~holds | evaluate_region(P, f_inst[j], holds, modal)
+                left &= ~holds | evaluate_region(P, f_inst[j], holds)
         return left == cone
 
 
@@ -498,11 +495,12 @@ def _phi(axioms, language) -> Formula:
 
 
 def _generate(seed: PreModel, language: str, e_family, family_bounded):
+    _check_seed(seed, language)
     if language == RHD:
-        # the family's order sets the order of derivability queries
-        e_family = tuple(sorted(set(e_family), key=fm.sort_key))
         if not e_family:
             raise GenerationError("e_family must be nonempty")
+        # the family's order sets the order of derivability queries
+        e_family = tuple(sorted(set(e_family), key=fm.sort_key))
     oracles = {w: TheoryOracle(
         language=language,
         axioms=th.axioms,
@@ -535,29 +533,15 @@ def _generate(seed: PreModel, language: str, e_family, family_bounded):
 def generate_gl(seed: PreModel) -> ProvabilityModel:
     """Minimum necessitation-closed provability model over a forest
     pre-model (box language): no cycle, and at most one parent per world."""
-    _check_seed(seed, BOX)
     return _generate(seed, BOX, None, False)
 
 
-def generate_ilm(seed: PreModel, e_family=None) -> ProvabilityModel:
-    """The rhd-language counterpart of ``generate_gl``.
-
-    With no family given, worlds and atoms must fit the representative-set
-    envelope, which then makes rhd evaluation exact; a caller-supplied
-    family works at any size but marks the model family-bounded.
-    """
-    _check_seed(seed, RHD)
-    if e_family is not None:
-        return _generate(seed, RHD, e_family, True)
-    names = sorted({a for (_, a) in seed.valuation}
-                   | {a for th in seed.theories.values()
-                      for ax in th.axioms for a in fm.atoms(ax)})
-    try:
-        rep = representatives_ilm(len(seed.worlds), names)
-    except EnvelopeError as exc:
-        raise GenerationError(
-            f"{exc}; pass e_family explicitly for larger models") from exc
-    return _generate(seed, RHD, rep.members, False)
+def generate_ilm(seed: PreModel, e_family) -> ProvabilityModel:
+    """The rhd-language counterpart of ``generate_gl``, over the nonempty
+    witness family ``e_family``.  The model is family-bounded, since a
+    given family is not known to cover the bounded-height representatives;
+    ``countermodel_pipeline_ilm`` picks its own family and knows."""
+    return _generate(seed, RHD, e_family, True)
 
 
 # ---------------------------------------------------------------------------
@@ -685,9 +669,8 @@ def soundness_suite(model, logic: str, atom_names, depth: int = 2):
             else box_axiom_instances(logic, key[1], depth))
     failures = []
     full = model._full
-    modal = model._clause
     for (name, f) in instances:
-        holds = evaluate_region(model, f, full, modal)
+        holds = evaluate_region(model, f, full)
         if holds != full:
             failures.extend((name, f, w) for i, w in enumerate(model._order)
                             if not holds >> i & 1)
@@ -733,7 +716,6 @@ def _seed_generate_verify(f, refuting, w0, modal, stable, family,
                 for w in refuting.accessible_worlds()}
     seed = PreModel(refuting.worlds, refuting.edges, refuting.valuation,
                     theories, language)
-    _check_seed(seed, language)
     generated = _generate(seed, language,
                           family if language == RHD else None,
                           family_bounded)

@@ -67,6 +67,12 @@ def test_interpret_exit_codes(capsys):
     assert payload["phrases"]
 
 
+def test_a_theory_descriptor_that_is_not_an_object_exits_two(capsys):
+    code, out, err = run(capsys, "interpret", "--theory", '["x"]', "[]p")
+    assert (code, out) == (2, "")
+    assert err == "error: theory must be an object, not ['x']\n"
+
+
 def test_eval_on_kripke_document(capsys, tmp_path):
     k = KripkeModel(["w0", "w1"], [("w0", "w1")], [("w1", "p")])
     path = tmp_path / "model.json"
@@ -304,6 +310,22 @@ def test_eval_of_an_rhd_seed_takes_its_family_from_the_option(capsys,
     assert err == "error: rhd evaluation needs a nonempty witness family\n"
 
 
+@pytest.mark.parametrize("seed", [
+    _rhd_seed(), PreModel(["w0"], [], [], {}, "rhd")])
+@pytest.mark.parametrize("argv", [
+    ("generate", "--seed-model"), ("eval", "--world", "w0", "p", "--model"),
+    ("check", "--suite", "classical", "--model")])
+def test_an_rhd_seed_without_a_family_does_not_generate(capsys, tmp_path,
+                                                        seed, argv):
+    # no family is guessed, whatever the seed's size
+    path = tmp_path / "seed.json"
+    docio.save_path(path, docio.model_to_doc(seed, meta={"generate": True}))
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: generating an rhd seed needs its e_family or "
+                   "--family\n")
+
+
 def test_a_generated_rhd_document_keeps_its_own_family(capsys, tmp_path,
                                                        monkeypatch):
     from provmod import provability
@@ -347,13 +369,17 @@ def test_a_generated_rhd_document_keeps_its_own_family(capsys, tmp_path,
 
 
 _SUITE_KINDS = {"classical": "a pre-model or poly-model document",
-                "modal_completeness": "a pre-model document"}
+                "modal_completeness": "a pre-model document",
+                "glp": "a poly-model document",
+                "glp_soundness": "a poly-model document",
+                "soundness": "a pre-model document"}
 
 
 @pytest.mark.parametrize("suite, kind", [
     ("classical", "kripke"), ("classical", "veltman"),
     ("modal_completeness", "kripke"), ("modal_completeness", "veltman"),
-    ("modal_completeness", "poly")])
+    ("modal_completeness", "poly"), ("glp", "premodel"),
+    ("glp_soundness", "premodel"), ("soundness", "poly")])
 def test_a_theory_suite_on_a_document_without_theories_is_an_error(
         capsys, tmp_path, suite, kind):
     models = {
@@ -361,6 +387,8 @@ def test_a_theory_suite_on_a_document_without_theories_is_an_error(
         "veltman": VeltmanModel(["w", "u"], [("w", "u")], {"w": [("u", "u")]},
                                 [("u", "p")]),
         "poly": PolyModel(["w"], {0: []}, {}, [("w", "p")]),
+        "premodel": PreModel(["w0", "w1"], [("w0", "w1")], [],
+                             {"w1": finite_axioms_mp([p])}),
     }
     path = tmp_path / "model.json"
     docio.save_path(path, docio.model_to_doc(models[kind]))
@@ -472,18 +500,32 @@ def test_documents_that_would_be_misread_exit_two(capsys, tmp_path):
     # a string of atoms, a string of worlds and a one-world edge: read
     # as lists they would give the atoms p and q, the worlds a and b, and
     # an edge that does not unpack
-    docs = {"valuation of 'a'": {"worlds": ["a"], "edges": [],
-                                 "valuation": {"a": "pq"}},
-            "worlds": {"worlds": "ab", "edges": [], "valuation": {}},
-            "edges": {"worlds": ["a", "b"], "edges": [["a"]],
-                      "valuation": {}}}
-    for field, doc in docs.items():
+    docs = [({"worlds": ["a"], "edges": [], "valuation": {"a": "pq"}},
+             "valuation of 'a' must be a list of "),
+            ({"worlds": "ab", "edges": [], "valuation": {}},
+             "worlds must be a list of "),
+            ({"worlds": ["a", "b"], "edges": [["a"]], "valuation": {}},
+             "edges must be a list of ")]
+    # a max index of 1.9 loaded as 1 and 0.5 as 0, a level key of "0.5"
+    # died in int(), and a theory that is no object died with a traceback
+    poly = {"language": "omega", "worlds": ["a", "b"],
+            "edges": {"0": [["a", "b"]]},
+            "theories": {"b": {"0": {"kind": "finite_axioms_mp",
+                                     "axioms": ["p"]}}}}
+    docs += [({**poly, "max_index": 1.9}, "max_index must be an integer, "),
+             ({**poly, "max_index": 0.5}, "max_index must be an integer, "),
+             ({**poly, "edges": {"0.5": [["a", "b"]]}},
+              "edges key '0.5' is not a level number"),
+             ({"worlds": ["a", "u"], "edges": [["a", "u"]],
+               "theories": {"u": "finite_axioms_mp"}},
+              "theory must be an object, ")]
+    for doc, message in docs:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "--json", "eval", "--model", str(path),
                              "--world", "a", "p & q")
-        assert (code, out) == (2, ""), field
-        assert err.startswith(f"error: {field} must be a list of "), err
+        assert (code, out) == (2, ""), message
+        assert err.startswith(f"error: {message}"), err
         assert len(err.splitlines()) == 1, err
 
 
@@ -558,7 +600,7 @@ def test_check_modal_completeness_on_a_pre_model(capsys, tmp_path):
     code, out, err = run(capsys, "check", "--model", str(plain),
                          "--suite", "modal_completeness")
     assert (code, out) == (2, "")
-    assert err == "error: modal_completeness needs --family\n"
+    assert err == "error: the modal_completeness suite needs --family\n"
 
 
 def test_eval_on_a_veltman_document(capsys, tmp_path):

@@ -197,6 +197,9 @@ def test_schema_errors():
 
 _RHD_SEED = {"language": "rhd", "worlds": ["a", "b"], "edges": [["a", "b"]],
              "theories": {"b": {"kind": "finite_axioms_mp", "axioms": []}}}
+_POLY = {"language": "omega", "worlds": ["a", "b"],
+         "edges": {"0": [["a", "b"]]},
+         "theories": {"b": {"0": {"kind": "finite_axioms_mp", "axioms": []}}}}
 
 
 @pytest.mark.parametrize("doc, field", [
@@ -233,6 +236,19 @@ _RHD_SEED = {"language": "rhd", "worlds": ["a", "b"], "edges": [["a", "b"]],
     ({**_RHD_SEED, "theories": [["b", "p"]]}, "theories"),
     ({"language": "omega", "worlds": ["a", "b"], "edges": {"0": [["a", "b"]]},
       "theories": {"b": [["0", "gl"]]}}, "theories of 'b'"),
+    # a theory descriptor that is no object would be asked for its kind
+    ({**_RHD_SEED, "theories": {"b": "finite_axioms_mp"}}, "theory"),
+    ({**_POLY, "theories": {"b": {"0": "finite_axioms_mp"}}}, "theory"),
+    # a max index that is no integer would be truncated, true read as 1
+    ({**_POLY, "max_index": 1.9}, "max_index"),
+    ({**_POLY, "max_index": 0.5}, "max_index"),
+    ({**_POLY, "max_index": True}, "max_index"),
+    # a level key that is no level number would reach int()
+    ({**_POLY, "edges": {"0.5": [["a", "b"]]}}, "edges"),
+    ({**_POLY, "edges": {"0": [["a", "b"]], "01": []}}, "edges"),
+    ({**_POLY, "theories": {"b": {"0.5": {"kind": "finite_axioms_mp",
+                                          "axioms": []}}}},
+     "theories of 'b'"),
 ])
 def test_a_malformed_field_is_refused_by_name(doc, field):
     with pytest.raises(docio.DocumentError, match=f"^{re.escape(field)} "):
@@ -243,6 +259,9 @@ def test_the_seed_document_of_the_malformed_cases_loads():
     loaded = docio.doc_to_model({**_RHD_SEED, "e_family": ["top"]})
     assert loaded.kind == "premodel"
     assert loaded.model.e_family == (top(),)
+    for doc in (_POLY, {**_POLY, "max_index": 0}):
+        loaded = docio.doc_to_model(doc)
+        assert (loaded.kind, loaded.model.max_index) == ("poly", 0)
 
 
 def test_a_box_document_with_a_witness_family_is_refused(capsys, tmp_path):

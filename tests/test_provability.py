@@ -29,7 +29,6 @@ from provmod.provability import (
     PreModel,
     PreModelError,
     ProjectionError,
-    _pm_box,
     certify_modal_completeness,
     check_oracles_classical,
     countermodel_pipeline_gl,
@@ -256,8 +255,9 @@ def test_generate_requires_tree_and_finite_seed():
         generate_gl(seed)
 
 
-@pytest.mark.parametrize("language, generate", [(BOX, generate_gl),
-                                                (RHD, generate_ilm)])
+@pytest.mark.parametrize("language, generate", [
+    (BOX, generate_gl), (RHD, lambda seed: generate_ilm(seed, [top()]))],
+    ids=["box-generate_gl", "rhd-generate_ilm"])
 def test_generation_refuses_a_seed_that_is_not_a_forest(language, generate):
     # a transitive three-chain: c's theory would evaluate the cone of its
     # predecessor a, where a modal node at b asks c's theory again
@@ -406,14 +406,18 @@ def test_a_box_pre_model_refuses_a_witness_family():
                     BOX, []).e_family is None
 
 
-def test_generate_ilm_envelope_and_flag():
-    single = PreModel(["w"], [], [], {}, RHD)
-    model = generate_ilm(single)
-    assert not model.family_bounded
+@pytest.mark.parametrize("family", [None, []])
+def test_generate_ilm_refuses_a_missing_or_empty_family(family):
+    # a one-world seed too: no family is guessed for any seed size
+    for seed in (PreModel(["w"], [], [], {}, RHD),
+                 two_chain_premodel(language=RHD)):
+        with pytest.raises(GenerationError,
+                           match="^e_family must be nonempty$"):
+            generate_ilm(seed, family)
 
+
+def test_generate_ilm_envelope_and_flag():
     seed = two_chain_premodel([p], language=RHD)
-    with pytest.raises(GenerationError):
-        generate_ilm(seed)
     flagged = generate_ilm(seed, e_family=[top(), FALSUM])
     assert flagged.family_bounded
 
@@ -572,7 +576,7 @@ def test_region_evaluation_agrees_with_the_per_world_walk(kind, shape, data):
     # one world at a time, through the public entry points, on a third
     single = _region_model(*kind, shape)
     for f in fam:
-        got = kripke.evaluate_region(model, f, region, model._clause)
+        got = kripke.evaluate_region(model, f, region)
         for w in worlds:
             expected = support.reference_evaluate(reference, w, f, modal, memo)
             assert bool(got & model._bit[w]) == expected, (w, fm.to_text(f))
@@ -678,7 +682,7 @@ def test_a_world_decided_inside_the_clause_is_not_asked_again():
         return P, asked
 
     region, asked = model()
-    truth = kripke.evaluate_region(region, box(p), region._full, _pm_box)
+    truth = kripke.evaluate_region(region, box(p), region._full)
     single, expected = model()
     worlds = ["w0", "w1", "w2"]
     assert [pm_forces(single, w, box(p)) for w in worlds] == \
@@ -800,7 +804,7 @@ def test_generation_self_checks_evaluate_every_phi_instance_on_the_whole_cone(
             cone = model.descendant_mask(parent)
             phi = model.theory(w).decide.__self__.phi
             for phi_a in fm.instance_table(phi)[1]:
-                kripke.evaluate_region(model, phi_a, cone, model._clause)
+                kripke.evaluate_region(model, phi_a, cone)
         assert {w: model.theory(w)._memo for w in model.theories} == memos, \
             reference
 
@@ -813,9 +817,9 @@ def test_decide_evaluates_each_phi_instance_at_most_once_per_theory(
     evaluated: list = []
     original = provability.evaluate_region
 
-    def counting(model, f, region, modal):
+    def counting(model, f, region):
         evaluated.append(f)
-        return original(model, f, region, modal)
+        return original(model, f, region)
 
     monkeypatch.setattr(provability, "evaluate_region", counting)
     queries = [parse(t, language) for t in _FAMILY_TEXTS + _TWO_ATOM_TEXTS]
