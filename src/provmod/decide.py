@@ -392,54 +392,6 @@ def finfals_check(f: Formula, kmax: int) -> FinfalsReport:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle: exhaustive search over irreflexive transitive trees
-
-def _rooted_tree_shapes(n: int):
-    """Parent vectors of rooted trees on n nodes, one per isomorphism class."""
-    def ahu(children, v):
-        return "(" + "".join(sorted(ahu(children, c) for c in children[v])) + ")"
-
-    seen = set()
-    for parents in itertools.product(*(range(i) for i in range(1, n))):
-        children = {i: [] for i in range(n)}
-        for i, par in enumerate(parents, start=1):
-            children[par].append(i)
-        code = ahu(children, 0)
-        if code in seen:
-            continue
-        seen.add(code)
-        yield parents
-
-
-def gl_tree_models(max_nodes: int, atom_names):
-    """All irreflexive transitive tree models (transitively closed rooted
-    trees) with every valuation over the given atoms, up to iso of shapes."""
-    atom_names = sorted(atom_names)
-    for n in range(1, max_nodes + 1):
-        for parents in _rooted_tree_shapes(n):
-            worlds = [f"t{i}" for i in range(n)]
-            edges = set()
-            ancestors = {0: []}
-            for i, par in enumerate(parents, start=1):
-                ancestors[i] = ancestors[par] + [par]
-                for a in ancestors[i]:
-                    edges.add((f"t{a}", f"t{i}"))
-            cells = [(w, a) for w in worlds for a in atom_names]
-            for bits in itertools.product((False, True), repeat=len(cells)):
-                valuation = [cell for cell, b in zip(cells, bits) if b]
-                yield KripkeModel(worlds, edges, valuation)
-
-
-def gl_valid_brute(f: Formula, max_nodes: int = 4):
-    """Exhaustive root-evaluation over small tree models.  Returns None when
-    no refutation exists within the bound, else (model, world)."""
-    for model in gl_tree_models(max_nodes, fm.atoms(f)):
-        if not forces(model, "t0", f):
-            return model, "t0"
-    return None
-
-
-# ---------------------------------------------------------------------------
 # bounded countermodel search for the interpretability logic
 
 def _strict_posets(n: int) -> list:

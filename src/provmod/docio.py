@@ -83,8 +83,11 @@ def theory_from_descriptor(desc: dict, language: str,
         if kripke_context is None:
             raise DocumentError("kripke_world theory needs the document's "
                                 "own frame")
+        world = desc.get("world")
+        if not isinstance(world, str):
+            raise DocumentError(f"world must be a world name, not {world!r}")
         return kripke_world_theory(
-            kripke_context, desc["world"],
+            kripke_context, world,
             transitive=_flag(desc.get("transitive", False), "transitive"))
     raise DocumentError(f"unknown theory descriptor kind {kind!r}")
 

@@ -38,6 +38,14 @@ class PolyModelError(ModelError):
     pass
 
 
+def _integer(value, field: str) -> int:
+    """``value`` if it is an int; ``int`` would read 1.9 and true as 1 and
+    the string "0" as 0."""
+    if type(value) is not int:
+        raise PolyModelError(f"{field} must be an integer, not {value!r}")
+    return value
+
+
 class PolyModel(KripkeModel):
     """Finite frame with accessibility relations indexed 0..max_index.
 
@@ -53,10 +61,9 @@ class PolyModel(KripkeModel):
     __hash__ = object.__hash__
 
     def __init__(self, worlds, edges, theories, valuation, max_index=None):
-        by_level = {int(n): es for n, es in edges.items()}
-        if max_index is None:
-            max_index = max(by_level, default=0)
-        max_index = int(max_index)
+        by_level = {_integer(n, "edge level"): es for n, es in edges.items()}
+        max_index = (max(by_level, default=0) if max_index is None
+                     else _integer(max_index, "max_index"))
         if max_index < 0 or not all(0 <= n <= max_index for n in by_level):
             raise PolyModelError(f"edge levels {sorted(by_level)} must lie "
                                  f"in 0..{max_index}")
@@ -77,7 +84,7 @@ class PolyModel(KripkeModel):
         flat: dict[tuple, TheoryOracle] = {}
         for w, per_level in theories.items():
             for n, oracle in per_level.items():
-                flat[(w, int(n))] = oracle
+                flat[(w, _integer(n, f"theory level of {w!r}"))] = oracle
         expected = {(w, n) for w in accessible
                     for n in range(max_index + 1)}
         if set(flat) != expected:

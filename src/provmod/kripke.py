@@ -61,10 +61,6 @@ class VeltmanFrameError(ModelError):
         self.witness = witness
 
 
-class OrderError(ModelError):
-    """Order utilities applied outside their preconditions."""
-
-
 def _world_key(w) -> str:
     return str(w)
 
@@ -489,49 +485,6 @@ def check_frame(model) -> FrameReport:
         forest=PropertyCheck(forest_w is None, forest_w),
     )
     return model._report
-
-
-# ---------------------------------------------------------------------------
-# order utilities on converse well-founded frames
-
-def immediate_predecessors(model, w) -> frozenset:
-    """Predecessors u of w with nothing strictly between them."""
-    preds = set()
-    for u in model.worlds:
-        if (u, w) not in model.edges:
-            continue
-        if any(w in model.descendants(v) for v in model.descendants(u)):
-            continue
-        preds.add(u)
-    return frozenset(preds)
-
-
-def pred(model, w):
-    """The unique immediate predecessor on a tree frame."""
-    report = check_frame(model)
-    if not report.tree or not report.converse_well_founded:
-        raise OrderError("pred is only defined on converse well-founded trees")
-    preds = immediate_predecessors(model, w)
-    if not preds:
-        raise OrderError(f"{w!r} has no predecessor")
-    if len(preds) != 1:
-        raise OrderError(f"{w!r} has several immediate predecessors")
-    return next(iter(preds))
-
-
-def sim(model, w, u) -> bool:
-    """Equal, or sharing an immediate predecessor."""
-    if w == u:
-        return True
-    return bool(immediate_predecessors(model, w) & immediate_predecessors(model, u))
-
-
-def hat_less(model, w, u) -> bool:
-    """w is similar to some strict ancestor of u."""
-    for v in model.worlds:
-        if u in model.descendants(v) and sim(model, w, v):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Shared helpers for the acceptance suite: seeded formula generators,
-exhaustive model enumerations with isomorphism pruning, slow reference
-versions of optimized library code, and a vectorized dual evaluator for
-the lift-equivalence sweep."""
+exhaustive model enumerations with isomorphism pruning, the brute-force
+GL oracle over rooted tree models, slow reference versions of optimized
+library code, and a vectorized dual evaluator for the lift-equivalence
+sweep."""
 
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from provmod.formulas import (
     rhd,
     top,
 )
-from provmod.kripke import KripkeModel, _check_query
+from provmod.kripke import KripkeModel, _check_query, forces
 
 
 def random_formula(rng, lang, depth, atom_pool):
@@ -859,6 +860,44 @@ def tree_seeds(max_nodes: int, axiom_sets):
                 seen.add(code)
                 out.append((parents, tuple(labels)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# brute-force GL oracle: exhaustive search over irreflexive transitive trees,
+# whose shapes are the forests above with world 0 as the only root
+
+def gl_tree_models(max_nodes: int, atom_names):
+    """All irreflexive transitive tree models (transitively closed rooted
+    trees) with every valuation over the given atoms, up to iso of shapes."""
+    atom_names = sorted(atom_names)
+    seen = set()
+    for n in range(1, max_nodes + 1):
+        for parents in _forest_parent_vectors(n):
+            if -1 in parents[1:]:
+                continue
+            code = _canonical_forest(parents, [0] * n)
+            if code in seen:
+                continue
+            seen.add(code)
+            worlds = [f"t{i}" for i in range(n)]
+            edges = set()
+            ancestors = {0: []}
+            for i in range(1, n):
+                ancestors[i] = ancestors[parents[i]] + [parents[i]]
+                edges.update((f"t{a}", f"t{i}") for a in ancestors[i])
+            cells = [(w, a) for w in worlds for a in atom_names]
+            for bits in itertools.product((False, True), repeat=len(cells)):
+                valuation = [cell for cell, b in zip(cells, bits) if b]
+                yield KripkeModel(worlds, edges, valuation)
+
+
+def gl_valid_brute(f, max_nodes: int = 4):
+    """Exhaustive root-evaluation over small tree models.  Returns None when
+    no refutation exists within the bound, else (model, world)."""
+    for model in gl_tree_models(max_nodes, fm.atoms(f)):
+        if not forces(model, "t0", f):
+            return model, "t0"
+    return None
 
 
 def seed_premodel(parents, labels, axiom_sets, language=BOX, e_family=None):

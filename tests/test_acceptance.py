@@ -41,7 +41,6 @@ from provmod.decide import (
     enumerate_veltman_models,
     finfals_check,
     gl_consequence,
-    gl_valid_brute,
 )
 from provmod.glp import check_glp_model, glp_soundness_suite
 from provmod.interpret import (
@@ -259,7 +258,7 @@ def test_03_gl_decision_vs_brute_force():
         assert not forces(verdict.countermodel, verdict.world, f)
 
     for f in corpus:
-        brute = gl_valid_brute(f, max_nodes=4)
+        brute = support.gl_valid_brute(f, max_nodes=4)
         if decide_gl(f).is_theorem:
             assert brute is None, to_text(f)
         else:

@@ -45,7 +45,6 @@ from provmod.decide import (
     enumerate_veltman_models,
     finfals_check,
     gl_consequence,
-    gl_valid_brute,
     representatives_gl,
     representatives_ilm,
 )
@@ -130,16 +129,27 @@ def _random_box_formula(rng, depth, pool):
 
 
 def test_gl_agrees_with_brute_force_search():
+    import support
+
     rng = random.Random(11)
     for _ in range(120):
         f = _random_box_formula(rng, 2, [p, q])
-        brute = gl_valid_brute(f, max_nodes=4)
+        brute = support.gl_valid_brute(f, max_nodes=4)
         verdict = decide_gl(f)
         if verdict.is_theorem:
             assert brute is None, fm.to_text(f)
         elif brute is not None:
             model, world = brute
             assert not forces(model, world, f)
+
+
+def test_gl_tree_models_are_the_rooted_trees_up_to_isomorphism():
+    import support
+
+    # 1, 1, 2 and 4 rooted trees on 1 to 4 nodes (OEIS A000081)
+    assert sum(1 for _ in support.gl_tree_models(4, [])) == 8
+    # with one atom: 2 + 4 + 2 * 8 + 4 * 16 valuations
+    assert sum(1 for _ in support.gl_tree_models(4, ["p"])) == 86
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,10 @@ _POLY = {"language": "omega", "worlds": ["a", "b"],
     ({**_POLY, "theories": {"b": {"0.5": {"kind": "finite_axioms_mp",
                                           "axioms": []}}}},
      "theories of 'b'"),
+    # a missing world would raise KeyError, a list would reach a dict lookup
+    ({**_RHD_SEED, "theories": {"b": {"kind": "kripke_world"}}}, "world"),
+    ({**_RHD_SEED, "theories": {"b": {"kind": "kripke_world",
+                                      "world": ["b"]}}}, "world"),
 ])
 def test_a_malformed_field_is_refused_by_name(doc, field):
     with pytest.raises(docio.DocumentError, match=f"^{re.escape(field)} "):

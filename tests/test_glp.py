@@ -65,6 +65,21 @@ def test_poly_model_rejects_negative_levels():
         PolyModel(["w"], {-1: [("w", "w")]}, {}, [])
 
 
+@pytest.mark.parametrize("edges, theory_level, max_index, field", [
+    # int() would read 1.9 and true as 1 and the key "0" as level 0
+    ({0: [("w", "u")], 1: []}, 1, 1.9, "max_index"),
+    ({0: [("w", "u")], 1: []}, 1, True, "max_index"),
+    ({"0": [("w", "u")]}, 0, None, "edge level"),
+    ({0: [("w", "u")]}, "0", None, "theory level of 'u'"),
+])
+def test_poly_model_refuses_a_level_that_is_no_integer(edges, theory_level,
+                                                       max_index, field):
+    leaf = leaf_truth_oracle(set())
+    theories = {"u": {0: leaf, theory_level: leaf}}
+    with pytest.raises(PolyModelError, match=f"^{field} must be an integer"):
+        PolyModel(["w", "u"], edges, theories, [], max_index=max_index)
+
+
 def test_poly_model_levels_share_worlds_and_valuation():
     m = fixture_chain()
     assert [level.worlds for level in m.levels] == \

@@ -24,16 +24,11 @@ from provmod.formulas import (
 from provmod.kripke import (
     KripkeModel,
     ModelError,
-    OrderError,
     VeltmanFrameError,
     VeltmanModel,
     check_frame,
     forces,
     forces_plus,
-    hat_less,
-    immediate_predecessors,
-    pred,
-    sim,
     unravel,
     unravelled_forces,
     veltman_forces,
@@ -240,54 +235,6 @@ def test_cycle_search_matches_a_recursive_search():
         k = KripkeModel(worlds, edges, [])
         assert kripke._find_cycle(k.worlds, k._succ) == \
             support.recursive_find_cycle(k.worlds, k._succ)
-
-
-# ---------------------------------------------------------------------------
-# order utilities
-
-def test_pred_and_hat_less_on_chain():
-    k = chain(3)
-    assert pred(k, "w2") == "w1"
-    assert pred(k, "w1") == "w0"
-    assert hat_less(k, "w1", "w2")
-    assert not hat_less(k, "w2", "w1")
-
-
-def test_siblings_are_similar_but_not_hat_less():
-    k = KripkeModel("wuv", [("w", "u"), ("w", "v")], [])
-    assert sim(k, "u", "v")
-    assert not hat_less(k, "u", "v")
-    assert hat_less(k, "u", "u") is False
-
-
-def test_pred_fails_at_root():
-    k = chain(2)
-    with pytest.raises(OrderError):
-        pred(k, "w0")
-
-
-def test_pred_fails_on_non_tree():
-    k = KripkeModel("wuvz", [("w", "z"), ("u", "z"), ("v", "w"), ("v", "u")], [])
-    with pytest.raises(OrderError):
-        pred(k, "z")
-
-
-def test_immediate_predecessor_skips_transitive_edge():
-    k = KripkeModel("abc", [("a", "b"), ("b", "c"), ("a", "c")], [])
-    assert immediate_predecessors(k, "c") == frozenset({"b"})
-
-
-def test_hat_less_acyclic_on_trees():
-    k = KripkeModel(
-        "rabxy",
-        [("r", "a"), ("r", "b"), ("a", "x"), ("a", "y")],
-        [],
-    )
-    order = [(w, u) for w in k.worlds for u in k.worlds if hat_less(k, w, u)]
-    # no cycles: hat_less has no pair in both directions and no self loops
-    for (w, u) in order:
-        assert w != u
-        assert (u, w) not in order
 
 
 # ---------------------------------------------------------------------------
