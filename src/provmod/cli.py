@@ -256,7 +256,7 @@ def cmd_reps(args) -> int:
     names = [a for a in (args.atoms.split(",") if args.atoms else []) if a]
     rep = (representatives_gl(args.n, names) if args.logic == "gl"
            else representatives_ilm(args.n, names))
-    payload = {"logic": args.logic, "n": args.n, "atoms": names,
+    payload = {"logic": args.logic, "n": args.n, "atoms": list(rep.atoms),
                "members": [to_text(m) for m in rep.members]}
     _emit(args, payload, "\n".join(payload["members"]))
     return 0

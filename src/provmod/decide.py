@@ -35,6 +35,8 @@ from provmod.formulas import (
 from provmod.kripke import (
     KripkeModel,
     VeltmanModel,
+    _Lanes,
+    _lane_rhd,
     check_frame,
     evaluate_mask,
     forces,
@@ -540,69 +542,12 @@ def enumerate_veltman_models(n: int, atom_names, max_height: int | None = None):
     canonicalized only on frames with automorphisms.  A model is the code's
     representative that a minimum over all n! full triples gives, and the
     models come in the order of the labelled candidates they stand for.
-    Each model shares its frame's tables (``VeltmanModel.with_valuation``),
+    Each model shares its frame's tables (``KripkeModel.with_valuation``),
     so the frame clauses are checked once per frame.
     """
     for frame, valuations in _veltman_frames(n, atom_names, max_height):
         for valuation in valuations:
             yield frame.with_valuation(valuation)
-
-
-class _Lanes:
-    """One frame under V valuations at once, for ``evaluate_mask``: bit
-    ``i*V + v`` of a mask stands for the i-th world in ``str`` order under
-    the v-th valuation, so lane v is the model of the v-th valuation and a
-    world's truth under every valuation is one V-bit block."""
-
-    def __init__(self, frame: VeltmanModel, valuations):
-        width = self.width = len(valuations)
-        order = frame._order
-        index = {w: i for i, w in enumerate(order)}
-        self.lane = (1 << width) - 1
-        self._full = (1 << len(order) * width) - 1
-        self.shifts = [i * width for i in range(len(order))]
-        atoms: dict = {}
-        for v, valuation in enumerate(valuations):
-            for w, a in valuation:
-                atoms[a] = atoms.get(a, 0) | 1 << index[w] * width + v
-        self._atom_masks = atoms
-        # per world: its block shift and, per successor, the successor's
-        # index and the indices of the worlds preorder-above it there
-        self.table = [
-            (index[w] * width,
-             [(index[u], [index[z] for (x, z) in frame.preorders[w] if x == u])
-              for u in frame._succ[w]])
-            for w in order]
-
-    def first(self, mask: int):
-        """The lowest lane with a bit set in ``mask``, and the index of its
-        lowest world there."""
-        lane = self.lane
-        lanes = 0
-        for s in self.shifts:
-            lanes |= mask >> s & lane
-        v = (lanes & -lanes).bit_length() - 1
-        i = next(i for i, s in enumerate(self.shifts) if mask >> s + v & 1)
-        return v, i
-
-
-def _lane_rhd(lanes: _Lanes, left: int, right: int) -> int:
-    """``kripke._rhd`` on every lane at once, one V-bit block per world."""
-    lane = lanes.lane
-    lb = [left >> s & lane for s in lanes.shifts]
-    rb = [right >> s & lane for s in lanes.shifts]
-    out = 0
-    for shift, edges in lanes.table:
-        block = lane
-        for j, above in edges:
-            a = lb[j]
-            if a:
-                up = 0
-                for z in above:
-                    up |= rb[z]
-                block &= (lane ^ a) | up
-        out |= block << shift
-    return out
 
 
 def decide_ilm(f: Formula, size_bound: int = 3,
@@ -611,7 +556,8 @@ def decide_ilm(f: Formula, size_bound: int = 3,
     of one up to the bound is reported as such, never promoted here.
 
     The target is evaluated once per frame of ``_veltman_frames``, on all of
-    the frame's valuations at once (``_Lanes``).  The lowest failing lane,
+    the frame's valuations at once (``kripke._Lanes``, read off the frame's
+    rhd table, under ``kripke._lane_rhd``).  The lowest failing lane,
     and in it the lowest failing world in ``str`` order, is the first
     failing world of the first countermodel that ``enumerate_veltman_models``
     gives.  Only that model is built, and it is re-checked with
@@ -727,12 +673,13 @@ def _representative_set(logic, n, atom_names, types, chars,
 def representatives_gl(n: int, atom_names) -> RepresentativeSet:
     """One member per equivalence class of the height-bounded fragment,
     built as disjunctions of tree-type characteristic formulas."""
-    atom_names = tuple(sorted(atom_names))
+    atom_names = tuple(sorted(set(atom_names)))
     # one class per set of types; n = 2 over 2 atoms has 64 types
     k = len(atom_names)
-    if not (n <= 1 and k <= 2 or n == 2 and k <= 1):
-        raise EnvelopeError("representatives are supported for n <= 1 with "
-                            "at most 2 atoms, or n = 2 with at most 1 atom")
+    if not (0 <= n <= 1 and k <= 2 or n == 2 and k <= 1):
+        raise EnvelopeError("representatives are supported for 0 <= n <= 1 "
+                            "with at most 2 atoms, or n = 2 with at most 1 "
+                            "atom")
     if n == 0:
         return RepresentativeSet(GL_LOGIC, 0, atom_names, (FALSUM,),
                                  (frozenset(),), (), (), ())
@@ -743,10 +690,10 @@ def representatives_gl(n: int, atom_names) -> RepresentativeSet:
 
 
 def representatives_ilm(n: int, atom_names) -> RepresentativeSet:
-    atom_names = tuple(sorted(atom_names))
-    if n > 1 or len(atom_names) > 1:
-        raise EnvelopeError("ilm representatives are supported for n <= 1 "
-                            "and at most 1 atom")
+    atom_names = tuple(sorted(set(atom_names)))
+    if not 0 <= n <= 1 or len(atom_names) > 1:
+        raise EnvelopeError("ilm representatives are supported for 0 <= n "
+                            "<= 1 and at most 1 atom")
     if n == 0:
         return RepresentativeSet(ILM_LOGIC, 0, atom_names, (FALSUM,),
                                  (frozenset(),), (), (), ())

@@ -17,7 +17,10 @@ first, and both evaluators keep one table per clause on the model.
   gets one integer mask of the worlds where it holds.  It takes the
   clause from its caller: ``veltman_forces`` and ``veltman_forces_alt``
   read one model under two.  ``forces``, ``forces_plus`` and
-  ``unravelled_forces`` read it too.
+  ``unravelled_forces`` read it too.  Its third target is ``_Lanes``, a
+  Veltman model or unravelling under many valuations at once (bit
+  ``i*V + v`` is world i under valuation v), built from the model's rhd
+  table and read by the one lane clause ``_lane_rhd``.
 - ``evaluate_region`` decides a formula on a region, a mask of requested
   worlds, for the models whose modal clause asks theories (pre-models and
   poly models in ``provability`` and ``glp``), by the one clause such a
@@ -37,8 +40,8 @@ clause, its descendant sets and masks, and its frame report once
 ``check_frame`` has run; all are filled on demand, and an answer once
 written never changes (a region table only learns more bits), so
 instances can be shared between threads: a lost update is only computed
-again.  ``with_valuation`` derives a Kripke or Veltman model on
-the same frame that shares every frame table.
+again.  ``with_valuation`` derives a Kripke model, Veltman model or
+unravelling on the same frame that shares the model's whole state.
 """
 
 from __future__ import annotations
@@ -113,31 +116,19 @@ class KripkeModel:
     def with_valuation(self, valuation):
         """The model on this frame with another valuation.
 
-        The new model shares every frame table with this one (successors,
-        predecessors, world order and bits, the box table, and the
-        descendants and frame report as far as they are computed); only its
-        valuation, atom masks and mask tables are its own.  A valuation
-        entry outside the world set raises ``ModelError``.  The attributes
-        are assigned in ``__init__``'s order, so the instance keeps the
-        compact attribute layout that a constructed one has.  The other
-        kinds keep valuation-dependent state of their own (pre-models,
-        unravellings, poly models) and raise ``ModelError``.
-        """
-        if type(self) not in (KripkeModel, VeltmanModel):
+        The new model shares the whole state of this one (frame tables,
+        preorders, rhd table, and the descendants and frame report as far
+        as they are computed); only its valuation, atom masks and mask
+        tables are its own.  A valuation entry outside the world set raises
+        ``ModelError``, and so do pre-models, provability models and poly
+        models, whose theories depend on the valuation."""
+        if type(self) not in (KripkeModel, VeltmanModel, UnravelledVeltman):
             raise ModelError(f"{type(self).__name__} keeps state that depends "
                              f"on its valuation; build it anew instead")
         new = object.__new__(type(self))
-        new.worlds = self.worlds
-        new.edges = self.edges
-        new._succ = self._succ
-        new._pred = self._pred
-        new._descendants = self._descendants
-        new._desc_masks = self._desc_masks
-        new._report = self._report
-        new._order = self._order
-        new._bit = self._bit
-        new._full = self._full
-        new._box_table = self._box_table
+        # attribute by attribute, so the instance keeps its compact layout
+        for name, value in self.__dict__.items():
+            setattr(new, name, value)
         new._set_valuation(valuation)
         return new
 
@@ -356,6 +347,74 @@ def _sibling_rhd(model, left: int, right: int) -> int:
     return out
 
 
+def _indices(mask: int) -> list:
+    """The indices of the bits set in ``mask``, lowest first."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+class _Lanes:
+    """A Veltman model or unravelling under V valuations at once, for
+    ``evaluate_mask``: bit ``i*V + v`` of a mask stands for the i-th world
+    in ``str`` order under the v-th valuation, so lane v is the model of the
+    v-th valuation and a world's truth under every valuation is one V-bit
+    block.  The entries are read off the model's ``_rhd_table``: per
+    successor, the worlds tested against ``left`` and the worlds
+    preorder-above it.  A Veltman model tests the successor itself (as
+    ``_rhd``), an unravelling its preorder-above set (as ``_sibling_rhd``),
+    so ``_lane_rhd`` is both clauses."""
+
+    def __init__(self, model, valuations):
+        width = len(valuations)
+        order = model._order
+        index = {w: i for i, w in enumerate(order)}
+        self.lane = (1 << width) - 1
+        self._full = (1 << len(order) * width) - 1
+        self.shifts = [i * width for i in range(len(order))]
+        atoms: dict = {}
+        for v, valuation in enumerate(valuations):
+            for w, a in valuation:
+                atoms[a] = atoms.get(a, 0) | 1 << index[w] * width + v
+        self._atom_masks = atoms
+        sibling = type(model) is UnravelledVeltman
+        self.table = [
+            (shift, [(_indices(up if sibling else v), _indices(up))
+                     for v, up in edges])
+            for shift, (_, edges) in zip(self.shifts, model._rhd_table)]
+
+    def first(self, mask: int):
+        """The lowest lane with a bit set in ``mask``, and the index of its
+        lowest world there."""
+        lane = self.lane
+        lanes = 0
+        for s in self.shifts:
+            lanes |= mask >> s & lane
+        v = (lanes & -lanes).bit_length() - 1
+        i = next(i for i, s in enumerate(self.shifts) if mask >> s + v & 1)
+        return v, i
+
+
+def _lane_rhd(lanes: _Lanes, left: int, right: int) -> int:
+    """The rhd clause of the lanes' model on every lane at once, one V-bit
+    block per world."""
+    lane = lanes.lane
+    lb = [left >> s & lane for s in lanes.shifts]
+    rb = [right >> s & lane for s in lanes.shifts]
+    out = 0
+    for shift, edges in lanes.table:
+        block = lane
+        for tested, above in edges:
+            a = 0
+            for j in tested:
+                a |= lb[j]
+            if a:
+                up = 0
+                for z in above:
+                    up |= rb[z]
+                block &= (lane ^ a) | up
+        out |= block << shift
+    return out
+
+
 def plus(model, world, mask: int) -> bool:
     """Plus-forcing: ``mask`` covers every strict descendant of some
     predecessor of the world; false when the world has no predecessor."""
@@ -552,14 +611,6 @@ class VeltmanModel(KripkeModel):
                             for v in self._succ[w]]))
             for w in self._order])
 
-    def with_valuation(self, valuation):
-        """The model on this frame with another valuation; the preorders and
-        the rhd table are shared too (see ``KripkeModel.with_valuation``)."""
-        new = super().with_valuation(valuation)
-        new.preorders = self.preorders
-        new._rhd_table = self._rhd_table
-        return new
-
     def __eq__(self, other):
         return super().__eq__(other) and self.preorders == other.preorders
 
@@ -622,7 +673,6 @@ class UnravelledVeltman(KripkeModel):
              for u in source.successors(sigma[-1])),
             ((sigma, a) for sigma in worlds
              for a in source.true_atoms(sigma[-1])))
-        self.source = source
         pre = set()
         for eta in self.worlds:
             w = eta[-1]

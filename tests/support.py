@@ -406,6 +406,16 @@ def reference_unravelled_above(u_model, sigma):
                         key=str))
 
 
+def path_valuations(u_model, valuations):
+    """Valuations of a Veltman frame carried to its unravelling: each path
+    takes the valuation of its last world."""
+    paths_to: dict = {}
+    for sigma in u_model._order:
+        paths_to.setdefault(sigma[-1], []).append(sigma)
+    return [[(sigma, a) for (w, a) in val for sigma in paths_to.get(w, ())]
+            for val in valuations]
+
+
 def reference_evaluate(model, world, f, modal, memo: dict) -> bool:
     table = memo.get(world)
     if table is None:

@@ -37,8 +37,8 @@ from provmod.formulas import (
 )
 from provmod.decide import (
     NON_THEOREM,
+    _veltman_frames,
     decide_gl,
-    enumerate_veltman_models,
     finfals_check,
     gl_consequence,
 )
@@ -49,7 +49,11 @@ from provmod.interpret import (
     t_interpretation,
 )
 from provmod.kripke import (
+    _Lanes,
+    _lane_rhd,
     check_frame,
+    evaluate_mask,
+    evaluate_region,
     forces,
     unravel,
     unravelled_forces,
@@ -366,27 +370,55 @@ _ILM_POOL = (p, q, r, neg(p), top())
 
 @criterion(6, "interpretability logic: models, unravelling, pipelines")
 def test_06_ilm_suite():
+    # every frame once, on all of its valuations at once (lanes: bit
+    # i*V + v is world i under valuation v), and its unravelling once, each
+    # path under the valuation of its last world
     instances = ilm_axiom_instances(["p", "q", "r"], pool=list(_ILM_POOL))
-    models = []
-    for n in (1, 2, 3):
-        models.extend(enumerate_veltman_models(n, ["p", "q", "r"]))
-    for m in models:
-        memo: dict = {}
-        for (_, f) in instances:
-            for w in m.worlds:
-                assert veltman_forces(m, w, f, _memo=memo), \
-                    (m, to_text(f), w)
-
     family = [f for (_, f) in instances]
-    for m in models:
-        u = unravel(m)
-        memo_u: dict = {}
-        memo_v: dict = {}
-        for sigma in u.worlds:
+    models = 0
+    for n in (1, 2, 3):
+        for frame, valuations in _veltman_frames(n, ["p", "q", "r"]):
+            width = len(valuations)
+            lanes = _Lanes(frame, valuations)
+            memo: dict = {}
             for f in family:
-                assert unravelled_forces(u, sigma, f, _memo=memo_u) == \
-                    veltman_forces(m, sigma[-1], f, _memo=memo_v), \
-                    (m, sigma, to_text(f))
+                mask = evaluate_mask(lanes, f, _lane_rhd, memo)
+                assert mask == lanes._full, \
+                    (frame, to_text(f), lanes.first(lanes._full ^ mask))
+
+            u = unravel(frame)
+            path_valuations = support.path_valuations(u, valuations)
+            u_lanes = _Lanes(u, path_valuations)
+            memo_u: dict = {}
+            for f in family:
+                evaluate_mask(u_lanes, f, _lane_rhd, memo_u)
+            # every subformula, since the instances hold everywhere
+            lane = lanes.lane
+            ends = [frame._order.index(s[-1]) * width for s in u._order]
+            for g, mask in memo.items():
+                u_mask = memo_u[g]
+                for k, end in enumerate(ends):
+                    assert u_mask >> k * width & lane == mask >> end & lane, \
+                        (frame, u._order[k], to_text(g))
+
+            # drive the per-call entry points on every 1- and 2-world model
+            # and a fixed stride through the 3-world ones
+            sample = range(width) if n <= 2 else \
+                [v for v in range(width) if (models + v) % 23 == 0]
+            for v in sample:
+                m = frame.with_valuation(valuations[v])
+                um = u.with_valuation(path_valuations[v])
+                for f in family:
+                    for i, w in enumerate(m._order):
+                        assert veltman_forces(m, w, f) == \
+                            bool(memo[f] >> i * width + v & 1), \
+                            (m, w, to_text(f))
+                    for k, sigma in enumerate(um._order):
+                        assert unravelled_forces(um, sigma, f) == \
+                            bool(memo_u[f] >> k * width + v & 1), \
+                            (m, sigma, to_text(f))
+            models += width
+    assert models == 2628
 
     refuted = []
     for text in ("p |> q", "[]p -> p"):
@@ -409,10 +441,9 @@ def test_06_ilm_suite():
                                      language=RHD)
         model = generate_ilm(seed, e_family=e_family)
         for f in montagna:
-            for w in sorted(model.worlds, key=str):
-                assert pm_forces_rhd(model, w, f), \
-                    (parents, labels, to_text(f), w)
-    return (f": {len(instances)} axiom instances on {len(models)} Veltman "
+            assert evaluate_region(model, f, model._full) == model._full, \
+                (parents, labels, to_text(f))
+    return (f": {len(instances)} axiom instances on {models} Veltman "
             f"models; unravelling agreement on all; refuted {refuted}; "
             f"{len(montagna)} Montagna instances on {len(seeds)} generated "
             f"models")

@@ -237,6 +237,17 @@ def test_reps_command(capsys):
         "logic": "ilm", "n": 1, "atoms": ["p"],
         "members": [to_text(m)
                     for m in representatives_ilm(1, ["p"]).members]}
+    # a repeated atom is one atom, in the payload as in the members
+    code, again, _ = run(capsys, "--json", "reps", "--logic", "ilm",
+                         "--n", "1", "--atoms", "p,p")
+    assert (code, again) == (0, out)
+
+
+def test_reps_with_a_negative_height_exits_two(capsys):
+    code, out, err = run(capsys, "reps", "--logic", "gl", "--n", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: representatives are supported for 0 <= n")
+    assert err.count("\n") == 1, err
 
 
 def test_check_frame_and_soundness(capsys, tmp_path):

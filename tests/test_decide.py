@@ -632,9 +632,22 @@ def test_representatives_gl_envelope_is_checked_up_front(monkeypatch):
     # the package re-exports the function decide under the module's name
     monkeypatch.setattr(importlib.import_module("provmod.decide"),
                         "_gl_types", no_types)
-    for n, names in [(2, ["p", "q"]), (1, ["p", "q", "r"]), (3, [])]:
+    for n, names in [(2, ["p", "q"]), (1, ["p", "q", "r"]), (3, []),
+                     (-1, []), (-3, ["p"])]:
         with pytest.raises(EnvelopeError, match="n = 2 with at most 1 atom"):
             representatives_gl(n, names)
+
+
+def test_representatives_take_each_atom_once():
+    # a repeated name is one atom: the members stay pairwise non-equivalent
+    for build, n, names in [(representatives_gl, 1, ["p"]),
+                            (representatives_gl, 2, ["p"]),
+                            (representatives_ilm, 1, ["p"])]:
+        once = build(n, names)
+        twice = build(n, names + names)
+        assert twice.atoms == once.atoms == ("p",)
+        assert twice.members == once.members
+    assert certify_pairwise(representatives_gl(1, ["p", "p"]))
 
 
 def test_representatives_cover_generated_formulas():
@@ -671,5 +684,6 @@ def test_representatives_ilm():
     rep_p = representatives_ilm(1, ["p"])
     assert len(rep_p.members) == 4
     assert certify_pairwise(rep_p, bound=1)
-    with pytest.raises(EnvelopeError):
-        representatives_ilm(2, ["p"])
+    for n in (2, -1, -3):
+        with pytest.raises(EnvelopeError):
+            representatives_ilm(n, ["p"])

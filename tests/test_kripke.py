@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import support
 from provmod import formulas as fm
 from provmod import kripke
+from provmod.decide import _veltman_frames
 from provmod.formulas import (
     FALSUM,
     RHD,
@@ -24,6 +26,7 @@ from provmod.formulas import (
 from provmod.kripke import (
     KripkeModel,
     ModelError,
+    UnravelledVeltman,
     VeltmanFrameError,
     VeltmanModel,
     check_frame,
@@ -461,6 +464,48 @@ def test_a_poisoned_veltman_memo_leaves_the_alt_clause_alone():
                     assert veltman_forces_alt(m, w, f) == expected[w]
 
 
+@functools.lru_cache(maxsize=None)
+def _frames_up_to_three():
+    """Every Veltman frame up to 3 worlds over p, q with its valuations, and
+    its unravelling with the path valuations."""
+    out = []
+    for n in (1, 2, 3):
+        for frame, valuations in _veltman_frames(n, ["p", "q"]):
+            u = unravel(frame)
+            out.append((frame, valuations, u,
+                        support.path_valuations(u, valuations)))
+    return tuple(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_RHD_FORMULAS)
+def test_lanes_agree_with_the_per_call_entry_points(f):
+    # every lane bit against the per-call answer at its world and valuation,
+    # on a model built with ``with_valuation``, and each path of the
+    # unravelling against its last world in the frame
+    for frame, valuations, u, u_valuations in _frames_up_to_three():
+        width = len(valuations)
+        masks = []
+        for model, vals, entry_points in (
+                (frame, valuations, (veltman_forces, veltman_forces_alt)),
+                (u, u_valuations, (unravelled_forces,))):
+            lanes = kripke._Lanes(model, vals)
+            mask = kripke.evaluate_mask(lanes, f, kripke._lane_rhd, {})
+            for v, val in enumerate(vals):
+                m = model.with_valuation(val)
+                for i, w in enumerate(m._order):
+                    expected = bool(mask >> i * width + v & 1)
+                    for entry in entry_points:
+                        assert entry(m, w, f) == expected, \
+                            (m, w, entry.__name__, fm.to_text(f))
+            masks.append(mask)
+        lane = (1 << width) - 1
+        for k, sigma in enumerate(u._order):
+            end = frame._order.index(sigma[-1])
+            assert masks[1] >> k * width & lane == \
+                masks[0] >> end * width & lane, (frame, sigma, fm.to_text(f))
+
+
 # ---------------------------------------------------------------------------
 # one frame class: every model kind checks its frame through KripkeModel
 
@@ -615,12 +660,33 @@ def test_with_valuation_rejects_an_entry_outside_the_world_set():
         chain(2).with_valuation([("w2", "p")])
 
 
+def test_revaluing_an_unravelling_equals_unravelling_the_revalued_model():
+    worlds, edges, preorders = _three_world_frame()
+    frame = VeltmanModel(worlds, edges, preorders, [])
+    u = unravel(frame)
+    fam = [rhd(p, q), rhd(q, p), rbox(p), rhd(lor(p, q), land(p, q)),
+           imp(rhd(p, q), rhd(p, lor(p, q))), rhd(rhd(p, q), q), neg(p)]
+    cells = [(w, a) for w in worlds for a in ("p", "q")]
+    for bits in itertools.product((False, True), repeat=len(cells)):
+        valuation = [cell for cell, b in zip(cells, bits) if b]
+        [paths] = support.path_valuations(u, [valuation])
+        derived = u.with_valuation(paths)
+        built = unravel(frame.with_valuation(valuation))
+        assert type(derived) is UnravelledVeltman
+        assert derived == built and hash(derived) == hash(built)
+        assert derived._atom_masks == built._atom_masks
+        assert derived._rhd_table is u._rhd_table
+        assert derived._rhd_table == built._rhd_table
+        for f in fam:
+            for sigma in built.worlds:
+                assert unravelled_forces(derived, sigma, f) == \
+                    unravelled_forces(built, sigma, f)
+
+
 _STATEFUL_KINDS = {
     "premodel": lambda: PreModel(["w0", "w1"], [("w0", "w1")], (),
                                  {"w1": finite_axioms_mp([p])}),
     "provability": lambda: lift_kripke(chain(2)),
-    "unravelled": lambda: unravel(VeltmanModel(
-        ["w", "u"], [("w", "u")], {"w": [("u", "u")]}, [])),
     "poly": lambda: PolyModel(["w", "u"], {0: [("w", "u")]},
                               {"u": {0: finite_axioms_mp([p], language="omega")}},
                               []),
