@@ -3,7 +3,8 @@
 Exit codes: 0 for success / true / theorem / clean reports, 1 for false /
 non-theorem / reported violations, 2 for errors (bad input, schema
 violations, exceeded envelopes) and for any unexpected exception, 3 for
-"unknown up to the bound" (a bounded ILM search found no countermodel).
+"unknown up to the bound" (a bounded ILM search found no countermodel),
+in ``countermodel`` as in ``decide``.
 ``--json`` switches stdout to a stable machine-readable form.
 
 Each process runs one command, so start-up is most of its time.  This
@@ -26,6 +27,7 @@ from provmod import docio
 from provmod.decide import (
     NO_COUNTERMODEL_UP_TO_BOUND,
     NON_THEOREM,
+    THEOREM,
     decide,
     representatives_gl,
     representatives_ilm,
@@ -41,6 +43,9 @@ from provmod.kripke import (
 
 class CliError(Exception):
     pass
+
+
+_EXIT = {THEOREM: 0, NON_THEOREM: 1, NO_COUNTERMODEL_UP_TO_BOUND: 3}
 
 
 def _emit(args, payload: dict, text: str):
@@ -119,9 +124,7 @@ def cmd_decide(args) -> int:
             sys.stdout.write(docio.to_dot(verdict.countermodel,
                                           designated=verdict.world))
     _emit(args, payload, verdict.status)
-    if verdict.status == NO_COUNTERMODEL_UP_TO_BOUND:
-        return 3
-    return 0 if verdict.is_theorem else 1
+    return _EXIT[verdict.status]
 
 
 def _forcing(loaded, model, world):
@@ -178,24 +181,25 @@ def cmd_generate(args) -> int:
 
 def cmd_countermodel(args) -> int:
     from provmod.provability import (
+        NoCountermodel,
         countermodel_pipeline_gl,
         countermodel_pipeline_ilm,
     )
 
     language = RHD if args.logic == "ilm" else BOX
     f = parse(args.formula, language)
-    if args.logic == "gl":
-        result = countermodel_pipeline_gl(f)
-    elif args.logic == "ilm":
-        result = countermodel_pipeline_ilm(f, size_bound=args.bound)
-    else:
-        raise CliError("countermodel pipelines exist for gl and ilm")
+    payload = {"logic": args.logic, "formula": to_text(f)}
+    try:
+        result = (countermodel_pipeline_gl(f) if args.logic == "gl" else
+                  countermodel_pipeline_ilm(f, size_bound=args.bound))
+    except NoCountermodel as exc:
+        payload["status"] = exc.status
+        _emit(args, payload, exc.status)
+        return _EXIT[exc.status]
     meta = {"designated_world": docio._world_id(result.designated),
             "refutes": to_text(f), "logic": args.logic}
     doc = _seed_doc(result.seed, result.model, meta)
-    payload = {"logic": args.logic, "formula": to_text(f),
-               "level": result.n,
-               "designated_world": meta["designated_world"]}
+    payload.update(level=result.n, designated_world=meta["designated_world"])
     if args.out:
         docio.save_path(args.out, doc)
         payload["countermodel_file"] = args.out
@@ -206,7 +210,7 @@ def cmd_countermodel(args) -> int:
                                       designated=result.designated))
     _emit(args, payload,
           f"refuted at {meta['designated_world']} (level {result.n})")
-    return 0
+    return 1
 
 
 def cmd_unravel(args) -> int:

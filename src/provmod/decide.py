@@ -441,16 +441,14 @@ def _preorder_options(rel: set, n: int, w: int):
         yield frozenset(cand)
 
 
-def _model_height(n: int, rel: set) -> int:
-    depth = {}
-
-    def d(i):
-        if i not in depth:
-            succ = [j for j in range(n) if (i, j) in rel]
-            depth[i] = 0 if not succ else 1 + max(d(j) for j in succ)
-        return depth[i]
-
-    return max((d(i) for i in range(n)), default=0)
+def _height(succ) -> int:
+    """The height of a finite strict order, given as one successor mask per
+    element: how often its maximal elements can be peeled off, less one."""
+    left, height = (1 << len(succ)) - 1, -1
+    while left:
+        left &= ~sum([1 << i for i, s in enumerate(succ) if not s & left])
+        height += 1
+    return height
 
 
 def _minimizers(perms, code):
@@ -465,7 +463,8 @@ def _veltman_frames(n: int, atom_names, max_height: int | None = None):
     with its valuations over the given atoms, one per isomorphism class of
     models on it: pairs ``(frame, valuations)``, the frame a
     ``VeltmanModel`` with the empty valuation and each valuation a list of
-    (world, atom) pairs.
+    (world, atom) pairs.  ``max_height``, which only the ILM pipeline sets,
+    skips the frames of that height or more.
 
     A model's canonical code is the lexicographic least, over all n!
     relabellings pi, of the triple (frame code, preorder code, valuation
@@ -478,11 +477,11 @@ def _veltman_frames(n: int, atom_names, max_height: int | None = None):
     isomorphic copy of an earlier one, so every valuation on it has the
     code of a model already given: a poset is skipped on its frame code,
     before its preorders are listed, and a combination on its preorder
-    code.  On a new frame the remaining
-    minimizers are one relabelling followed by the frame's automorphisms.
-    Without automorphisms every valuation is a model of its own; with them,
-    a valuation is kept when its code, minimized over the remaining
-    relabellings, is new for the frame.
+    code.  On a new frame the remaining minimizers are one relabelling
+    followed by the frame's automorphisms.  Without automorphisms every
+    valuation is a model of its own; with them, a valuation is kept when
+    its code, minimized over the remaining relabellings, is new for the
+    frame.
     """
     atom_names = sorted(atom_names)
     worlds = [f"v{i}" for i in range(n)]
@@ -493,7 +492,8 @@ def _veltman_frames(n: int, atom_names, max_height: int | None = None):
     every = [[(worlds[i], a) for (i, a) in val] for val in chosen]
     frames = set()
     for rel in _strict_posets(n):
-        if max_height is not None and _model_height(n, rel) >= max_height:
+        if max_height is not None and max_height <= _height(
+                [sum([1 << j for (i, j) in rel if i == w]) for w in range(n)]):
             continue
         frame_code, frame_perms = _minimizers(
             perms, lambda pi: tuple(sorted((pi[a], pi[b]) for (a, b) in rel)))
@@ -532,55 +532,47 @@ def _veltman_frames(n: int, atom_names, max_height: int | None = None):
             yield frame, valuations
 
 
-def enumerate_veltman_models(n: int, atom_names, max_height: int | None = None):
-    """All valid Veltman models on n worlds over the given atoms, pruned to
-    one representative per isomorphism class: each frame of
-    ``_veltman_frames`` under each of its valuations, in that order.
-
-    Frames are told apart by their frame and preorder codes, so an
-    isomorphic copy of a frame is skipped whole, and valuations are
-    canonicalized only on frames with automorphisms.  A model is the code's
-    representative that a minimum over all n! full triples gives, and the
-    models come in the order of the labelled candidates they stand for.
-    Each model shares its frame's tables (``KripkeModel.with_valuation``),
-    so the frame clauses are checked once per frame.
-    """
-    for frame, valuations in _veltman_frames(n, atom_names, max_height):
+def enumerate_veltman_models(n: int, atom_names):
+    """All valid Veltman models on n worlds over the given atoms, one per
+    isomorphism class (the representative a minimum over all n! full
+    triples gives), in the order of the labelled candidates they stand for:
+    each frame of ``_veltman_frames`` under each of its valuations, sharing
+    the frame's tables (``KripkeModel.with_valuation``)."""
+    for frame, valuations in _veltman_frames(n, atom_names):
         for valuation in valuations:
             yield frame.with_valuation(valuation)
 
 
-def decide_ilm(f: Formula, size_bound: int = 3,
-               max_height: int | None = None) -> DecisionVerdict:
-    """Bounded countermodel search.  A found countermodel is exact; absence
-    of one up to the bound is reported as such, never promoted here.
+def _refute(frame, valuations, f: Formula):
+    """The frame's first countermodel to f under the valuations and its
+    first failing world, or None; only that lane is built, and re-checked."""
+    lanes = _Lanes(frame, valuations)
+    failing = lanes._full ^ evaluate_mask(lanes, f, _lane_rhd, {})
+    if not failing:
+        return None
+    v, i = lanes.first(failing)
+    model = frame.with_valuation(valuations[v])
+    w = model._order[i]
+    if veltman_forces_alt(model, w, f):
+        raise DecisionError("internal error: countermodel failed verification")
+    return model, w
 
-    The target is evaluated once per frame of ``_veltman_frames``, on all of
-    the frame's valuations at once (``kripke._Lanes``, read off the frame's
-    rhd table, under ``kripke._lane_rhd``).  The lowest failing lane,
-    and in it the lowest failing world in ``str`` order, is the first
-    failing world of the first countermodel that ``enumerate_veltman_models``
-    gives.  Only that model is built, and it is re-checked with
-    ``veltman_forces_alt``."""
+
+def decide_ilm(f: Formula, size_bound: int = 3) -> DecisionVerdict:
+    """Bounded countermodel search: the first countermodel of
+    ``enumerate_veltman_models`` on 1 to ``size_bound`` worlds, found frame
+    by frame.  A found countermodel is exact; absence of one up to the
+    bound is reported as such, never promoted here."""
     if f.lang not in (None, RHD):
         raise DecisionError("ilm decides rhd-language formulas only")
     if size_bound < 1:
         raise DecisionError("size bound must be at least 1")
     names = fm.atoms(f)
     for n in range(1, size_bound + 1):
-        for frame, valuations in _veltman_frames(n, names, max_height):
-            lanes = _Lanes(frame, valuations)
-            failing = lanes._full ^ evaluate_mask(lanes, f, _lane_rhd, {})
-            if failing:
-                v, i = lanes.first(failing)
-                model = frame.with_valuation(valuations[v])
-                w = model._order[i]
-                if veltman_forces_alt(model, w, f):
-                    raise DecisionError(
-                        "internal error: countermodel failed verification")
-                return DecisionVerdict(status=NON_THEOREM,
-                                       countermodel=model, world=w,
-                                       bound=size_bound)
+        for frame, valuations in _veltman_frames(n, names):
+            refuted = _refute(frame, valuations, f)
+            if refuted:
+                return DecisionVerdict(NON_THEOREM, *refuted, size_bound)
     return DecisionVerdict(status=NO_COUNTERMODEL_UP_TO_BOUND,
                            bound=size_bound)
 
@@ -680,10 +672,8 @@ def representatives_gl(n: int, atom_names) -> RepresentativeSet:
         raise EnvelopeError("representatives are supported for 0 <= n <= 1 "
                             "with at most 2 atoms, or n = 2 with at most 1 "
                             "atom")
-    if n == 0:
-        return RepresentativeSet(GL_LOGIC, 0, atom_names, (FALSUM,),
-                                 (frozenset(),), (), (), ())
-    types = _gl_types(n, atom_names)
+    # at n = 0 the one class is empty, and falsum represents it
+    types = _gl_types(n, atom_names) if n else []
     chars = _gl_char_formulas(types, atom_names)
     models = tuple(_gl_type_model(types, i) for i in range(len(types)))
     return _representative_set(GL_LOGIC, n, atom_names, types, chars, models)
@@ -694,12 +684,9 @@ def representatives_ilm(n: int, atom_names) -> RepresentativeSet:
     if not 0 <= n <= 1 or len(atom_names) > 1:
         raise EnvelopeError("ilm representatives are supported for 0 <= n "
                             "<= 1 and at most 1 atom")
-    if n == 0:
-        return RepresentativeSet(ILM_LOGIC, 0, atom_names, (FALSUM,),
-                                 (frozenset(),), (), (), ())
     vals = [frozenset(c) for k in range(len(atom_names) + 1)
             for c in itertools.combinations(atom_names, k)]
-    types = tuple(TreeType(v, frozenset()) for v in vals)
+    types = tuple(TreeType(v, frozenset()) for v in vals) if n else ()
     chars = [conj([atom(a) if a in t.valuation else neg(atom(a))
                    for a in atom_names]) for t in types]
     models = tuple(VeltmanModel(["v0"], [], {},

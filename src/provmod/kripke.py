@@ -186,7 +186,7 @@ class KripkeModel:
         return hash((self.worlds, self.edges, self.valuation))
 
     def __repr__(self):
-        return (f"KripkeModel({len(self.worlds)} worlds, "
+        return (f"{type(self).__name__}({len(self.worlds)} worlds, "
                 f"{len(self.edges)} edges)")
 
 
@@ -614,16 +614,7 @@ class VeltmanModel(KripkeModel):
     def __eq__(self, other):
         return super().__eq__(other) and self.preorders == other.preorders
 
-    def __hash__(self):
-        return hash((self.worlds, self.edges,
-                     tuple(sorted(((w, tuple(sorted(ps, key=str)))
-                                   for w, ps in self.preorders.items()),
-                                  key=str)),
-                     self.valuation))
-
-    def __repr__(self):
-        return (f"VeltmanModel({len(self.worlds)} worlds, "
-                f"{len(self.edges)} edges)")
+    __hash__ = KripkeModel.__hash__
 
 
 def veltman_forces(model: VeltmanModel, world, f: Formula, _memo=None) -> bool:

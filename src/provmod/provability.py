@@ -78,10 +78,15 @@ from provmod.theories import (
     kripke_world_theory,
 )
 from provmod.decide import (
+    NO_COUNTERMODEL_UP_TO_BOUND,
     NON_THEOREM,
+    THEOREM,
+    DecisionError,
     EnvelopeError,
+    _height,
+    _refute,
+    _veltman_frames,
     decide_gl,
-    decide_ilm,
     representatives_gl,
     representatives_ilm,
 )
@@ -97,6 +102,14 @@ class GenerationError(ModelError):
 
 class PipelineError(ModelError):
     pass
+
+
+class NoCountermodel(PipelineError):
+    """No countermodel to give; ``status`` is the decide status."""
+
+    def __init__(self, message, status):
+        super().__init__(message)
+        self.status = status
 
 
 class ProjectionError(ModelError):
@@ -693,16 +706,6 @@ class PipelineResult(namedtuple("PipelineResult", (
 _PIPELINE_N_CAP = 6
 
 
-def _least_level(refute, failure: str):
-    """The least level k up to the cap at which ``refute(k)`` is a
-    non-theorem verdict, with that verdict."""
-    for k in range(1, _PIPELINE_N_CAP + 1):
-        verdict = refute(k)
-        if verdict.status == NON_THEOREM:
-            return k, verdict
-    raise PipelineError(failure)
-
-
 def _seed_generate_verify(f, refuting, w0, modal, stable, family,
                           language, family_bounded):
     """Seed each accessible world w of the refuting model with the family
@@ -729,10 +732,13 @@ def countermodel_pipeline_gl(f: Formula) -> PipelineResult:
     escapes, refute it on a tree Kripke model, seed each world with the
     boxed-dotted true representatives, generate, and verify."""
     if decide_gl(f).is_theorem:
-        raise PipelineError(f"{to_text(f)} is a theorem")
-    n, verdict = _least_level(
-        lambda k: decide_gl(imp(boxes(FALSUM, k), f)),
-        "no bounded-falsum refutation within the cap")
+        raise NoCountermodel(f"{to_text(f)} is a theorem", THEOREM)
+    for n in range(1, _PIPELINE_N_CAP + 1):
+        verdict = decide_gl(imp(boxes(FALSUM, n), f))
+        if verdict.status == NON_THEOREM:
+            break
+    else:
+        raise PipelineError("no bounded-falsum refutation within the cap")
     kripke: KripkeModel = verdict.countermodel
     rep = representatives_gl(n, sorted(fm.atoms(f)))
     # boxdot(b) holds at w when b holds at w and at its successors
@@ -746,41 +752,52 @@ def countermodel_pipeline_gl(f: Formula) -> PipelineResult:
                           lifted=lift_kripke(kripke, transitive=True))
 
 
-def _literal_clause_family(atom_names) -> list[Formula]:
-    """All disjunctions of literals over the atoms (each atom positive,
-    negative or absent), plus the constants."""
-    out = [FALSUM, top()]
-    names = sorted(atom_names)
-    choices = [(None, fm.atom(a), fm.neg(fm.atom(a))) for a in names]
-    for combo in itertools.product(*((0, 1, 2) for _ in names)):
-        lits = [choices[i][c] for i, c in enumerate(combo) if c]
-        if lits:
-            out.append(fm.disj(lits))
-    return out
-
-
 def pipeline_family_rhd(atom_names, n: int) -> tuple[Formula, ...]:
     """Fallback witness family for rhd pipelines outside the representative
-    envelope: literal clauses and the bounded-falsum boxes."""
-    members = _literal_clause_family(atom_names)
-    members.extend(boxes(FALSUM, k, RHD) for k in range(1, n + 1))
-    return tuple(sorted(set(members), key=fm.sort_key))
+    envelope: the constants, the disjunctions of literals over the atoms
+    (each atom positive, negative or absent) and the bounded-falsum boxes."""
+    members = {FALSUM, top()}
+    members.update(boxes(FALSUM, k, RHD) for k in range(1, n + 1))
+    choices = [(None, fm.atom(a), fm.neg(fm.atom(a)))
+               for a in sorted(atom_names)]
+    for combo in itertools.product((0, 1, 2), repeat=len(choices)):
+        lits = [choices[i][c] for i, c in enumerate(combo) if c]
+        if lits:
+            members.add(fm.disj(lits))
+    return tuple(sorted(members, key=fm.sort_key))
 
 
 def countermodel_pipeline_ilm(f: Formula, size_bound: int = 3) -> PipelineResult:
     """Finitary rhd refutation: bounded countermodel search, unravelling,
-    seeding from preorder-stable truths, generation, verification."""
+    seeding from preorder-stable truths, generation, verification.  One
+    walk over the frames finds the first countermodel of least height h in
+    ``decide_ilm``'s order; ``boxes(FALSUM, h + 1)`` holds on it, so it
+    refutes the bounded-falsum target of the level, h + 1."""
     if f.lang not in (None, RHD):
         raise PipelineError("the rhd pipeline takes rhd-language formulas")
-    n, verdict = _least_level(
-        lambda k: decide_ilm(imp(boxes(FALSUM, k, RHD), f),
-                             size_bound=size_bound, max_height=k),
-        f"no countermodel within {size_bound} worlds; cannot refute")
-    veltman: VeltmanModel = verdict.countermodel
-    w0 = verdict.world
+    if size_bound < 1:
+        raise DecisionError("size bound must be at least 1")
+    names = sorted(fm.atoms(f))
+    found, cap = None, _PIPELINE_N_CAP
+    # a generator reads ``cap`` as each world count's walk starts
+    frames = (pair for n in range(1, size_bound + 1)
+              for pair in _veltman_frames(n, names, cap))
+    for frame, valuations in frames:
+        height = _height([succ for _, succ in frame._box_table])
+        refuted = height < cap and _refute(frame, valuations, f)
+        if refuted:
+            found, cap = refuted, height
+            if not cap:
+                break
+    if found is None:
+        message = f"no countermodel within {size_bound} worlds; cannot refute"
+        if size_bound > _PIPELINE_N_CAP:  # frames that tall were skipped
+            raise PipelineError(message)
+        raise NoCountermodel(message, NO_COUNTERMODEL_UP_TO_BOUND)
+    (veltman, w0), n = found, cap + 1
 
-    # max_height=k already bounds the whole model; restricting it to the
-    # refuting world's cone drops only the worlds outside that cone
+    # the whole model is below height n; restricting it to the refuting
+    # world's cone drops only the worlds outside that cone
     cone = {w0} | set(veltman.descendants(w0))
     veltman = VeltmanModel(
         cone, [(a, b) for (a, b) in veltman.edges if a in cone],
@@ -788,7 +805,6 @@ def countermodel_pipeline_ilm(f: Formula, size_bound: int = 3) -> PipelineResult
         [(w, a) for (w, a) in veltman.valuation if w in cone])
     unravelled = unravel(veltman)
 
-    names = sorted(fm.atoms(f))
     try:
         rep = representatives_ilm(n, names)
     except EnvelopeError:

@@ -664,10 +664,23 @@ def reference_strict_posets(n: int):
         yield rel
 
 
+def _model_height(n: int, rel: set) -> int:
+    depth = {}
+
+    def d(i):
+        if i not in depth:
+            succ = [j for j in range(n) if (i, j) in rel]
+            depth[i] = 0 if not succ else 1 + max(d(j) for j in succ)
+        return depth[i]
+
+    return max((d(i) for i in range(n)), default=0)
+
+
 def reference_veltman_models(n: int, atom_names, max_height: int | None = None):
     """All valid Veltman models on n worlds over the given atoms, pruned to
-    one representative per isomorphism class."""
-    from provmod.decide import _model_height, _preorder_options, _strict_posets
+    one representative per isomorphism class, of height below
+    ``max_height`` when it is given."""
+    from provmod.decide import _preorder_options, _strict_posets
     from provmod.kripke import VeltmanModel
 
     atom_names = sorted(atom_names)
@@ -703,6 +716,29 @@ def reference_veltman_models(n: int, atom_names, max_height: int | None = None):
                      for w in range(n)},
                     [(worlds[i], a) for (i, a) in val],
                 )
+
+
+def reference_least_level_ilm(f, size_bound: int):
+    """The ILM pipeline's level search restated by brute force: for k = 1 to
+    6, the first model on 1 to ``size_bound`` worlds, in
+    ``enumerate_veltman_models`` order, whose frame is below height k and
+    which refutes f, with its first failing world in ``str`` order; as
+    ``(k, model, world)``, or None."""
+    from provmod.decide import enumerate_veltman_models
+
+    refutations = []  # (height, model, first failing world), in order
+    for n in range(1, size_bound + 1):
+        for m in enumerate_veltman_models(n, sorted(fm.atoms(f))):
+            failing = [w for w in sorted(m.worlds, key=str)
+                       if not reference_veltman_forces(m, w, f)]
+            if failing:
+                rel = {(int(a[1:]), int(b[1:])) for (a, b) in m.edges}
+                refutations.append((_model_height(n, rel), m, failing[0]))
+    for k in range(1, 7):
+        for height, m, w in refutations:
+            if height < k:
+                return k, m, w
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from provmod.formulas import (
     parse,
     pre_interpolant,
     rbox,
+    rdiamond,
     rhd,
     to_text,
     top,
@@ -447,6 +448,32 @@ def test_06_ilm_suite():
             f"models; unravelling agreement on all; refuted {refuted}; "
             f"{len(montagna)} Montagna instances on {len(seeds)} generated "
             f"models")
+
+
+def test_ilm_axioms_outside_criterion_6_hold_on_every_lane():
+    # the rest of de Jongh and Veltman's ILM axiomatization (1990): L1-L3
+    # in rbox and their J4, (A |> B) -> (<>A -> <>B), each also boxed; a
+    # test beside criterion 6, so its pass line keeps its scheme counts
+    pool = (top(), p, q, neg(p))
+    schemes = [imp(rbox(a), rbox(rbox(a))) for a in pool]
+    schemes += [imp(rbox(imp(rbox(a), a)), rbox(a)) for a in pool]
+    for a in pool:
+        for b in pool:
+            schemes.append(imp(rbox(imp(a, b)), imp(rbox(a), rbox(b))))
+            schemes.append(imp(rhd(a, b), imp(rdiamond(a), rdiamond(b))))
+    schemes += [rbox(f) for f in schemes]
+    assert len(schemes) == 80
+    models = 0
+    for n in (1, 2, 3):
+        for frame, valuations in _veltman_frames(n, ["p", "q"]):
+            lanes = _Lanes(frame, valuations)
+            memo: dict = {}
+            for f in schemes:
+                mask = evaluate_mask(lanes, f, _lane_rhd, memo)
+                assert mask == lanes._full, \
+                    (frame, to_text(f), lanes.first(lanes._full ^ mask))
+            models += len(valuations)
+    assert models == 362
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_countermodel_roundtrip_verifies(capsys, tmp_path):
     out_file = tmp_path / "finitary.json"
     code, out, _ = run(capsys, "--json", "countermodel", "--logic", "gl",
                        "--out", str(out_file), "p -> []p")
-    assert code == 0
+    assert code == 1
     payload = json.loads(out)
     loaded = docio.load_path(out_file)
     assert loaded.meta["generate"] is True
@@ -182,7 +182,7 @@ def test_countermodel_ilm(capsys, tmp_path):
     out_file = tmp_path / "ilm.json"
     code, out, _ = run(capsys, "--json", "countermodel", "--logic", "ilm",
                        "--out", str(out_file), "p |> q")
-    assert code == 0
+    assert code == 1
     loaded = docio.load_path(out_file)
     assert loaded.language == "rhd"
     assert loaded.meta["e_family"]
@@ -192,6 +192,21 @@ def test_countermodel_ilm(capsys, tmp_path):
                          str(out_file))
     assert (code, err) == (0, "")
     assert json.loads(out)["e_family"] == loaded.meta["e_family"]
+
+
+@pytest.mark.parametrize("logic, text, code, status", [
+    ("gl", "[]([]p->p)->[]p", 0, "theorem"),
+    ("ilm", "p |> p", 3, NO_COUNTERMODEL_UP_TO_BOUND)])
+def test_countermodel_without_a_countermodel_exits_as_decide(
+        capsys, logic, text, code, status):
+    # a theorem and "none up to the bound" are verdicts, not errors
+    for argv in (["countermodel", "--logic", logic, text],
+                 ["decide", "--logic", logic, text]):
+        got, out, err = run(capsys, "--json", *argv)
+        assert (got, err) == (code, "")
+        assert json.loads(out) == {"logic": logic, "formula": to_text(
+            parse(text, "rhd" if logic == "ilm" else "box")),
+            "status": status}
 
 
 def test_unravel_command(capsys, tmp_path):
@@ -635,7 +650,7 @@ def test_decide_and_countermodel_write_dot_before_the_payload(capsys):
     for argv, code, keys in (
             (["decide", "--logic", "gl"], 1,
              {"logic", "formula", "status", "countermodel"}),
-            (["countermodel", "--logic", "gl"], 0,
+            (["countermodel", "--logic", "gl"], 1,
              {"logic", "formula", "level", "designated_world",
               "countermodel"})):
         got, out, err = run(capsys, "--json", *argv, "--dot", "p -> []p")

@@ -117,7 +117,7 @@ print(json.dumps([sorted(modules), codes,
     modules, codes, heavy = loaded
     assert {"cli", "decide", "docio", "formulas", "glp", "interpret",
             "kripke", "provability", "theories"} <= set(modules)
-    assert codes == [1, 0]
+    assert codes == [1, 1]
     assert heavy == []
 
 

@@ -600,6 +600,18 @@ def test_models_of_different_kinds_are_never_equal():
         assert model == rebuilt and hash(model) == hash(rebuilt)
 
 
+def test_each_frame_kind_prints_its_own_class():
+    *_, last = _veltman_frames(3, ["p"])
+    frame, valuations = last
+    veltman = frame.with_valuation(valuations[-1])
+    bare = KripkeModel("ab", [("a", "b")], [])
+    for model, shown in (
+            (bare, "KripkeModel(2 worlds, 1 edges)"),
+            (veltman, "VeltmanModel(3 worlds, 3 edges)"),
+            (unravel(veltman), "UnravelledVeltman(7 worlds, 4 edges)")):
+        assert repr(model) == shown
+
+
 def test_veltman_preorder_at_an_unknown_world_is_rejected():
     with pytest.raises(VeltmanFrameError) as info:
         VeltmanModel(["q", "r"], [("q", "r")],

@@ -25,6 +25,7 @@ from provmod.kripke import KripkeModel, check_frame, forces, unravel
 from provmod.theories import finite_axioms_mp, kripke_world_theory
 from provmod.provability import (
     GenerationError,
+    NoCountermodel,
     PipelineError,
     PreModel,
     PreModelError,
@@ -987,6 +988,57 @@ def test_ilm_pipeline_seeds_each_path_with_its_preorder_stable_members():
                                  u, sigma))]
             assert result.seed.theory(sigma).axioms == \
                 tuple(sorted(stable, key=fm.sort_key))
+
+
+# formulas the ILM pipeline refutes at levels 1 to 3, or cannot refute
+ILM_PIPELINE_PROBES = [
+    "p |> q", "p |> p", "[]p -> p", "[]false", "[][]false", "<>p |> p",
+    "(p |> q) -> [](p |> q)", "[](p -> q) -> (p |> q)", "~(p |> ~p)",
+    "p -> (q |> p)", "(p |> q) -> ((p & []q) |> (q & []q))",
+    "(<>p |> p) -> [](p |> q)", "((p |> q) & (q |> p)) -> (p |> p)",
+    "<><>true -> (p |> q)"]
+
+
+def test_ilm_pipeline_level_matches_the_per_level_search():
+    import random
+
+    import support
+
+    from provmod.kripke import VeltmanModel
+
+    rng = random.Random(30)
+    corpus = [parse(text, RHD) for text in ILM_PIPELINE_PROBES] + [
+        support.random_formula(rng, RHD, 3, [p, q]) for _ in range(40)]
+    for f in corpus:
+        expected = support.reference_least_level_ilm(f, 3)
+        if expected is None:
+            with pytest.raises(NoCountermodel):
+                countermodel_pipeline_ilm(f, 3)
+            continue
+        k, m, w = expected
+        result = countermodel_pipeline_ilm(f, 3)
+        cone = {w} | set(m.descendants(w))
+        assert (result.n, result.designated) == (k, (w,)), fm.to_text(f)
+        assert result.kripke == VeltmanModel(
+            cone, [(a, b) for (a, b) in m.edges if a in cone],
+            {u: m.preorders[u] for u in cone},
+            [(u, a) for (u, a) in m.valuation if u in cone]), fm.to_text(f)
+
+
+def test_ilm_pipeline_walks_each_world_count_once(monkeypatch):
+    from provmod import provability
+
+    calls = []
+    original = provability._veltman_frames
+
+    def counted(n, *args):
+        calls.append(n)
+        return original(n, *args)
+
+    monkeypatch.setattr(provability, "_veltman_frames", counted)
+    with pytest.raises(NoCountermodel):
+        countermodel_pipeline_ilm(parse("p |> p", RHD), 3)
+    assert calls == [1, 2, 3]
 
 
 def test_k_suite_on_lifted_models():
