@@ -55,6 +55,15 @@ def _emit(args, payload: dict, text: str):
         print(text)
 
 
+def _emit_doc(args, doc: dict):
+    """``_emit`` of a document as the payload and its indented dump as the
+    text, which is built only when it is printed."""
+    if args.json:
+        print(json.dumps(doc, sort_keys=True))
+    else:
+        sys.stdout.write(docio.dumps(doc))
+
+
 def _read_family(path, language):
     family = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -175,7 +184,7 @@ def cmd_generate(args) -> int:
         _emit(args, {"written": args.out, "worlds": len(model.worlds)},
               f"wrote {args.out}")
     else:
-        _emit(args, doc, docio.dumps(doc).rstrip("\n"))
+        _emit_doc(args, doc)
     return 0
 
 
@@ -224,7 +233,7 @@ def cmd_unravel(args) -> int:
         _emit(args, {"written": args.out, "worlds": len(unravelled.worlds)},
               f"wrote {args.out}")
     else:
-        _emit(args, doc, docio.dumps(doc).rstrip("\n"))
+        _emit_doc(args, doc)
     return 0
 
 

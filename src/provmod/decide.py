@@ -36,6 +36,7 @@ from provmod.kripke import (
     KripkeModel,
     VeltmanModel,
     _Lanes,
+    _indices,
     _lane_rhd,
     check_frame,
     evaluate_mask,
@@ -64,10 +65,10 @@ class EnvelopeError(DecisionError):
 
 
 class DecisionVerdict(namedtuple("DecisionVerdict",
-                                  "status countermodel world bound",
-                                  defaults=(None, None, None))):
-    """A status; a non-theorem carries its countermodel and refuting world,
-    and a bounded search the bound it ran to."""
+                                  "status countermodel world",
+                                  defaults=(None, None))):
+    """A status; a non-theorem carries its countermodel and refuting
+    world."""
 
     __slots__ = ()
 
@@ -259,34 +260,54 @@ def _search(logic: str, demand: frozenset, history: tuple,
 
 
 def _materialize(logic: str, root: _Node):
-    worlds: list[str] = []
-    valuation: list[tuple[str, str]] = []
-    raw_edges: list[tuple[str, str]] = []
+    """The countermodel a tableau describes, and its root world.
 
-    def build(node: _Node, ancestors: dict) -> str:
-        wid = f"w{len(worlds)}"
-        worlds.append(wid)
-        anc = dict(ancestors)
-        anc[node.demand] = wid
+    World i is the i-th node in preorder, named ``wi``, with the atoms its
+    branch makes true.  It sees its children, and a loop demand sees the
+    nearest ancestor with that demand.  K4, S4 and GL close that frame
+    transitively, and S4 reflexively too.  Every raw edge either goes down
+    the tree or back to an ancestor, so the closure is two passes over the
+    successor masks: children before parents gather each world's subtree
+    and the ancestors it loops back to, then parents before children add
+    what those ancestors reach."""
+    kids: list[list[int]] = []
+    valuation: list[tuple[str, str]] = []
+    path: dict = {}  # demand -> its nearest node on the current branch
+
+    def build(node: _Node) -> int:
+        i = len(kids)
+        out = []
+        kids.append(out)
         for f, s in node.literals.items():
             if s and isinstance(f, Atom):
-                valuation.append((wid, f.name))
+                valuation.append((f"w{i}", f.name))
+        outer = path.get(node.demand)
+        path[node.demand] = i
         for child in node.children:
-            if isinstance(child, frozenset):
-                raw_edges.append((wid, anc[child]))
-            else:
-                raw_edges.append((wid, build(child, anc)))
-        return wid
+            out.append(path[child] if isinstance(child, frozenset)
+                       else build(child))
+        path[node.demand] = outer
+        return i
 
-    root_id = build(root, {})
-    edges = set(raw_edges)
-    if logic in (K4_LOGIC, S4_LOGIC, GL_LOGIC):
-        # the transitive closure: every strict descendant in the raw frame
-        frame = KripkeModel(worlds, raw_edges, ())
-        edges = {(w, u) for w in worlds for u in frame.descendants(w)}
-    if logic == S4_LOGIC:
-        edges |= {(w, w) for w in worlds}
-    return KripkeModel(worlds, edges, valuation), root_id
+    build(root)
+    n = len(kids)
+    worlds = [f"w{i}" for i in range(n)]
+    if logic == K_LOGIC:
+        edges = [(worlds[i], worlds[j]) for i in range(n) for j in kids[i]]
+        return KripkeModel(worlds, edges, valuation), worlds[0]
+    reach = [0] * n
+    for i in reversed(range(n)):
+        for j in kids[i]:
+            reach[i] |= 1 << j | (reach[j] if j > i else 0)
+    for i in range(n):
+        # the bits below i are ancestors, whose reach is already closed
+        for a in _indices(reach[i] & ((1 << i) - 1)):
+            reach[i] |= reach[a]
+        if logic == S4_LOGIC:
+            reach[i] |= 1 << i
+    edges = [(worlds[i], worlds[j]) for i in range(n)
+             for j in _indices(reach[i])]
+    return KripkeModel(worlds, edges, valuation), worlds[0]
 
 
 _FRAME_REQUIREMENTS = {
@@ -572,9 +593,8 @@ def decide_ilm(f: Formula, size_bound: int = 3) -> DecisionVerdict:
         for frame, valuations in _veltman_frames(n, names):
             refuted = _refute(frame, valuations, f)
             if refuted:
-                return DecisionVerdict(NON_THEOREM, *refuted, size_bound)
-    return DecisionVerdict(status=NO_COUNTERMODEL_UP_TO_BOUND,
-                           bound=size_bound)
+                return DecisionVerdict(NON_THEOREM, *refuted)
+    return DecisionVerdict(status=NO_COUNTERMODEL_UP_TO_BOUND)
 
 
 # ---------------------------------------------------------------------------

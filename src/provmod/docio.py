@@ -167,7 +167,57 @@ def _with_meta(doc: dict, meta: dict | None) -> dict:
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline, byte for
+    byte.  With an indent, CPython's ``json`` falls back to its pure-Python
+    encoder, so the containers are walked here; strings go through the C
+    string encoder, ints through ``repr`` and other scalars through
+    ``json.dumps``.  Keys must be strings."""
+    out: list[str] = []
+    _write(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write(value, newline: str, emit):
+    """Emit ``value`` as indented JSON whose lines start with ``newline``;
+    a string member is quoted in place rather than by a nested call."""
+    if isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            emit(sep + _quote(key) + ": ")
+            if isinstance(item, str):
+                emit(_quote(item))
+            else:
+                _write(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            emit(sep)
+            if isinstance(item, str):
+                emit(_quote(item))
+            else:
+                _write(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    elif isinstance(value, str):
+        emit(_quote(value))
+    elif type(value) is int:
+        emit(repr(value))
+    else:
+        emit(json.dumps(value))
 
 
 # ---------------------------------------------------------------------------

@@ -57,12 +57,12 @@ def _merge_lang(a: str | None, b: str | None, what: str) -> str | None:
 
 class Formula:
     """Base node.  Immutable; lang is None for purely boolean trees.
-    ``_text`` and ``_instances`` keep the rendering and the instance table
-    once they are first asked for; an rhd node A |> B also has ``_sides``,
-    mapping a witness member E to the pair (B -> <>E, A -> <>E) that the
-    pre-model rhd clause asks about."""
+    ``_text``, ``_instances`` and ``_phrases`` keep the rendering, the
+    instance table and the clause form once they are first asked for; an
+    rhd node A |> B also has ``_sides``, mapping a witness member E to the
+    pair (B -> <>E, A -> <>E) that the pre-model rhd clause asks about."""
 
-    __slots__ = ("lang", "_text", "_instances")
+    __slots__ = ("lang", "_text", "_instances", "_phrases")
 
     def __str__(self) -> str:
         return to_text(self)
@@ -109,6 +109,7 @@ def _make(cls, key: tuple, lang: str | None, **attrs) -> Formula:
         node.lang = lang
         node._text = None
         node._instances = None
+        node._phrases = None
         _intern[key] = node
     return node
 
@@ -791,7 +792,10 @@ class Phrase(namedtuple("Phrase", "antecedent consequent")):
 def phrase_cnf(f: Formula) -> tuple[Phrase, ...]:
     """The canonical clause form: all minimal non-tautologous clauses the
     formula entails, as phrases in canonical order.  Classically equivalent
-    inputs produce identical phrase tuples."""
+    inputs produce identical phrase tuples.  The tuple is kept on the
+    interned node, so it is computed once per formula."""
+    if f._phrases is not None:
+        return f._phrases
     if f.lang not in (None, BOX):
         raise LanguageError("phrase form is defined for the box language")
     ext = extended_atoms([f])
@@ -828,4 +832,5 @@ def phrase_cnf(f: Formula) -> tuple[Phrase, ...]:
         ante = tuple(ext[abs(m) - 1] for m in members if m < 0)
         cons = tuple(ext[m - 1] for m in members if m > 0)
         phrases.append(Phrase(antecedent=ante, consequent=cons))
-    return tuple(sorted(phrases, key=Phrase.sort_key))
+    f._phrases = tuple(sorted(phrases, key=Phrase.sort_key))
+    return f._phrases

@@ -7,6 +7,7 @@ sweep."""
 from __future__ import annotations
 
 import itertools
+import json
 import signal
 
 import numpy as np
@@ -568,6 +569,40 @@ def reference_soundness_suite(model, logic: str, atom_names, depth: int = 2):
 # ---------------------------------------------------------------------------
 # reference closure for the tableau countermodels
 
+def reference_materialize(logic: str, root):
+    """The tableau countermodel built twice: the raw frame first, then the
+    model on the descendants that frame indexes."""
+    from provmod.decide import GL_LOGIC, K4_LOGIC, S4_LOGIC
+
+    worlds: list[str] = []
+    valuation: list[tuple[str, str]] = []
+    raw_edges: list[tuple[str, str]] = []
+
+    def build(node, ancestors: dict) -> str:
+        wid = f"w{len(worlds)}"
+        worlds.append(wid)
+        anc = dict(ancestors)
+        anc[node.demand] = wid
+        for f, s in node.literals.items():
+            if s and isinstance(f, Atom):
+                valuation.append((wid, f.name))
+        for child in node.children:
+            if isinstance(child, frozenset):
+                raw_edges.append((wid, anc[child]))
+            else:
+                raw_edges.append((wid, build(child, anc)))
+        return wid
+
+    root_id = build(root, {})
+    edges = set(raw_edges)
+    if logic in (K4_LOGIC, S4_LOGIC, GL_LOGIC):
+        frame = KripkeModel(worlds, raw_edges, ())
+        edges = {(w, u) for w in worlds for u in frame.descendants(w)}
+    if logic == S4_LOGIC:
+        edges |= {(w, w) for w in worlds}
+    return KripkeModel(worlds, edges, valuation), root_id
+
+
 def fixpoint_closure(edges) -> frozenset:
     """Transitive closure by adding composed pairs until nothing changes."""
     closed = set(edges)
@@ -987,3 +1022,48 @@ def reference_generate(generate, seed, **kwargs):
         return generate(seed, **kwargs)
     finally:
         GeneratedTheory.decide = saved
+
+
+# ---------------------------------------------------------------------------
+# reference document text and clause form
+
+def reference_dumps(doc: dict) -> str:
+    """A document as the ``json`` module indents it."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def reference_phrase_cnf(f):
+    """The clause form computed afresh on every call, by truth tables."""
+    if f.lang not in (None, BOX):
+        raise fm.LanguageError("phrase form is defined for the box language")
+    ext = fm.extended_atoms([f])
+    k = len(ext)
+    if k > 10:
+        raise fm.EntailmentTooLarge(
+            f"{k} extended atoms exceed the clause-form limit")
+    (ftab,), full = fm._tables([f])
+    nvals = 1 << k
+    patterns = [fm._var_pattern(i, nvals) for i in range(k)]
+
+    def clause_table(members: tuple[int, ...]) -> int:
+        t = 0
+        for m in members:
+            i = abs(m) - 1
+            t |= patterns[i] if m > 0 else (~patterns[i] & full)
+        return t
+
+    implicates = []
+    for signs in itertools.product((0, 1, -1), repeat=k):
+        members = tuple(s * (i + 1) for i, s in enumerate(signs) if s)
+        if ftab & ~clause_table(members) & full == 0:
+            implicates.append(members)
+    phrases = []
+    implicate_set = set(implicates)
+    for members in implicates:
+        if any(tuple(m for m in members if m != drop) in implicate_set
+               for drop in members):
+            continue
+        ante = tuple(ext[abs(m) - 1] for m in members if m < 0)
+        cons = tuple(ext[m - 1] for m in members if m > 0)
+        phrases.append(fm.Phrase(antecedent=ante, consequent=cons))
+    return tuple(sorted(phrases, key=fm.Phrase.sort_key))

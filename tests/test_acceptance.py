@@ -283,6 +283,39 @@ def test_03_gl_decision_vs_brute_force():
             f"(least failing k up to {max(least.values())})")
 
 
+def test_countermodels_match_the_two_build_reference():
+    from provmod.decide import _materialize, _Node, _search
+
+    def loops(node):
+        return any(isinstance(c, frozenset) or loops(c)
+                   for c in node.children)
+
+    # w2 loops back to w1, so it also sees w1's other child w3; in S4 the
+    # tableaux of these three formulas have such a loop too
+    demands = [frozenset({(atom(f"a{i}"), True)}) for i in range(4)]
+    nodes = [_Node(d, {atom(f"a{i}"): True}) for i, d in enumerate(demands)]
+    nodes[0].children = [nodes[1]]
+    nodes[1].children = [nodes[2], nodes[3]]
+    nodes[2].children = [demands[1]]
+    roots = [("k4", nodes[0]), ("s4", nodes[0])]
+    rng = random.Random(11)
+    randoms = [support.random_formula(rng, BOX, 2, [p, q])
+               for _ in range(150)]
+    looping = [parse(t) for t in ("<>[][][]p", "<>[][][]p & <>~p",
+                                  "<>[][]p | <>[][]q")]
+    for f in (_CORPUS_THEOREMS + _CORPUS_NON_THEOREMS + tuple(randoms)
+              + tuple(looping)):
+        for logic in ("k", "k4", "s4", "gl"):
+            root = _search(logic, frozenset({(f, False)}), (), {})
+            if root is not None:
+                roots.append((logic, root))
+    for logic, root in roots:
+        assert (_materialize(logic, root)
+                == support.reference_materialize(logic, root)), logic
+    looped = sum(loops(root) for _, root in roots)
+    assert len(roots) >= 400 and looped >= 5, (len(roots), looped)
+
+
 # ---------------------------------------------------------------------------
 # 4. generated models over every small seed
 

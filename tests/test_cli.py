@@ -225,6 +225,33 @@ def test_unravel_command(capsys, tmp_path):
     assert code == 0 and out == docio.dumps(doc)
 
 
+def test_generate_and_unravel_print_their_documents(capsys, tmp_path,
+                                                  monkeypatch):
+    import support
+
+    seed = PreModel(["w0", "w1"], [("w0", "w1")], [],
+                    {"w1": finite_axioms_mp([p])})
+    v = VeltmanModel(["w", "u"], [("w", "u")], {"w": [("u", "u")]},
+                     [("u", "p")])
+    seed_path, v_path = tmp_path / "seed.json", tmp_path / "v.json"
+    docio.save_path(seed_path, docio.model_to_doc(seed))
+    docio.save_path(v_path, docio.model_to_doc(v))
+    cases = [(["generate", "--seed-model", str(seed_path)],
+              docio.model_to_doc(seed, meta={"generate": True})),
+             (["unravel", "--model", str(v_path)],
+              docio.model_to_doc(unravel(v)))]
+    for argv, doc in cases:
+        assert run(capsys, *argv) == (0, support.reference_dumps(doc), "")
+    # under --json the indented text is never built
+    def refuse(doc):
+        raise AssertionError("dumps ran under --json")
+
+    monkeypatch.setattr(docio, "dumps", refuse)
+    for argv, doc in cases:
+        assert run(capsys, "--json", *argv) == (
+            0, json.dumps(doc, sort_keys=True) + "\n", "")
+
+
 def test_an_unravelled_document_is_refused_as_input(capsys, tmp_path):
     v = VeltmanModel(["v0", "v1"], [("v0", "v1")], {"v0": [("v1", "v1")]},
                      [("v1", "p")])

@@ -2,7 +2,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import glp_fixtures
 from provmod.decide import enumerate_veltman_models
@@ -454,3 +454,49 @@ def test_every_loadable_kind_round_trips_and_answers_alike(drawn, data):
     holds = _HOLDS[kind]
     for w in sorted(model.worlds):
         assert _answer(holds, m, w, f) == _answer(holds, model, w, f), w
+
+
+# ---------------------------------------------------------------------------
+# the document writer against the json module
+
+_META = {"designated_world": "w0", "refutes": "[]p -> p", "logic": "gl",
+         "generate": True}
+
+
+def test_dumps_matches_the_json_module_on_every_document_kind():
+    import support
+
+    v = VeltmanModel(["w0", "u"], [("w0", "u")], {"w0": [("u", "u")]},
+                     [("u", "p")])
+    finite = finite_axioms_mp([p], language="omega")
+    models = [
+        KripkeModel(["w0", "w1"], [("w0", "w1")], [("w1", "p")]),
+        v,
+        unravel(v),
+        _chain_premodel(BOX, ([box(p)], [box(FALSUM), p])),
+        _chain_premodel(RHD, ([rdiamond(p)], [rbox(FALSUM)]),
+                        [top(), FALSUM, p]),
+        PolyModel(["w0", "u"], {0: [("w0", "u")], 1: []},
+                  {"u": {0: finite, 1: finite}}, [("u", "p")], max_index=1),
+    ]
+    for model in models:
+        for meta in (None, _META):
+            doc = docio.model_to_doc(model, meta=meta)
+            assert docio.dumps(doc) == support.reference_dumps(doc), model
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), _JSON))
+@example({"\u00e9\x00\n": ["\u2200\t\"\\", -0.0, float("nan"),
+                             float("inf"), (), {}, [[]], 10 ** 20]})
+def test_dumps_matches_the_json_module_on_drawn_documents(doc):
+    import support
+
+    assert docio.dumps(doc) == support.reference_dumps(doc)

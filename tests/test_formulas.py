@@ -386,6 +386,21 @@ def test_phrase_cnf_roundtrip_equivalence():
         assert classical_entails([f], back) and classical_entails([back], f)
 
 
+def test_phrase_cnf_is_kept_on_the_node():
+    rng = random.Random(5)
+    for _ in range(40):
+        f = _random_formula(rng, BOX, 3, [p, q, r])
+        first = phrase_cnf(f)
+        assert phrase_cnf(f) is first
+        assert first == support.reference_phrase_cnf(f)
+    # eleven boxed atoms exceed the limit of ten on every call
+    wide = conj([box(atom(f"a{i}")) for i in range(11)])
+    for _ in range(2):
+        with pytest.raises(fm.EntailmentTooLarge):
+            phrase_cnf(wide)
+        assert wide._phrases is None
+
+
 def test_phrase_cnf_invariant_under_equivalence():
     pairs = [
         (imp(p, box(q)), lor(neg(p), box(q))),

@@ -78,7 +78,7 @@ def test_every_record_refuses_assignment():
 
 def test_keyword_construction_and_defaults():
     assert DecisionVerdict(status=THEOREM) == DecisionVerdict(THEOREM, None,
-                                                              None, None)
+                                                              None)
     assert DecisionVerdict(status=THEOREM).is_theorem
     assert Certificate(kind="lifted").family == ()
     assert GateCheck("mp", True).witness == ()
@@ -104,8 +104,8 @@ def test_records_equal_their_field_tuples_with_the_same_hash():
     # the frozen dataclasses they replace hashed the same field tuples, so
     # sets and dicts of records keep their iteration order
     verdict = DecisionVerdict(THEOREM)
-    assert verdict == (THEOREM, None, None, None)
-    assert hash(verdict) == hash((THEOREM, None, None, None))
+    assert verdict == (THEOREM, None, None)
+    assert hash(verdict) == hash((THEOREM, None, None))
     ph = Phrase((box(p), "p", "p"), ())
     assert ph == (("p", box(p)), ())
     assert hash(ph) == hash((("p", box(p)), ()))
