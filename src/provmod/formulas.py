@@ -58,9 +58,11 @@ def _merge_lang(a: str | None, b: str | None, what: str) -> str | None:
 class Formula:
     """Base node.  Immutable; lang is None for purely boolean trees.
     ``_text``, ``_instances`` and ``_phrases`` keep the rendering, the
-    instance table and the clause form once they are first asked for; an
-    rhd node A |> B also has ``_sides``, mapping a witness member E to the
-    pair (B -> <>E, A -> <>E) that the pre-model rhd clause asks about."""
+    instance table and the clause form once they are first asked for;
+    ``_instances`` is kept on every node the walk of ``instance_table``
+    reaches, not only on the formula asked about.  An rhd node A |> B also
+    has ``_sides``, mapping a witness member E to the pair
+    (B -> <>E, A -> <>E) that the pre-model rhd clause asks about."""
 
     __slots__ = ("lang", "_text", "_instances", "_phrases")
 
@@ -623,43 +625,73 @@ def skeleton(f: Formula) -> Skeleton:
     )
 
 
+def _projection(names: tuple[str, ...], sub: tuple[str, ...]) -> tuple:
+    """For each assignment to ``names``, in ``instance_table`` order, the
+    position of its restriction to ``sub``, a subset of ``names``, in the
+    table of a formula whose free atoms are ``sub``."""
+    out = [0]
+    for name in names:
+        if name in sub:
+            out = [2 * x + b for x in out for b in (0, 1)]
+        else:
+            out = [x for x in out for _ in (0, 1)]
+    return tuple(out)
+
+
+def _imp_table(g: Formula, left: tuple, right: tuple) -> tuple:
+    """The instance table of the implication ``g`` from its children's."""
+    (lnames, linst), (rnames, rinst) = left, right
+    names = (lnames if lnames == rnames
+             else tuple(sorted(set(lnames).union(rnames))))
+    if not names:
+        return names, (g,)
+    width = 1 << len(names)
+    if lnames != names:
+        linst = (tuple(map(linst.__getitem__, _projection(names, lnames)))
+                 if lnames else linst * width)
+    if rnames != names:
+        rinst = (tuple(map(rinst.__getitem__, _projection(names, rnames)))
+                 if rnames else rinst * width)
+    return names, tuple(map(imp, linst, rinst))
+
+
 def instance_table(f: Formula) -> tuple[tuple[str, ...],
                                          tuple[Formula, ...]]:
     """The free atoms of ``f`` in lexicographic order, and ``f`` with top or
     falsum put in for each of them, one instance per assignment.
     Assignments are enumerated with top first, in lexicographic atom order.
 
-    One walk builds all the instances: a node with a free atom below it gets
-    the tuple of its instances, any other node stands for itself in each.
-    The pair is kept on the interned node, so the walk runs once per
-    formula.
+    A node's table is built from its children's tables: its names are the
+    sorted union of theirs, and each instance is the implication of the
+    children's instances for that assignment.  The walk runs children
+    first on an explicit stack and keeps the pair on every node it
+    reaches, so each node's table is built once per process, and the table
+    of ``X -> d`` for a closed ``d`` costs one implication per instance of
+    ``X``.
     """
     known = f._instances
     if known is not None:
         return known
-    names = tuple(sorted(free_atoms(f)))
-    if not names:
-        known = f._instances = (names, (f,))
-        return known
-    width = 1 << len(names)
-    rows = {name: tuple(FALSUM if a >> (len(names) - 1 - i) & 1 else top()
-                        for a in range(width))
-            for i, name in enumerate(names)}
-
-    def combine(g, kids):
-        if not kids:
-            return rows.get(g.name, g) if isinstance(g, Atom) else g
-        left, right = kids
-        if type(left) is not tuple and type(right) is not tuple:
-            return g
-        if type(left) is not tuple:
-            left = (left,) * width
-        if type(right) is not tuple:
-            right = (right,) * width
-        return tuple(map(imp, left, right))
-
-    known = f._instances = (names, _fold(f, _boolean_children, combine))
-    return known
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g._instances is not None:
+            stack.pop()
+        elif type(g) is not Imp:
+            stack.pop()
+            g._instances = (((g.name,), (top(), FALSUM))
+                            if type(g) is Atom else ((), (g,)))
+        else:
+            left, right = g.left._instances, g.right._instances
+            if left is None or right is None:
+                if right is None:
+                    stack.append(g.right)
+                if left is None:
+                    stack.append(g.left)
+            else:
+                stack.pop()
+                g._instances = _imp_table(g, left, right)
+    return f._instances
 
 
 def instances(f: Formula) -> tuple[Formula, ...]:

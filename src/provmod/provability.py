@@ -27,8 +27,9 @@ ILM generation takes its witness family from the caller.
 A generated theory decides derivability by truth in the model it belongs
 to: per top/bot assignment to the free atoms, the instantiated query must
 hold wherever the instantiated seed axioms do, across the world's
-plus-cone.  A query's instances are kept on its formula node, so
-they are built once per formula, whichever model asks.  Every theory
+plus-cone.  A query's instances are kept on its formula node, and on
+every node below it that their walk reaches, so each node's instances are
+built once, from its children's, whichever model asks.  Every theory
 evaluates its parent's cone as one region of ``evaluate_region``, on the
 table the model's own forcing uses, so evaluating a query is
 region-evaluating its pre-interpolant without building it.
@@ -121,8 +122,10 @@ class ProjectionError(ModelError):
 class PreModel(KripkeModel):
     """Frame, valuation and one theory per accessible world; in the rhd
     language also the witness family ``e_family`` that its rhd clause
-    evaluates over (a seed for generation needs none).  What the clause of
-    its language asks theories is kept on the formula nodes.
+    evaluates over (a seed for generation needs none), with the diamond
+    <>E of each member E built once, in ``e_family`` order, as
+    ``_diamonds``.  What the clause of its language asks theories is kept
+    on the formula nodes.
 
     Equality is identity: two pre-models on one frame with different
     theories are different models.
@@ -155,6 +158,9 @@ class PreModel(KripkeModel):
                 f"a {language}-language pre-model has no witness family")
         if any(e.lang not in (None, RHD) for e in self.e_family or ()):
             raise PreModelError("witness family members must be rhd-language")
+        # <>E for each member E, aligned with ``e_family``
+        self._diamonds = (tuple(map(rdiamond, self.e_family))
+                          if self.e_family else None)
         # per world bit: the theories of the world's successors
         self._succ_theories = tuple([tuple([self.theories[u]
                                             for u in self._succ[w]])
@@ -222,9 +228,9 @@ def _pm_rhd(P: PreModel, i: int, g) -> bool:
     """The rhd clause of a pre-model: A rhd B holds at the world of bit i
     when, at every successor's theory and for every member E of the model's
     witness family, derivability of B -> <>E implies derivability of
-    A -> <>E.  The pair of implications is kept on the rhd node
-    (``g._sides``), so it is built once per node and member, whichever
-    model asks."""
+    A -> <>E.  The diamonds <>E are kept on the model (``P._diamonds``) and
+    the pair of implications on the rhd node (``g._sides``), so a pair is
+    built once per node and member, whichever model asks."""
     family = P.e_family
     if not family:
         raise PreModelError("rhd evaluation needs a nonempty witness family")
@@ -232,10 +238,9 @@ def _pm_rhd(P: PreModel, i: int, g) -> bool:
     if sides is None:
         sides = g._sides = {}
     for th in P._succ_theories[i]:
-        for e in family:
+        for e, d in zip(family, P._diamonds):
             pair = sides.get(e)
             if pair is None:
-                d = rdiamond(e)
                 pair = sides[e] = (imp(g.right, d), imp(g.left, d))
             if th.derives(pair[0]) and not th.derives(pair[1]):
                 return False
@@ -400,10 +405,12 @@ class GeneratedTheory:
     assignment a to the free atoms of phi -> f, of phi[a] -> f[a]; so f is
     derived when, at every strict descendant of u's parent, f[a] holds
     wherever phi[a] does.  The instances of phi and of f are kept on their
-    formula nodes (``formulas.instance_table``), so each is built once per
-    formula, and both are evaluated by the clause of the model the theory
-    is bound to, on the table the model's own forcing uses, so the language
-    and the witness family are the model's.
+    formula nodes (``formulas.instance_table``), each built once from the
+    tables kept on its children, so a query that extends a formula already
+    asked about costs one implication per instance of that formula, and
+    both are evaluated by the clause of the model the theory is bound to,
+    on the table the model's own forcing uses, so the language and the
+    witness family are the model's.
 
     What does not depend on the query is kept on the theory: the parent's
     cone, and on the first query the mask of every phi[a] on the whole

@@ -167,6 +167,44 @@ def tree_pre_interpolant(f):
     return fm.conj(tree_instances(f))
 
 
+def reference_instance_table(f):
+    """The instance table computed afresh by one fold over ``f`` at the
+    width of its own free atoms, as ``formulas.instance_table`` built it
+    before it read its children's tables; verbatim but for the names and
+    the kept-table lines, so it neither reads nor sets ``f._instances``."""
+    names = tuple(sorted(fm.free_atoms(f)))
+    if not names:
+        return (names, (f,))
+    width = 1 << len(names)
+    rows = {name: tuple(FALSUM if a >> (len(names) - 1 - i) & 1 else top()
+                        for a in range(width))
+            for i, name in enumerate(names)}
+
+    def combine(g, kids):
+        if not kids:
+            return rows.get(g.name, g) if isinstance(g, Atom) else g
+        left, right = kids
+        if type(left) is not tuple and type(right) is not tuple:
+            return g
+        if type(left) is not tuple:
+            left = (left,) * width
+        if type(right) is not tuple:
+            right = (right,) * width
+        return tuple(map(imp, left, right))
+
+    return (names, fm._fold(f, fm._boolean_children, combine))
+
+
+def assert_instance_table_is_the_reference(f):
+    """``formulas.instance_table(f)`` has the reference's names and the very
+    same instance objects."""
+    names, got = fm.instance_table(f)
+    ref_names, ref = reference_instance_table(f)
+    assert names == ref_names, fm.to_text(f)
+    assert len(got) == len(ref), fm.to_text(f)
+    assert all(a is b for a, b in zip(got, ref)), fm.to_text(f)
+
+
 # ---------------------------------------------------------------------------
 # reference parser and printer: recursive descent, one to three frames per
 # operator, verbatim but for the names, the imports and line breaks

@@ -425,8 +425,8 @@ def test_phrase_ordering_is_canonical():
 _atom_st = st.sampled_from([p, q])
 
 
-def _formula_st(lang):
-    base = st.one_of(_atom_st, st.just(FALSUM), st.just(top()))
+def _formula_st(lang, atom_st=_atom_st):
+    base = st.one_of(atom_st, st.just(FALSUM), st.just(top()))
     if lang == BOX:
         modal = lambda c: st.one_of(c.map(box), c.map(diamond))
     elif lang == RHD:
@@ -515,6 +515,44 @@ def test_instances_are_kept_on_the_node_and_match_a_tree_walk(f):
     assert fm.instance_table(f) == (tuple(sorted(fm.free_atoms(f))), got)
     assert got == tuple(support.tree_instances(f))
     assert conj(got) is pre_interpolant(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(LANGUAGES).flatmap(
+    partial(_formula_st, atom_st=st.sampled_from([p, q, r]))))
+def test_instance_tables_are_the_references_fold(f):
+    # every node is checked, so the tables kept on the children are too
+    for g in fm.subformulas(f):
+        support.assert_instance_table_is_the_reference(g)
+
+
+_CLOSED = {BOX: box(q), RHD: rbox(q), OMEGA: boxn(1, q)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(LANGUAGES).flatmap(
+    lambda lang: st.tuples(_formula_st(lang), st.sampled_from(
+        [FALSUM, _CLOSED[lang]]))))
+def test_instance_tables_are_built_from_the_childrens_kept_tables(case):
+    f, d = case
+    names, got = fm.instance_table(f)
+    skeleton = [f]
+    for g in skeleton:
+        if type(g) is fm.Imp:
+            assert g._instances is not None, to_text(g)
+            skeleton += (g.left, g.right)
+    # the table of f -> d, for a closed d, takes one implication per
+    # instance of f once f's table is kept, and none when f is closed too
+    g = imp(f, d)
+    fresh = g._instances is None
+    made = []
+    counting = lambda left, right: made.append(1) or imp(left, right)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fm, "imp", counting)
+        table = fm.instance_table(g)
+    assert table == (names, tuple(imp(x, d) for x in got))
+    if fresh:
+        assert len(made) == (len(got) if names else 0)
 
 
 def _doubling(g, levels=40):

@@ -54,6 +54,29 @@ print(json.dumps([sys.getrecursionlimit(), to_text(f) == text,
     assert answers == [True, True, "theorem", "theorem", "non_theorem"]
 
 
+def test_instance_tables_of_deep_formulas_need_no_raised_recursion_limit():
+    results = _run("""
+import json, sys
+from provmod.formulas import FALSUM, atom, box, conj, imp, instance_table, top
+
+p, q = atom("p"), atom("q")
+chain = p
+for i in range(20000):
+    chain = imp(q if i % 2 else p, chain)
+wide = conj(([p, box(q), q] * 6667)[:20000])
+tables = [instance_table(f) for f in (chain, wide)]
+print(json.dumps([sys.getrecursionlimit(), [list(names) for names, _ in tables],
+                  [len(inst) for _, inst in tables],
+                  instance_table(wide)[1][1] is conj(
+                      ([top(), box(q), FALSUM] * 6667)[:20000])]))
+""")
+    limit, names, widths, substituted = results
+    assert limit < 20000
+    assert names == [["p", "q"], ["p", "q"]]
+    assert widths == [4, 4]
+    assert substituted
+
+
 def test_a_tableau_deeper_than_the_recursion_limit_is_an_envelope_error():
     results = _run("""
 import contextlib, io, json, sys

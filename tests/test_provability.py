@@ -867,6 +867,59 @@ def test_models_generated_from_one_seed_share_each_query_instances(
         assert first[1] is fm.instances(f)
 
 
+_MONTAGNA_POOL = (p, q, neg(p), top())
+_MONTAGNA = [imp(rhd(a, b), rhd(land(rbox(c), a), land(rbox(c), b)))
+             for a in _MONTAGNA_POOL for b in _MONTAGNA_POOL
+             for c in _MONTAGNA_POOL]
+
+
+def _montagna_model():
+    """An rhd model generated over a 4-world seed with the family of
+    criterion 6, on which every Montagna instance has been forced."""
+    import support
+
+    seed = support.seed_premodel([-1, 0, 1, 1], [0, 1, 2, 3],
+                                 _seed_axiom_sets(RHD), RHD)
+    model = generate_ilm(seed, e_family=pipeline_family_rhd(["p", "q"], 4))
+    for f in _MONTAGNA:
+        for w in sorted(model.worlds, key=str):
+            assert pm_forces(model, w, f), (w, fm.to_text(f))
+    return model
+
+
+def test_instance_tables_of_rhd_sides_and_seed_axioms_are_the_references():
+    import support
+    from provmod.provability import _phi
+
+    _montagna_model()
+    sides = {h for f in _MONTAGNA for g in fm.subformulas(f)
+             if type(g) is fm.Rhd and g._sides
+             for pair in g._sides.values() for h in pair}
+    assert len(sides) > 64
+    phis = [_phi(axioms, language) for language in (BOX, RHD)
+            for axioms in _seed_axiom_sets(language)]
+    for f in [*sides, *phis]:
+        support.assert_instance_table_is_the_reference(f)
+
+
+def test_each_witness_diamond_is_built_once_per_model(monkeypatch):
+    from provmod import provability
+
+    built = []
+    original = provability.rdiamond
+
+    def counting(e):
+        built.append(e)
+        return original(e)
+
+    monkeypatch.setattr(provability, "rdiamond", counting)
+    # the seed carries no family, so only the generated model builds any
+    model = _montagna_model()
+    assert len(model.e_family) == 14
+    assert built == list(model.e_family)
+    assert model._diamonds == tuple(map(original, model.e_family))
+
+
 def test_soundness_suite_gives_the_same_failures_on_a_repeat_call():
     # the s4 suite fails on generated GL models, so the order of the
     # failures is compared; a fresh model takes the kept instances
