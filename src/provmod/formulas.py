@@ -60,9 +60,7 @@ class Formula:
     ``_text``, ``_instances`` and ``_phrases`` keep the rendering, the
     instance table and the clause form once they are first asked for;
     ``_instances`` is kept on every node the walk of ``instance_table``
-    reaches, not only on the formula asked about.  An rhd node A |> B also
-    has ``_sides``, mapping a witness member E to the pair
-    (B -> <>E, A -> <>E) that the pre-model rhd clause asks about."""
+    reaches, not only on the formula asked about."""
 
     __slots__ = ("lang", "_text", "_instances", "_phrases")
 
@@ -90,7 +88,7 @@ class Box(Formula):
 
 
 class Rhd(Formula):
-    __slots__ = ("left", "right", "_sides")
+    __slots__ = ("left", "right")
 
 
 class BoxN(Formula):
@@ -141,8 +139,7 @@ def box(sub: Formula) -> Formula:
 def rhd(left: Formula, right: Formula) -> Formula:
     if left.lang not in (None, RHD) or right.lang not in (None, RHD):
         raise LanguageError("rhd takes rhd-language arguments")
-    return _make(Rhd, ("r", id(left), id(right)), RHD, left=left, right=right,
-                 _sides=None)
+    return _make(Rhd, ("r", id(left), id(right)), RHD, left=left, right=right)
 
 
 def boxn(index: int, sub: Formula) -> Formula:

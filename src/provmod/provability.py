@@ -10,8 +10,8 @@ formula on a mask of worlds, keeping per formula the worlds where its
 truth is known in the model's one table for the clause, and hands a modal
 node the worlds it is asked at.  A pre-model keeps the clause its language
 takes as ``_clause``, where the evaluator reads it, and an rhd-language
-pre-model also keeps its witness family; the implications the rhd clause
-asks about are kept on the rhd node, so every model shares them.
+pre-model also keeps its witness family, and the rhd clause asks each
+successor theory which witness members each side of the node reaches.
 ``pm_forces`` asks one-bit regions of the model, and the axiom suites and
 completeness checks ask one region per formula.  A pre-model
 (``PreModel``) is a ``KripkeModel`` with a theory at each accessible
@@ -27,14 +27,10 @@ ILM generation takes its witness family from the caller.
 A generated theory decides derivability by truth in the model it belongs
 to: per top/bot assignment to the free atoms, the instantiated query must
 hold wherever the instantiated seed axioms do, across the world's
-plus-cone.  A query's instances are kept on its formula node, and on
-every node below it that their walk reaches, so each node's instances are
-built once, from its children's, whichever model asks.  Every theory
-evaluates its parent's cone as one region of ``evaluate_region``, on the
-table the model's own forcing uses, so evaluating a query is
-region-evaluating its pre-interpolant without building it.
-Generated models stay lazy: evaluation reaches only the worlds and
-formulas a query needs.
+plus-cone, evaluated as one region on the table the model's own forcing
+uses; for the rhd clause it answers a side for the whole witness family
+at once.  Generated models stay lazy: evaluation reaches only the worlds
+and formulas a query needs.
 """
 
 from __future__ import annotations
@@ -124,8 +120,7 @@ class PreModel(KripkeModel):
     language also the witness family ``e_family`` that its rhd clause
     evaluates over (a seed for generation needs none), with the diamond
     <>E of each member E built once, in ``e_family`` order, as
-    ``_diamonds``.  What the clause of its language asks theories is kept
-    on the formula nodes.
+    ``_diamonds``, which its rhd clause hands to the theories.
 
     Equality is identity: two pre-models on one frame with different
     theories are different models.
@@ -228,22 +223,15 @@ def _pm_rhd(P: PreModel, i: int, g) -> bool:
     """The rhd clause of a pre-model: A rhd B holds at the world of bit i
     when, at every successor's theory and for every member E of the model's
     witness family, derivability of B -> <>E implies derivability of
-    A -> <>E.  The diamonds <>E are kept on the model (``P._diamonds``) and
-    the pair of implications on the rhd node (``g._sides``), so a pair is
-    built once per node and member, whichever model asks."""
-    family = P.e_family
-    if not family:
+    A -> <>E.  Each theory answers a side as a bitset over the diamonds
+    kept on the model (``P._diamonds``), A only where B reaches a member."""
+    diamonds = P._diamonds
+    if not diamonds:
         raise PreModelError("rhd evaluation needs a nonempty witness family")
-    sides = g._sides
-    if sides is None:
-        sides = g._sides = {}
     for th in P._succ_theories[i]:
-        for e, d in zip(family, P._diamonds):
-            pair = sides.get(e)
-            if pair is None:
-                pair = sides[e] = (imp(g.right, d), imp(g.left, d))
-            if th.derives(pair[0]) and not th.derives(pair[1]):
-                return False
+        reached = th.derives_diamonds(g.right, diamonds)
+        if reached and reached & ~th.derives_diamonds(g.left, diamonds):
+            return False
     return True
 
 
@@ -405,26 +393,24 @@ class GeneratedTheory:
     assignment a to the free atoms of phi -> f, of phi[a] -> f[a]; so f is
     derived when, at every strict descendant of u's parent, f[a] holds
     wherever phi[a] does.  The instances of phi and of f are kept on their
-    formula nodes (``formulas.instance_table``), each built once from the
-    tables kept on its children, so a query that extends a formula already
-    asked about costs one implication per instance of that formula, and
-    both are evaluated by the clause of the model the theory is bound to,
-    on the table the model's own forcing uses, so the language and the
-    witness family are the model's.
+    formula nodes (``formulas.instance_table``), and are evaluated by the
+    clause of the model the theory is bound to, on the table the model's
+    own forcing uses, so the language and the witness family are the
+    model's.
 
-    What does not depend on the query is kept on the theory: the parent's
-    cone, and on the first query the mask of every phi[a] on the whole
-    cone, in the order of phi's instance table.  Per set of the query's
-    free atoms the theory keeps the (mask of phi[a], position of f[a])
-    pairs in assignment order, and ``decide`` evaluates f[a] only where
-    phi[a] holds on the worlds where every earlier phi[b] -> f[b] held.
-    Evaluating the pre-interpolant's own region walk would ask phi[a] only
-    on those worlds, but the set of derivability queries reached is the
-    same: generation first asks every theory for each of its seed axioms
-    (and then for top), and for those queries f[a] holds wherever phi[a]
-    does, so the walk never narrows and evaluates every phi[a] on the
-    whole cone before ``generate_gl`` or ``generate_ilm`` returns.  Only
-    the order in which generation asks its queries differs.
+    The theory keeps the parent's cone, from the first query the mask of
+    every phi[a] on it, and per tuple of free atoms the (mask of phi[a],
+    position of f[a]) pairs in assignment order.  ``decide`` evaluates
+    f[a] only where phi[a] holds on the worlds where every earlier
+    phi[b] -> f[b] held.  The pre-interpolant's own region walk would ask
+    phi[a] only on those worlds too, but generation first asks every theory
+    for its seed axioms, where the walk never narrows, so the derivability
+    queries reached are the same.
+
+    ``decide_diamonds`` gives the bitset of diamonds d with f -> d derived:
+    it evaluates each f[a] once where phi[a] holds, and d[c] where some
+    phi[a] & f[a] with a extending c holds.  For a d not derived, that is
+    more worlds than the walk of f -> d, which stops at its first failure.
 
     The seed is a forest, so the queries end: if u has d ancestors, its
     parent's cone holds worlds with at least d, whose successors, the only
@@ -438,31 +424,28 @@ class GeneratedTheory:
         self.model = None  # the generated ProvabilityModel, once bound
         self._cone = None  # the parent's descendants, on the first query
         self._phi_masks = None  # phi[a] -> its mask on the cone
-        # per set of the query's free atoms, the (mask of phi[a], index of
-        # f[a]) pairs in assignment order
+        # ``_mask_pairs`` per tuple of free atoms; per (atoms, diamonds), a
+        # bitset's name groups, members by group and nonzero mask triples
         self._pairs = {}
 
-    def _assignment_pairs(self, names: tuple) -> list:
-        """(phi[a], position of f[a] among f's instances) for each
-        assignment a, in pre-interpolant order, when f's free atoms are
-        ``names``."""
+    def _assignment_pairs(self, *name_sets) -> list:
+        """(phi[a], then a's position among the instances over each of
+        ``name_sets``) for each assignment a, in pre-interpolant order."""
         phi_names, phi_inst = fm.instance_table(self.phi)
-        union = sorted(set(phi_names) | set(names))
-
-        def position(value, among):
-            # top is 0 and the first name the highest bit, as in instances
-            return sum(value[n] << i for i, n in enumerate(reversed(among)))
-
+        union = sorted(set(phi_names).union(*name_sets))
+        # where a puts falsum for n, n's weight adds to a formula's
+        # position: top is 0 and the first name the highest bit
+        weights = [[1 << len(names) - 1 - names.index(n) if n in names else 0
+                    for n in union] for names in (phi_names, *name_sets)]
         pairs = []
         for bits in itertools.product((0, 1), repeat=len(union)):
-            value = dict(zip(union, bits))
-            pairs.append((phi_inst[position(value, phi_names)],
-                          position(value, names)))
+            at = [sum(itertools.compress(w, bits)) for w in weights]
+            pairs.append((phi_inst[at[0]], *at[1:]))
         return pairs
 
-    def _mask_pairs(self, names: tuple) -> list:
-        """``_assignment_pairs(names)`` with each phi[a] replaced by its
-        mask on the parent's cone; the first call evaluates every phi[a]."""
+    def _mask_pairs(self, *name_sets) -> list:
+        """``_assignment_pairs`` with each phi[a] replaced by its mask on
+        the parent's cone; the first call evaluates every phi[a]."""
         masks = self._phi_masks
         if masks is None:
             P = self.model
@@ -471,8 +454,8 @@ class GeneratedTheory:
             masks = self._phi_masks = {
                 phi_a: evaluate_region(P, phi_a, cone)
                 for phi_a in fm.instance_table(self.phi)[1]}
-        return [(masks[phi_a], j)
-                for phi_a, j in self._assignment_pairs(names)]
+        return [(masks[pair[0]],) + pair[1:]
+                for pair in self._assignment_pairs(*name_sets)]
 
     def decide(self, f: Formula) -> bool:
         P = self.model
@@ -488,6 +471,39 @@ class GeneratedTheory:
             if holds:
                 left &= ~holds | evaluate_region(P, f_inst[j], holds)
         return left == cone
+
+    def decide_diamonds(self, f: Formula, diamonds: tuple) -> int:
+        """Bit k set when f -> ``diamonds[k]`` is derived."""
+        P = self.model
+        f_names, f_inst = fm.instance_table(f)
+        plan = self._pairs.get((f_names, diamonds))
+        if plan is None:
+            tables = [fm.instance_table(d) for d in diamonds]
+            groups = sorted({names for names, _ in tables})
+            members = [[(k, inst) for k, (n, inst) in enumerate(tables)
+                        if n == names] for names in groups]
+            pairs = [(mask, j, at) for mask, j, *at
+                     in self._mask_pairs(f_names, *groups) if mask]
+            plan = self._pairs[f_names, diamonds] = groups, members, pairs
+        groups, members, pairs = plan
+        reach = [[0] * (1 << len(names)) for names in groups]
+        for mask, j, at in pairs:
+            held = mask & evaluate_region(P, f_inst[j], mask)
+            for r, c in zip(reach, at):
+                r[c] |= held
+        # most d[c] are known on r already: read the model's table first
+        table = P._masks[P._clause]
+        bits = (1 << len(diamonds)) - 1
+        for r_g, group in zip(reach, members):
+            for c, r in enumerate(r_g):
+                for k, d_inst in group if r else ():
+                    known, value = table.get(d_inst[c], (0, 0))
+                    # a member that failed at an earlier c stays failed
+                    if r & ~known and bits >> k & 1:
+                        value = evaluate_region(P, d_inst[c], r)
+                    if r & ~value:
+                        bits &= ~(1 << k)
+        return bits
 
 
 def _check_seed(seed: PreModel, language: str):
@@ -521,20 +537,19 @@ def _generate(seed: PreModel, language: str, e_family, family_bounded):
             raise GenerationError("e_family must be nonempty")
         # the family's order sets the order of derivability queries
         e_family = tuple(sorted(set(e_family), key=fm.sort_key))
-    oracles = {w: TheoryOracle(
-        language=language,
-        axioms=th.axioms,
-        rules=frozenset({MP, NEC}),
-        provenance="generated",
-        decide=GeneratedTheory(w, _phi(th.axioms, language)).decide,
-        label=f"gen[{w}]",
-    ) for w, th in seed.theories.items()}
+    oracles = {}
+    for w, th in seed.theories.items():
+        state = GeneratedTheory(w, _phi(th.axioms, language))
+        oracles[w] = TheoryOracle(
+            language=language, axioms=th.axioms, rules=frozenset({MP, NEC}),
+            provenance="generated", decide=state.decide, label=f"gen[{w}]",
+            decide_diamonds=state.decide_diamonds)
     generated = ProvabilityModel(seed.worlds, seed.edges, seed.valuation,
                                  oracles, language,
                                  Certificate(kind="generated"),
                                  e_family=e_family,
                                  family_bounded=family_bounded)
-    # each oracle decides by its theory's bound method
+    # each oracle decides by its theory's bound methods
     for oracle in oracles.values():
         oracle.decide.__self__.model = generated
     for w in sorted(oracles, key=str):

@@ -57,15 +57,19 @@ class TheoryOracle:
     def __init__(self, language: str, axioms: tuple[Formula, ...],
                  rules: frozenset[str], provenance: str,
                  decide: Callable[[Formula], bool], label: str = "",
-                 descriptor: dict | None = None):
+                 descriptor: dict | None = None,
+                 decide_diamonds: Callable | None = None):
         self.language = language
         self.axioms = axioms
         self.rules = rules
         self.provenance = provenance
         self.decide = decide
+        if decide_diamonds is not None:
+            self.decide_diamonds = decide_diamonds
         self.label = label
         self.descriptor = descriptor
         self._memo = {}
+        self._diamond_memo = {}
 
     def derives(self, f: Formula) -> bool:
         got = self._memo.get(f)
@@ -77,6 +81,19 @@ class TheoryOracle:
             got = bool(self.decide(f))
             self._memo[f] = got
         return got
+
+    def derives_diamonds(self, f: Formula, diamonds: tuple) -> int:
+        """Bit k set when f -> ``diamonds[k]`` is derived; memoized."""
+        key = (f, diamonds)
+        got = self._diamond_memo.get(key)
+        if got is None:
+            got = self._diamond_memo[key] = self.decide_diamonds(f, diamonds)
+        return got
+
+    def decide_diamonds(self, f: Formula, diamonds: tuple) -> int:
+        """Member by member, unless the construction brings its own."""
+        return sum(1 << k for k, d in enumerate(diamonds)
+                   if self.derives(imp(f, d)))
 
     def __repr__(self):
         name = self.label or self.provenance

@@ -1048,18 +1048,27 @@ def reference_generated_decide(theory, f) -> bool:
     return pm_forces_plus(theory.model, theory.world, target)
 
 
+def reference_decide_diamonds(theory, f, diamonds) -> int:
+    """The witness bitset of a generated theory, one
+    ``reference_generated_decide`` query f -> d per diamond d."""
+    return sum(1 << k for k, d in enumerate(diamonds)
+               if reference_generated_decide(theory, imp(f, d)))
+
+
 def reference_generate(generate, seed, **kwargs):
     """``generate(seed, **kwargs)`` with every theory of the new model,
-    its self-checks included, decided by ``reference_generated_decide``."""
+    its self-checks and its witness bitsets included, decided by
+    ``reference_generated_decide``."""
     from provmod.provability import GeneratedTheory
 
-    # each oracle binds its theory's ``decide`` when it is built
-    saved = GeneratedTheory.decide
+    # each oracle binds its theory's methods when it is built
+    saved = GeneratedTheory.decide, GeneratedTheory.decide_diamonds
     GeneratedTheory.decide = reference_generated_decide
+    GeneratedTheory.decide_diamonds = reference_decide_diamonds
     try:
         return generate(seed, **kwargs)
     finally:
-        GeneratedTheory.decide = saved
+        GeneratedTheory.decide, GeneratedTheory.decide_diamonds = saved
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,38 @@ def test_05_gl_pipeline():
 _ILM_POOL = (p, q, r, neg(p), top())
 
 
+def _generated_rhd_models():
+    """Criterion 6's generated rhd models: one over each 4-world tree seed
+    of criterion 4, with the rhd axiom sets for the box ones, over the
+    pipeline's witness family for p, q at n = 4."""
+    rhd_axioms = [()]
+    for k in (1, 2):
+        for combo in itertools.combinations([p, neg(p), rbox(FALSUM)], k):
+            rhd_axioms.append(tuple(combo))
+    e_family = pipeline_family_rhd(["p", "q"], 4)
+    for parents, labels in support.tree_seeds(4, _AXIOM_CHOICES):
+        seed = support.seed_premodel(parents, labels, rhd_axioms,
+                                     language=RHD)
+        yield (parents, labels), generate_ilm(seed, e_family=e_family)
+
+
+def _ilm_schemes_outside_the_suite():
+    """The rest of de Jongh and Veltman's ILM axiomatization (1990), which
+    ``ilm_axiom_instances`` leaves out: L1-L3 in rbox and J4,
+    (A |> B) -> (<>A -> <>B), over the pool top, p, q, ~p, each also
+    boxed."""
+    pool = (top(), p, q, neg(p))
+    schemes = [imp(rbox(a), rbox(rbox(a))) for a in pool]
+    schemes += [imp(rbox(imp(rbox(a), a)), rbox(a)) for a in pool]
+    for a in pool:
+        for b in pool:
+            schemes.append(imp(rbox(imp(a, b)), imp(rbox(a), rbox(b))))
+            schemes.append(imp(rhd(a, b), imp(rdiamond(a), rdiamond(b))))
+    schemes += [rbox(f) for f in schemes]
+    assert len(schemes) == 80
+    return schemes
+
+
 @criterion(6, "interpretability logic: models, unravelling, pipelines")
 def test_06_ilm_suite():
     # every frame once, on all of its valuations at once (lanes: bit
@@ -461,41 +493,25 @@ def test_06_ilm_suite():
         assert not pm_forces_rhd(result.model, result.designated, f), text
         refuted.append(text)
 
-    seeds = support.tree_seeds(4, _AXIOM_CHOICES)
-    rhd_axioms = [()]
-    for k in (1, 2):
-        for combo in itertools.combinations([p, neg(p), rbox(FALSUM)], k):
-            rhd_axioms.append(tuple(combo))
-    e_family = pipeline_family_rhd(["p", "q"], 4)
     mont_pool = (p, q, neg(p), top())
     montagna = [imp(rhd(a, b), rhd(land(rbox(c), a), land(rbox(c), b)))
                 for a in mont_pool for b in mont_pool for c in mont_pool]
-    for parents, labels in seeds:
-        seed = support.seed_premodel(parents, labels, rhd_axioms,
-                                     language=RHD)
-        model = generate_ilm(seed, e_family=e_family)
+    generated = 0
+    for shape, model in _generated_rhd_models():
         for f in montagna:
             assert evaluate_region(model, f, model._full) == model._full, \
-                (parents, labels, to_text(f))
+                (shape, to_text(f))
+        generated += 1
     return (f": {len(instances)} axiom instances on {models} Veltman "
             f"models; unravelling agreement on all; refuted {refuted}; "
-            f"{len(montagna)} Montagna instances on {len(seeds)} generated "
+            f"{len(montagna)} Montagna instances on {generated} generated "
             f"models")
 
 
+# tests beside criterion 6, so its pass line keeps its scheme counts
+
 def test_ilm_axioms_outside_criterion_6_hold_on_every_lane():
-    # the rest of de Jongh and Veltman's ILM axiomatization (1990): L1-L3
-    # in rbox and their J4, (A |> B) -> (<>A -> <>B), each also boxed; a
-    # test beside criterion 6, so its pass line keeps its scheme counts
-    pool = (top(), p, q, neg(p))
-    schemes = [imp(rbox(a), rbox(rbox(a))) for a in pool]
-    schemes += [imp(rbox(imp(rbox(a), a)), rbox(a)) for a in pool]
-    for a in pool:
-        for b in pool:
-            schemes.append(imp(rbox(imp(a, b)), imp(rbox(a), rbox(b))))
-            schemes.append(imp(rhd(a, b), imp(rdiamond(a), rdiamond(b))))
-    schemes += [rbox(f) for f in schemes]
-    assert len(schemes) == 80
+    schemes = _ilm_schemes_outside_the_suite()
     models = 0
     for n in (1, 2, 3):
         for frame, valuations in _veltman_frames(n, ["p", "q"]):
@@ -507,6 +523,19 @@ def test_ilm_axioms_outside_criterion_6_hold_on_every_lane():
                     (frame, to_text(f), lanes.first(lanes._full ^ mask))
             models += len(valuations)
     assert models == 362
+
+
+def test_ilm_axioms_outside_criterion_6_hold_on_its_generated_models():
+    # the soundness side of the paper's ILM theorem on the provability
+    # models criterion 6 generates, under the rhd clause over their family
+    schemes = _ilm_schemes_outside_the_suite()
+    generated = 0
+    for shape, model in _generated_rhd_models():
+        for f in schemes:
+            assert evaluate_region(model, f, model._full) == model._full, \
+                (shape, to_text(f))
+        generated += 1
+    assert generated == 1173
 
 
 # ---------------------------------------------------------------------------

@@ -355,19 +355,16 @@ def test_pm_forces_rhd_answers_alike_before_and_after_its_memo_is_warm():
     warm = [pm_forces_rhd(model, w, f) for w, f in queries]
     assert cold == warming == warm
     assert True in cold and False in cold
-    # the rhd node keeps its implications per member, and a model generated
-    # from another seed with the same family asks about the same pairs
-    g = rhd(p, q)
-    pairs = {e: g._sides[e] for e in model.e_family if e in g._sides}
-    assert pairs
-    for e, pair in pairs.items():
-        assert pair == (imp(q, rdiamond(e)), imp(p, rdiamond(e)))
-    other = generated(a_axioms=(neg(p),))
-    assert other.e_family == model.e_family
-    assert other.theory("a").axioms != model.theory("a").axioms
-    for w in ("r", "a"):
-        pm_forces(other, w, g)
-    assert all(g._sides[e] is pair for e, pair in pairs.items())
+    # a theory keeps one witness bitset per side of p |> q, and its bit k
+    # is derivability of side -> <>E_k, asked of a fresh model
+    fresh = generated()
+    kept = [(w, side) for w, th in model.theories.items() for side in (q, p)
+            if (side, model._diamonds) in th._diamond_memo]
+    assert {side for _, side in kept} == {p, q}
+    for w, side in kept:
+        bits = model.theory(w)._diamond_memo[side, model._diamonds]
+        assert bits == sum(1 << k for k, e in enumerate(model.e_family)
+                           if fresh.theory(w).derives(imp(side, rdiamond(e))))
 
 
 def test_pm_forces_takes_only_formulas_of_the_model_language():
@@ -523,6 +520,8 @@ def _assert_agrees_with_the_pre_interpolant_path(language, shape, queries):
     # the same derivability queries reached every theory
     for w in model.theories:
         assert model.theory(w)._memo == reference.theory(w)._memo, w
+        _assert_bitsets_agree(model.theory(w)._diamond_memo,
+                              reference.theory(w)._diamond_memo, w)
 
 
 @settings(max_examples=150, deadline=None)
@@ -588,7 +587,52 @@ def test_region_evaluation_agrees_with_the_per_world_walk(kind, shape, data):
     # the same derivability queries reached every theory
     for w in model.theories:
         assert model.theory(w)._memo == single.theory(w)._memo, w
-        assert model.theory(w)._memo == reference.theory(w)._memo, w
+        assert model.theory(w)._diamond_memo == \
+            single.theory(w)._diamond_memo, w
+    _assert_asked_alike(model, reference)
+
+
+def _assert_bitsets_agree(memo, reference, w):
+    """Every bitset ``reference`` keeps, ``memo`` keeps with the same bits.
+    A bitset evaluates every member's diamond wherever some phi[a] & X[a]
+    holds, where the pre-interpolant walk stops at a member's first
+    failing assignment, so for a member that is not derived the bitset
+    may reach deeper theories with sides the walk never asks about."""
+    for key, bits in reference.items():
+        assert memo[key] == bits, (w, fm.to_text(key[0]))
+
+
+def _assert_asked_alike(model, reference):
+    """The theories of ``model``, whose rhd clause asks witness bitsets,
+    and of ``reference``, whose clause asks X -> <>E member by member with
+    ``derives``, reached the same queries outside the rhd clause, and
+    every rhd side X the reference reached, with the bit of each member it
+    asked about.  Generation runs a generated reference's own clause, whose
+    bitsets are compared key for key."""
+    diamonds = model._diamonds or ()
+
+    def split(memo):
+        outside, sides = {}, {}
+        for f, answer in memo.items():
+            if type(f) is fm.Imp and f.right in diamonds:
+                sides.setdefault(f.left, {})[f.right] = answer
+            else:
+                outside[f] = answer
+        return outside, sides
+
+    for w, th in model.theories.items():
+        outside, _ = split(th._memo)
+        expected, sides = split(reference.theory(w)._memo)
+        assert outside == expected, w
+        kept = reference.theory(w)._diamond_memo
+        assert set(th._diamond_memo) >= \
+            set(kept) | {(x, model._diamonds) for x in sides}, w
+        _assert_bitsets_agree(th._diamond_memo, kept, w)
+        for x, answers in sides.items():
+            bits = th._diamond_memo[x, model._diamonds]
+            for k, d in enumerate(diamonds):
+                if d in answers:
+                    assert bool(bits >> k & 1) == answers[d], (w, k)
 
 
 _SUITE_SHAPES = (([-1], [0]), ([-1, 0], [0, 1]), ([-1, 0, 1], [0, 3, 0]),
@@ -784,6 +828,19 @@ def test_assignment_instances_conjoin_to_the_pre_interpolant(language):
             assert got is fm.pre_interpolant(imp(state.phi, f)), \
                 fm.to_text(f)
             checked += 1
+        # and the rhd clause's bitsets: phi[a] -> (X[a] -> d[a]) for X,
+        # each diamond d, and their positions in one assignment walk
+        for x, diamonds in theory._diamond_memo:
+            x_names, x_instances = fm.instance_table(x)
+            for d in diamonds:
+                d_names, d_instances = fm.instance_table(d)
+                got = fm.conj(
+                    imp(phi_a, imp(x_instances[j], d_instances[c]))
+                    for phi_a, j, c in state._assignment_pairs(x_names,
+                                                               d_names))
+                assert got is fm.pre_interpolant(imp(state.phi, imp(x, d))),\
+                    (fm.to_text(x), fm.to_text(d))
+                checked += 1
     assert checked > 7 * len(queries)
 
 
@@ -891,11 +948,12 @@ def test_instance_tables_of_rhd_sides_and_seed_axioms_are_the_references():
     import support
     from provmod.provability import _phi
 
-    _montagna_model()
-    sides = {h for f in _MONTAGNA for g in fm.subformulas(f)
-             if type(g) is fm.Rhd and g._sides
-             for pair in g._sides.values() for h in pair}
-    assert len(sides) > 64
+    model = _montagna_model()
+    # the sides X of the Montagna nodes that some theory was asked about,
+    # more than the 16 conjunctions
+    sides = {x for th in model.theories.values() for x, _ in th._diamond_memo}
+    assert len(sides) > 16
+    sides |= set(model._diamonds)
     phis = [_phi(axioms, language) for language in (BOX, RHD)
             for axioms in _seed_axiom_sets(language)]
     for f in [*sides, *phis]:
@@ -918,6 +976,62 @@ def test_each_witness_diamond_is_built_once_per_model(monkeypatch):
     assert len(model.e_family) == 14
     assert built == list(model.e_family)
     assert model._diamonds == tuple(map(original, model.e_family))
+
+
+_BITSET_FAMILIES = (_RHD_FAMILY, pipeline_family_rhd(["p", "q"], 4))
+
+
+def _rhd_sides(formulas):
+    return {h for f in formulas for g in fm.subformulas(f)
+            if type(g) is fm.Rhd for h in (g.left, g.right)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tree_seed_shapes(), st.sampled_from(_BITSET_FAMILIES),
+       st.lists(_RHD_QUERIES, min_size=1, max_size=3))
+def test_witness_bitsets_are_the_member_by_member_pre_interpolant_answers(
+        shape, family, queries):
+    # bit k of a generated theory's bitset for a side X is derivability of
+    # X -> <>E_k, decided on a model whose theories all decide through
+    # plus-forcing of the pre-interpolant, one query per member
+    import support
+
+    seed = support.seed_premodel(*shape, _seed_axiom_sets(RHD), RHD)
+    model = generate_ilm(seed, e_family=family)
+    reference = support.reference_generate(generate_ilm, seed,
+                                           e_family=family)
+    sides = _rhd_sides(queries + _MONTAGNA)
+    for w in sorted(model.theories, key=str):
+        state = reference.theory(w).decide.__self__
+        for x in sides:
+            bits = model.theory(w).derives_diamonds(x, model._diamonds)
+            for k, d in enumerate(model._diamonds):
+                assert bool(bits >> k & 1) == \
+                    support.reference_generated_decide(state, imp(x, d)), \
+                    (w, fm.to_text(x), fm.to_text(d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tree_seed_shapes(), st.sampled_from(_BITSET_FAMILIES),
+       st.lists(_RHD_QUERIES, min_size=1, max_size=3))
+def test_seed_rhd_premodels_answer_as_the_per_world_clause(
+        shape, family, queries):
+    # finite-axiom theories answer a bitset member by member through
+    # ``derives``; the reference clause builds each implication per call
+    import support
+
+    def seed():
+        return support.seed_premodel(*shape, _seed_axiom_sets(RHD), RHD,
+                                     family)
+
+    model, reference = seed(), seed()
+    modal = support.reference_premodel_clause(reference)
+    memo: dict = {}
+    for f in queries + _MONTAGNA[::5]:
+        for w in model._order:
+            assert pm_forces(model, w, f) == support.reference_evaluate(
+                reference, w, f, modal, memo), (w, fm.to_text(f))
+    _assert_asked_alike(model, reference)
 
 
 def test_soundness_suite_gives_the_same_failures_on_a_repeat_call():
