@@ -25,6 +25,7 @@ from provmod import formulas as fm
 from provmod.formulas import BOX, RHD, parse, to_text
 from provmod import docio
 from provmod.decide import (
+    LOGICS,
     NO_COUNTERMODEL_UP_TO_BOUND,
     NON_THEOREM,
     THEOREM,
@@ -113,9 +114,20 @@ def _seed_doc(seed, model, meta: dict) -> dict:
     return docio.model_to_doc(seed, meta={"generate": True, **meta})
 
 
+def _countermodel_out(args, payload: dict, doc: dict, model, world):
+    """Write the countermodel document to ``--out``, or put it in the
+    payload, and print the model as dot with ``--dot``."""
+    if args.out:
+        docio.save_path(args.out, doc)
+        payload["countermodel_file"] = args.out
+    else:
+        payload["countermodel"] = doc
+    if args.dot:
+        sys.stdout.write(docio.to_dot(model, designated=world))
+
+
 def cmd_decide(args) -> int:
-    language = RHD if args.logic == "ilm" else BOX
-    f = parse(args.formula, language)
+    f = parse(args.formula, LOGICS[args.logic].language)
     verdict = decide(args.logic, f, bound=args.bound)
     payload = {"logic": args.logic, "formula": to_text(f),
                "status": verdict.status}
@@ -124,14 +136,8 @@ def cmd_decide(args) -> int:
             verdict.countermodel,
             meta={"designated_world": docio._world_id(verdict.world),
                   "refutes": to_text(f), "logic": args.logic})
-        if args.out:
-            docio.save_path(args.out, doc)
-            payload["countermodel_file"] = args.out
-        else:
-            payload["countermodel"] = doc
-        if args.dot:
-            sys.stdout.write(docio.to_dot(verdict.countermodel,
-                                          designated=verdict.world))
+        _countermodel_out(args, payload, doc, verdict.countermodel,
+                          verdict.world)
     _emit(args, payload, verdict.status)
     return _EXIT[verdict.status]
 
@@ -195,8 +201,7 @@ def cmd_countermodel(args) -> int:
         countermodel_pipeline_ilm,
     )
 
-    language = RHD if args.logic == "ilm" else BOX
-    f = parse(args.formula, language)
+    f = parse(args.formula, LOGICS[args.logic].language)
     payload = {"logic": args.logic, "formula": to_text(f)}
     try:
         result = (countermodel_pipeline_gl(f) if args.logic == "gl" else
@@ -209,14 +214,7 @@ def cmd_countermodel(args) -> int:
             "refutes": to_text(f), "logic": args.logic}
     doc = _seed_doc(result.seed, result.model, meta)
     payload.update(level=result.n, designated_world=meta["designated_world"])
-    if args.out:
-        docio.save_path(args.out, doc)
-        payload["countermodel_file"] = args.out
-    else:
-        payload["countermodel"] = doc
-    if args.dot:
-        sys.stdout.write(docio.to_dot(result.seed,
-                                      designated=result.designated))
+    _countermodel_out(args, payload, doc, result.seed, result.designated)
     _emit(args, payload,
           f"refuted at {meta['designated_world']} (level {result.n})")
     return 1
@@ -364,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("decide", help="decide theoremhood")
-    d.add_argument("--logic", required=True,
-                   choices=["k", "k4", "s4", "gl", "ilm"])
+    d.add_argument("--logic", required=True, choices=list(LOGICS))
     d.add_argument("--bound", type=int, default=3)
     d.add_argument("--out", help="write a countermodel document here")
     d.add_argument("--dot", action="store_true")
@@ -416,8 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["frame", "classical", "modal_completeness",
                             "glp", "glp_soundness", "soundness"])
     k.add_argument("--family")
-    k.add_argument("--logic", default="gl",
-                   choices=["k", "k4", "s4", "gl", "ilm"])
+    k.add_argument("--logic", default="gl", choices=list(LOGICS))
     k.add_argument("--atoms", default="")
     k.add_argument("--depth", type=int, default=1)
     k.set_defaults(func=cmd_check)

@@ -55,6 +55,19 @@ S4_LOGIC = "s4"
 GL_LOGIC = "gl"
 ILM_LOGIC = "ilm"
 
+# per logic: the language of its formulas, the frame properties of its
+# tableau countermodels and its box schemes; None for ilm, whose countermodels
+# are Veltman models and whose schemes are ``ilm_axiom_instances``
+Logic = namedtuple("Logic", "language frame schemes")
+LOGICS = {
+    K_LOGIC: Logic(BOX, (), ("k",)),
+    K4_LOGIC: Logic(BOX, ("transitive",), ("k", "four")),
+    S4_LOGIC: Logic(BOX, ("transitive", "reflexive"), ("k", "four", "t")),
+    GL_LOGIC: Logic(BOX, ("transitive", "irreflexive",
+                          "converse_well_founded"), ("k", "four", "loeb")),
+    ILM_LOGIC: Logic(RHD, None, None),
+}
+
 
 class DecisionError(ValueError):
     pass
@@ -310,14 +323,6 @@ def _materialize(logic: str, root: _Node):
     return KripkeModel(worlds, edges, valuation), worlds[0]
 
 
-_FRAME_REQUIREMENTS = {
-    K_LOGIC: (),
-    K4_LOGIC: ("transitive",),
-    S4_LOGIC: ("transitive", "reflexive"),
-    GL_LOGIC: ("transitive", "irreflexive", "converse_well_founded"),
-}
-
-
 def _decide_box_logic(logic: str, f: Formula) -> DecisionVerdict:
     if f.lang not in (None, BOX):
         raise DecisionError(f"{logic} decides box-language formulas only")
@@ -333,7 +338,7 @@ def _decide_box_logic(logic: str, f: Formula) -> DecisionVerdict:
             f"the {logic} tableau nests deeper than the recursion limit of "
             f"{sys.getrecursionlimit()} allows") from None
     report = check_frame(model)
-    for prop in _FRAME_REQUIREMENTS[logic]:
+    for prop in LOGICS[logic].frame:
         if not getattr(report, prop):
             raise DecisionError(
                 f"internal error: countermodel violates {prop} for {logic}")
@@ -721,14 +726,8 @@ def certify_pairwise(rep: RepresentativeSet, pairs=None, bound: int = 2) -> bool
     idx = range(len(rep.members))
     pairs = pairs if pairs is not None else itertools.combinations(idx, 2)
     for i, j in pairs:
-        target = imp(boxes(FALSUM, rep.n, BOX if rep.logic == GL_LOGIC else RHD),
+        target = imp(boxes(FALSUM, rep.n, LOGICS[rep.logic].language),
                      liff(rep.members[i], rep.members[j]))
-        if rep.logic == GL_LOGIC:
-            verdict = decide_gl(target)
-            if verdict.is_theorem:
-                return False
-        else:
-            verdict = decide_ilm(target, size_bound=max(bound, 1))
-            if verdict.status != NON_THEOREM:
-                return False
+        if decide(rep.logic, target, max(bound, 1)).status != NON_THEOREM:
+            return False
     return True

@@ -75,6 +75,7 @@ from provmod.theories import (
     kripke_world_theory,
 )
 from provmod.decide import (
+    LOGICS,
     NO_COUNTERMODEL_UP_TO_BOUND,
     NON_THEOREM,
     THEOREM,
@@ -310,8 +311,8 @@ def check_oracles_classical(model) -> list:
 # ---------------------------------------------------------------------------
 # lifting a Kripke model
 
-def lift_kripke(model: KripkeModel, transitive: bool = False,
-                certify_family=None) -> ProvabilityModel:
+def lift_kripke(model: KripkeModel,
+                transitive: bool = False) -> ProvabilityModel:
     """Equivalent provability model: each accessible world carries the
     theory of what is true there (boxed-dotted truth in the transitive
     variant, which is then closed under necessitation)."""
@@ -319,18 +320,8 @@ def lift_kripke(model: KripkeModel, transitive: bool = False,
         raise PreModelError("transitive lift over a non-transitive frame")
     theories = {w: kripke_world_theory(model, w, transitive=transitive)
                 for w in model.accessible_worlds()}
-    lifted = ProvabilityModel(model.worlds, model.edges, model.valuation,
-                              theories, BOX, Certificate(kind="lifted"))
-    if certify_family is not None:
-        for f in certify_family:
-            _check_language(model, f, BOX)
-            differ = evaluate_mask(model, f, _box) ^ \
-                evaluate_region(lifted, f, lifted._full)
-            if differ:
-                w = lifted._order[(differ & -differ).bit_length() - 1]
-                raise PreModelError(
-                    f"lift equivalence failed at {w!r} on {to_text(f)}")
-    return lifted
+    return ProvabilityModel(model.worlds, model.edges, model.valuation,
+                            theories, BOX, Certificate(kind="lifted"))
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +375,8 @@ def project_and_check(model, family) -> tuple[KripkeModel, ProjectionReport]:
 # ---------------------------------------------------------------------------
 # generated models
 
-class GeneratedTheory:
-    """Decision state for one world u of a generated model.
+class GeneratedTheory(TheoryOracle):
+    """The theory of one world u of a generated model.
 
     The theory derives f when the pre-interpolant of (phi -> f) is
     plus-forced at u, phi being the boxed-dotted conjunction of the seed
@@ -418,9 +409,12 @@ class GeneratedTheory:
     only deeper theories, so a chain of queries is no longer than a branch.
     """
 
-    def __init__(self, world, phi: Formula):
+    def __init__(self, world, axioms, language: str):
+        super().__init__(language=language, axioms=axioms,
+                         rules=frozenset({MP, NEC}), provenance="generated",
+                         label=f"gen[{world}]")
         self.world = world
-        self.phi = phi
+        self.phi = _phi(axioms, language)
         self.model = None  # the generated ProvabilityModel, once bound
         self._cone = None  # the parent's descendants, on the first query
         self._phi_masks = None  # phi[a] -> its mask on the cone
@@ -451,8 +445,10 @@ class GeneratedTheory:
             P = self.model
             (parent,) = P._pred[self.world]
             cone = self._cone = P.descendant_mask(parent)
+            # the table may know phi[a] beyond the cone, and a world there
+            # would take part in ``decide_diamonds``
             masks = self._phi_masks = {
-                phi_a: evaluate_region(P, phi_a, cone)
+                phi_a: evaluate_region(P, phi_a, cone) & cone
                 for phi_a in fm.instance_table(self.phi)[1]}
         return [(masks[pair[0]],) + pair[1:]
                 for pair in self._assignment_pairs(*name_sets)]
@@ -537,21 +533,15 @@ def _generate(seed: PreModel, language: str, e_family, family_bounded):
             raise GenerationError("e_family must be nonempty")
         # the family's order sets the order of derivability queries
         e_family = tuple(sorted(set(e_family), key=fm.sort_key))
-    oracles = {}
-    for w, th in seed.theories.items():
-        state = GeneratedTheory(w, _phi(th.axioms, language))
-        oracles[w] = TheoryOracle(
-            language=language, axioms=th.axioms, rules=frozenset({MP, NEC}),
-            provenance="generated", decide=state.decide, label=f"gen[{w}]",
-            decide_diamonds=state.decide_diamonds)
+    oracles = {w: GeneratedTheory(w, th.axioms, language)
+               for w, th in seed.theories.items()}
     generated = ProvabilityModel(seed.worlds, seed.edges, seed.valuation,
                                  oracles, language,
                                  Certificate(kind="generated"),
                                  e_family=e_family,
                                  family_bounded=family_bounded)
-    # each oracle decides by its theory's bound methods
     for oracle in oracles.values():
-        oracle.decide.__self__.model = generated
+        oracle.model = generated
     for w in sorted(oracles, key=str):
         for ax in oracles[w].axioms:
             if not oracles[w].derives(ax):
@@ -619,24 +609,23 @@ def box_instance_pool(atom_names, depth: int) -> list[Formula]:
     return pool
 
 
+# each box scheme's instances over a pool, in the order the suites list them
+_BOX_SCHEMES = {
+    "k": lambda pool: (imp(fm.box(imp(a, b)), imp(fm.box(a), fm.box(b)))
+                       for a in pool for b in pool),
+    "four": lambda pool: (imp(fm.box(a), fm.box(fm.box(a))) for a in pool),
+    "t": lambda pool: (imp(fm.box(a), a) for a in pool),
+    "loeb": lambda pool: (imp(fm.box(imp(fm.box(a), a)), fm.box(a))
+                          for a in pool),
+}
+
+
 def box_axiom_instances(logic: str, atom_names, depth: int = 2):
     """Scheme instances for the box logics, with the box of each instance
     (the rule-free axiomatizations carry those explicitly)."""
     pool = box_instance_pool(atom_names, depth)
-    out = []
-    for a in pool:
-        for b in pool:
-            out.append(("k", imp(fm.box(imp(a, b)),
-                                 imp(fm.box(a), fm.box(b)))))
-    if logic in ("k4", "s4", "gl"):
-        for a in pool:
-            out.append(("four", imp(fm.box(a), fm.box(fm.box(a)))))
-    if logic == "s4":
-        for a in pool:
-            out.append(("t", imp(fm.box(a), a)))
-    if logic == "gl":
-        for a in pool:
-            out.append(("loeb", imp(fm.box(imp(fm.box(a), a)), fm.box(a))))
+    out = [(name, f) for name in LOGICS[logic].schemes
+           for f in _BOX_SCHEMES[name](pool)]
     out.extend((name + "_boxed", fm.box(f)) for (name, f) in list(out))
     return out
 
@@ -692,7 +681,9 @@ def soundness_suite(model, logic: str, atom_names, depth: int = 2):
     again.  Keeping them costs no memory of their own: they are interned
     formulas, which the intern table keeps for the life of the process
     anyway, and the triples a process asks are few."""
-    language = RHD if logic == "ilm" else BOX
+    if logic not in LOGICS:
+        raise PreModelError(f"unknown logic {logic!r}")
+    language, _, schemes = LOGICS[logic]
     if model.language != language:
         raise PreModelError(f"the {logic} suite takes {language}-language "
                             f"models; this model speaks {model.language}")
@@ -700,7 +691,7 @@ def soundness_suite(model, logic: str, atom_names, depth: int = 2):
     instances = _SUITE_INSTANCES.get(key)
     if instances is None:
         instances = _SUITE_INSTANCES[key] = tuple(
-            ilm_axiom_instances(key[1]) if logic == "ilm"
+            ilm_axiom_instances(key[1]) if schemes is None
             else box_axiom_instances(logic, key[1], depth))
     failures = []
     full = model._full
@@ -714,13 +705,11 @@ def soundness_suite(model, logic: str, atom_names, depth: int = 2):
 
 class PipelineResult(namedtuple("PipelineResult", (
         "formula", "n", "kripke", "designated", "seed", "model",
-        "representatives", "lifted", "family_bounded"),
-        defaults=(None, None, False))):
+        "representatives"), defaults=(None,))):
     """A checked countermodel: the level ``n``, the refuting Kripke or
     Veltman model ``kripke``, the refuting world (or path) ``designated``,
     the seed pre-model and the provability ``model`` generated over it,
-    with the representative set and lifted model when the representatives
-    seeded it."""
+    with the representative set when the representatives seeded it."""
 
     __slots__ = ()
 
@@ -770,8 +759,7 @@ def countermodel_pipeline_gl(f: Formula) -> PipelineResult:
         f, kripke, verdict.world, _box, stable, rep.members, BOX, False)
     return PipelineResult(formula=f, n=n, kripke=kripke,
                           designated=verdict.world, seed=seed,
-                          model=generated, representatives=rep,
-                          lifted=lift_kripke(kripke, transitive=True))
+                          model=generated, representatives=rep)
 
 
 def pipeline_family_rhd(atom_names, n: int) -> tuple[Formula, ...]:
@@ -838,5 +826,4 @@ def countermodel_pipeline_ilm(f: Formula, size_bound: int = 3) -> PipelineResult
         f, unravelled, (w0,), _sibling_rhd, unravelled._above, family, RHD,
         family_bounded)
     return PipelineResult(formula=f, n=n, kripke=veltman, designated=(w0,),
-                          seed=seed, model=generated, representatives=rep,
-                          family_bounded=family_bounded)
+                          seed=seed, model=generated, representatives=rep)

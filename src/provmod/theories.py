@@ -56,16 +56,15 @@ class TheoryOracle:
 
     def __init__(self, language: str, axioms: tuple[Formula, ...],
                  rules: frozenset[str], provenance: str,
-                 decide: Callable[[Formula], bool], label: str = "",
-                 descriptor: dict | None = None,
-                 decide_diamonds: Callable | None = None):
+                 decide: Callable[[Formula], bool] | None = None,
+                 label: str = "", descriptor: dict | None = None):
         self.language = language
         self.axioms = axioms
         self.rules = rules
         self.provenance = provenance
-        self.decide = decide
-        if decide_diamonds is not None:
-            self.decide_diamonds = decide_diamonds
+        # a subclass may bring its own ``decide`` method instead
+        if decide is not None:
+            self.decide = decide
         self.label = label
         self.descriptor = descriptor
         self._memo = {}

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import signal
+import types
 
 import numpy as np
 
@@ -1061,14 +1062,20 @@ def reference_generate(generate, seed, **kwargs):
     ``reference_generated_decide``."""
     from provmod.provability import GeneratedTheory
 
-    # each oracle binds its theory's methods when it is built
+    # the class answers the self-checks while the model is generated, and
+    # each theory of the model keeps the reference methods afterwards
     saved = GeneratedTheory.decide, GeneratedTheory.decide_diamonds
     GeneratedTheory.decide = reference_generated_decide
     GeneratedTheory.decide_diamonds = reference_decide_diamonds
     try:
-        return generate(seed, **kwargs)
+        model = generate(seed, **kwargs)
     finally:
         GeneratedTheory.decide, GeneratedTheory.decide_diamonds = saved
+    for theory in model.theories.values():
+        theory.decide = types.MethodType(reference_generated_decide, theory)
+        theory.decide_diamonds = types.MethodType(reference_decide_diamonds,
+                                                  theory)
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,10 @@ from provmod.formulas import (
     top,
 )
 from provmod.decide import (
+    LOGICS,
     NON_THEOREM,
     _veltman_frames,
+    decide,
     decide_gl,
     finfals_check,
     gl_consequence,
@@ -283,6 +285,40 @@ def test_03_gl_decision_vs_brute_force():
             f"(least failing k up to {max(least.values())})")
 
 
+def test_each_logic_holds_its_table_entry_on_its_countermodels():
+    # over criterion 3's corpus and random depth-2 formulas, every tableau
+    # countermodel of a logic with a frame meets that frame, and its lift,
+    # transitive where the frame is, passes the logic's soundness suite
+    from provmod.cli import build_parser
+
+    rng = random.Random(38)
+    corpus = _CORPUS_THEOREMS + _CORPUS_NON_THEOREMS + tuple(
+        support.random_formula(rng, BOX, 2, [p, q]) for _ in range(150))
+    frames = {logic: frame for logic, (_, frame, _) in LOGICS.items()
+              if frame is not None}
+    refuted = dict.fromkeys(frames, 0)
+    for logic, frame in frames.items():
+        for f in corpus:
+            verdict = decide(logic, f)
+            if verdict.status != NON_THEOREM:
+                continue
+            report = check_frame(verdict.countermodel)
+            assert all(getattr(report, prop) for prop in frame), \
+                (logic, to_text(f))
+            lifted = lift_kripke(verdict.countermodel,
+                                 transitive="transitive" in frame)
+            assert not soundness_suite(lifted, logic, fm.atoms(f)), \
+                (logic, to_text(f))
+            refuted[logic] += 1
+    assert list(frames) == ["k", "k4", "s4", "gl"]
+    assert min(refuted.values()) >= 100, refuted
+    # the commands that take every logic offer the table's, in its order
+    commands = build_parser()._subparsers._group_actions[0].choices
+    for name in ("decide", "check"):
+        (action,) = [a for a in commands[name]._actions if a.dest == "logic"]
+        assert action.choices == list(LOGICS), name
+
+
 def test_countermodels_match_the_two_build_reference():
     from provmod.decide import _materialize, _Node, _search
 
@@ -368,7 +404,8 @@ def test_04_generated_models():
     iso_pairs = 0
     for text in _PIPELINE_TEXTS:
         result = _pipeline(text)
-        assert is_l_isomorphic(result.model, result.lifted,
+        assert is_l_isomorphic(result.model,
+                               lift_kripke(result.kripke, transitive=True),
                                result.representatives.members), text
         iso_pairs += 1
     return (f": {len(seeds)} seeds; {nec_checked} necessitation and "

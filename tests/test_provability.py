@@ -101,7 +101,7 @@ def test_premodel_theories_must_match_accessible_worlds():
 def test_lift_kripke_equivalence_small():
     k = KripkeModel("ab", [("a", "b")], [("b", "p")])
     fam = [p, box(p), box(box(p)), diamond(p), imp(box(p), p)]
-    lifted = lift_kripke(k, certify_family=fam)
+    lifted = lift_kripke(k)
     for w in k.worlds:
         for f in fam:
             assert forces(k, w, f) == pm_forces(lifted, w, f)
@@ -114,7 +114,7 @@ def test_lift_kripke_transitive_equivalence():
         [("b", "p"), ("c", "p")],
     )
     fam = [p, box(p), box(box(p)), diamond(p), neg(box(q))]
-    lifted = lift_kripke(k, transitive=True, certify_family=fam)
+    lifted = lift_kripke(k, transitive=True)
     assert lifted.certificate.kind == "lifted"
     for w in k.worlds:
         for f in fam:
@@ -820,12 +820,11 @@ def test_assignment_instances_conjoin_to_the_pre_interpolant(language):
                 pm_forces(model, "s0", box(f))
             else:
                 pm_forces_rhd(model, "s0", rhd(f, p))
-        state = theory.decide.__self__
         for f in theory._memo:
             names, f_instances = fm.instance_table(f)
             got = fm.conj(imp(phi_a, f_instances[j])
-                          for phi_a, j in state._assignment_pairs(names))
-            assert got is fm.pre_interpolant(imp(state.phi, f)), \
+                          for phi_a, j in theory._assignment_pairs(names))
+            assert got is fm.pre_interpolant(imp(theory.phi, f)), \
                 fm.to_text(f)
             checked += 1
         # and the rhd clause's bitsets: phi[a] -> (X[a] -> d[a]) for X,
@@ -836,9 +835,9 @@ def test_assignment_instances_conjoin_to_the_pre_interpolant(language):
                 d_names, d_instances = fm.instance_table(d)
                 got = fm.conj(
                     imp(phi_a, imp(x_instances[j], d_instances[c]))
-                    for phi_a, j, c in state._assignment_pairs(x_names,
-                                                               d_names))
-                assert got is fm.pre_interpolant(imp(state.phi, imp(x, d))),\
+                    for phi_a, j, c in theory._assignment_pairs(x_names,
+                                                                d_names))
+                assert got is fm.pre_interpolant(imp(theory.phi, imp(x, d))),\
                     (fm.to_text(x), fm.to_text(d))
                 checked += 1
     assert checked > 7 * len(queries)
@@ -860,7 +859,7 @@ def test_generation_self_checks_evaluate_every_phi_instance_on_the_whole_cone(
         for w in model.theories:
             (parent,) = model._pred[w]
             cone = model.descendant_mask(parent)
-            phi = model.theory(w).decide.__self__.phi
+            phi = model.theory(w).phi
             for phi_a in fm.instance_table(phi)[1]:
                 kripke.evaluate_region(model, phi_a, cone)
         assert {w: model.theory(w)._memo for w in model.theories} == memos, \
@@ -887,7 +886,7 @@ def test_decide_evaluates_each_phi_instance_at_most_once_per_theory(
         theory = model.theory("s1")
         for f in queries:
             theory.derives(f)
-        _, phi_instances = fm.instance_table(theory.decide.__self__.phi)
+        _, phi_instances = fm.instance_table(theory.phi)
         counts = [evaluated.count(phi_a) for phi_a in phi_instances]
         assert max(counts) == 1, (label, counts)
 
@@ -986,6 +985,29 @@ def _rhd_sides(formulas):
             if type(g) is fm.Rhd for h in (g.left, g.right)}
 
 
+def test_generated_theories_read_phi_only_on_their_own_cone():
+    # the trees s0 -> s2 -> s4 and s1 -> s3, every seed theory empty, so
+    # all theories share phi; s2's theory evaluates it on its cone {s2, s4}
+    # before s3's is first asked, and s3's witness bitsets must not read
+    # the table there
+    import support
+
+    seed = support.seed_premodel([-1, -1, 0, 1, 2], [0] * 5,
+                                 _seed_axiom_sets(RHD), RHD)
+    model = generate_ilm(seed, e_family=_RHD_FAMILY)
+    reference = support.reference_generate(generate_ilm, seed,
+                                           e_family=_RHD_FAMILY)
+    assert pm_forces(model, "s1", parse("<>top |> bot", RHD))
+    for text in ("<>p |> bot", "<>top |> p", "p |> q", "<>p |> <>top"):
+        f = parse(text, RHD)
+        for w in sorted(model.worlds):
+            assert pm_forces(model, w, f) == pm_forces(reference, w, f), \
+                (text, w)
+    for w, theory in model.theories.items():
+        assert not any(mask & ~theory._cone
+                       for mask in theory._phi_masks.values()), w
+
+
 @settings(max_examples=60, deadline=None)
 @given(_tree_seed_shapes(), st.sampled_from(_BITSET_FAMILIES),
        st.lists(_RHD_QUERIES, min_size=1, max_size=3))
@@ -1002,7 +1024,7 @@ def test_witness_bitsets_are_the_member_by_member_pre_interpolant_answers(
                                            e_family=family)
     sides = _rhd_sides(queries + _MONTAGNA)
     for w in sorted(model.theories, key=str):
-        state = reference.theory(w).decide.__self__
+        state = reference.theory(w)
         for x in sides:
             bits = model.theory(w).derives_diamonds(x, model._diamonds)
             for k, d in enumerate(model._diamonds):
@@ -1091,7 +1113,8 @@ def test_gl_pipeline_refutes(text):
 
 def test_gl_pipeline_l_isomorphic_to_lift():
     result = countermodel_pipeline_gl(parse("p -> []p"))
-    assert is_l_isomorphic(result.model, result.lifted,
+    assert is_l_isomorphic(result.model,
+                           lift_kripke(result.kripke, transitive=True),
                            result.representatives.members)
 
 
@@ -1126,7 +1149,6 @@ def test_ilm_pipeline_flags_a_family_outside_the_envelope():
     # over the fallback family
     for text, bounded in (("[]p -> p", False), ("p |> q", True)):
         result = countermodel_pipeline_ilm(parse(text, RHD))
-        assert result.family_bounded is bounded, text
         assert result.model.family_bounded is bounded, text
 
 
@@ -1257,7 +1279,8 @@ def test_every_provability_model_is_a_pre_model():
     models = {"lifted": lifted, "certified": certified,
               "generated gl": generate_gl(two_chain_premodel()),
               "generated rhd": rhd_two_chain(),
-              "pipeline": pipeline.model, "pipeline lift": pipeline.lifted}
+              "pipeline": pipeline.model,
+              "pipeline lift": lift_kripke(pipeline.kripke, transitive=True)}
     texts = ("p", "[]p", "<>p", "[]bot", "[]p -> p")
     for name, model in models.items():
         assert isinstance(model, PreModel) and model.pre is model, name
@@ -1299,6 +1322,20 @@ def test_soundness_suite_takes_logics_of_the_model_language():
             soundness_suite(model, logic, ["p"])
         assert f"the {logic} suite takes" in str(exc.value)
         assert BOX in str(exc.value) and RHD in str(exc.value)
+
+
+def test_soundness_suite_refuses_a_logic_it_does_not_know():
+    # the lift of a symmetric, non-transitive model fails k4's "four"; a
+    # misspelt logic is refused by name rather than run as k
+    from provmod.provability import soundness_suite
+
+    k = KripkeModel(["a", "b"], [("a", "b"), ("b", "a")], [("a", "p")])
+    lifted = lift_kripke(k)
+    assert len(soundness_suite(lifted, "k4", ["p"], 1)) == 8
+    assert not soundness_suite(lifted, "k", ["p"], 1)
+    for logic in ("K4", "t4", "kk"):
+        with pytest.raises(PreModelError, match=f"^unknown logic '{logic}'$"):
+            soundness_suite(lifted, logic, ["p"], 1)
 
 
 def test_certify_modal_completeness_keeps_the_witness_family():
