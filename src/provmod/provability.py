@@ -398,10 +398,12 @@ class GeneratedTheory(TheoryOracle):
     for its seed axioms, where the walk never narrows, so the derivability
     queries reached are the same.
 
-    ``decide_diamonds`` gives the bitset of diamonds d with f -> d derived:
-    it evaluates each f[a] once where phi[a] holds, and d[c] where some
-    phi[a] & f[a] with a extending c holds.  For a d not derived, that is
-    more worlds than the walk of f -> d, which stops at its first failure.
+    ``decide_diamonds`` gives the bitset of diamonds d with f -> d derived.
+    A witness diamond is closed, its one instance d itself, so f -> d is
+    derived when d holds on one reach mask: the worlds of the cone where
+    some phi[a] & f[a] holds.  It walks ``decide``'s plan, evaluating each
+    f[a] once where phi[a] holds.  For a d not derived, that is more worlds
+    than the walk of f -> d, which stops at its first failure.
 
     The seed is a forest, so the queries end: if u has d ancestors, its
     parent's cone holds worlds with at least d, whose successors, the only
@@ -418,28 +420,21 @@ class GeneratedTheory(TheoryOracle):
         self.model = None  # the generated ProvabilityModel, once bound
         self._cone = None  # the parent's descendants, on the first query
         self._phi_masks = None  # phi[a] -> its mask on the cone
-        # ``_mask_pairs`` per tuple of free atoms; per (atoms, diamonds), a
-        # bitset's name groups, members by group and nonzero mask triples
-        self._pairs = {}
+        self._pairs = {}  # ``_mask_pairs`` per tuple of free atoms
 
-    def _assignment_pairs(self, *name_sets) -> list:
-        """(phi[a], then a's position among the instances over each of
-        ``name_sets``) for each assignment a, in pre-interpolant order."""
+    def _assignment_pairs(self, names: tuple) -> list:
+        """(phi[a], a's position among the instances over ``names``) for
+        each assignment a, in pre-interpolant order."""
         phi_names, phi_inst = fm.instance_table(self.phi)
-        union = sorted(set(phi_names).union(*name_sets))
-        # where a puts falsum for n, n's weight adds to a formula's
-        # position: top is 0 and the first name the highest bit
-        weights = [[1 << len(names) - 1 - names.index(n) if n in names else 0
-                    for n in union] for names in (phi_names, *name_sets)]
-        pairs = []
-        for bits in itertools.product((0, 1), repeat=len(union)):
-            at = [sum(itertools.compress(w, bits)) for w in weights]
-            pairs.append((phi_inst[at[0]], *at[1:]))
-        return pairs
+        union = tuple(sorted({*phi_names, *names}))
+        return list(zip(map(phi_inst.__getitem__,
+                            fm._projection(union, phi_names)),
+                        fm._projection(union, names)))
 
-    def _mask_pairs(self, *name_sets) -> list:
+    def _mask_pairs(self, names: tuple) -> list:
         """``_assignment_pairs`` with each phi[a] replaced by its mask on
-        the parent's cone; the first call evaluates every phi[a]."""
+        the parent's cone, the empty ones left out; the first call
+        evaluates every phi[a]."""
         masks = self._phi_masks
         if masks is None:
             P = self.model
@@ -450,8 +445,8 @@ class GeneratedTheory(TheoryOracle):
             masks = self._phi_masks = {
                 phi_a: evaluate_region(P, phi_a, cone) & cone
                 for phi_a in fm.instance_table(self.phi)[1]}
-        return [(masks[pair[0]],) + pair[1:]
-                for pair in self._assignment_pairs(*name_sets)]
+        return [(masks[phi_a], j) for phi_a, j
+                in self._assignment_pairs(names) if masks[phi_a]]
 
     def decide(self, f: Formula) -> bool:
         P = self.model
@@ -471,34 +466,22 @@ class GeneratedTheory(TheoryOracle):
     def decide_diamonds(self, f: Formula, diamonds: tuple) -> int:
         """Bit k set when f -> ``diamonds[k]`` is derived."""
         P = self.model
-        f_names, f_inst = fm.instance_table(f)
-        plan = self._pairs.get((f_names, diamonds))
-        if plan is None:
-            tables = [fm.instance_table(d) for d in diamonds]
-            groups = sorted({names for names, _ in tables})
-            members = [[(k, inst) for k, (n, inst) in enumerate(tables)
-                        if n == names] for names in groups]
-            pairs = [(mask, j, at) for mask, j, *at
-                     in self._mask_pairs(f_names, *groups) if mask]
-            plan = self._pairs[f_names, diamonds] = groups, members, pairs
-        groups, members, pairs = plan
-        reach = [[0] * (1 << len(names)) for names in groups]
-        for mask, j, at in pairs:
-            held = mask & evaluate_region(P, f_inst[j], mask)
-            for r, c in zip(reach, at):
-                r[c] |= held
-        # most d[c] are known on r already: read the model's table first
+        names, f_inst = fm.instance_table(f)
+        pairs = self._pairs.get(names)
+        if pairs is None:
+            pairs = self._pairs[names] = self._mask_pairs(names)
+        reach = 0
+        for mask, j in pairs:
+            reach |= mask & evaluate_region(P, f_inst[j], mask)
+        # most diamonds are known on reach already: read the model's table
         table = P._masks[P._clause]
-        bits = (1 << len(diamonds)) - 1
-        for r_g, group in zip(reach, members):
-            for c, r in enumerate(r_g):
-                for k, d_inst in group if r else ():
-                    known, value = table.get(d_inst[c], (0, 0))
-                    # a member that failed at an earlier c stays failed
-                    if r & ~known and bits >> k & 1:
-                        value = evaluate_region(P, d_inst[c], r)
-                    if r & ~value:
-                        bits &= ~(1 << k)
+        bits = 0
+        for k, d in enumerate(diamonds):
+            known, value = table.get(d, (0, 0))
+            if reach & ~known:
+                value = evaluate_region(P, d, reach)
+            if not reach & ~value:
+                bits |= 1 << k
         return bits
 
 
@@ -620,12 +603,22 @@ _BOX_SCHEMES = {
 }
 
 
+def _logic(logic: str):
+    """The ``LOGICS`` record the suites run a logic by."""
+    if logic not in LOGICS:
+        raise PreModelError(f"unknown logic {logic!r}")
+    return LOGICS[logic]
+
+
 def box_axiom_instances(logic: str, atom_names, depth: int = 2):
     """Scheme instances for the box logics, with the box of each instance
     (the rule-free axiomatizations carry those explicitly)."""
+    schemes = _logic(logic).schemes
+    if schemes is None:
+        raise PreModelError(f"{logic} has no box schemes; its instances are "
+                            f"ilm_axiom_instances")
     pool = box_instance_pool(atom_names, depth)
-    out = [(name, f) for name in LOGICS[logic].schemes
-           for f in _BOX_SCHEMES[name](pool)]
+    out = [(name, f) for name in schemes for f in _BOX_SCHEMES[name](pool)]
     out.extend((name + "_boxed", fm.box(f)) for (name, f) in list(out))
     return out
 
@@ -681,9 +674,7 @@ def soundness_suite(model, logic: str, atom_names, depth: int = 2):
     again.  Keeping them costs no memory of their own: they are interned
     formulas, which the intern table keeps for the life of the process
     anyway, and the triples a process asks are few."""
-    if logic not in LOGICS:
-        raise PreModelError(f"unknown logic {logic!r}")
-    language, _, schemes = LOGICS[logic]
+    language, _, schemes = _logic(logic)
     if model.language != language:
         raise PreModelError(f"the {logic} suite takes {language}-language "
                             f"models; this model speaks {model.language}")

@@ -82,7 +82,9 @@ class TheoryOracle:
         return got
 
     def derives_diamonds(self, f: Formula, diamonds: tuple) -> int:
-        """Bit k set when f -> ``diamonds[k]`` is derived; memoized."""
+        """Bit k set when f -> ``diamonds[k]`` is derived; memoized.  The
+        diamonds are closed: the rhd clause passes its model's witness
+        diamonds, each <>E with E under the rhd node."""
         key = (f, diamonds)
         got = self._diamond_memo.get(key)
         if got is None:

@@ -827,16 +827,15 @@ def test_assignment_instances_conjoin_to_the_pre_interpolant(language):
             assert got is fm.pre_interpolant(imp(theory.phi, f)), \
                 fm.to_text(f)
             checked += 1
-        # and the rhd clause's bitsets: phi[a] -> (X[a] -> d[a]) for X,
-        # each diamond d, and their positions in one assignment walk
+        # and the rhd clause's bitsets: phi[a] -> (X[a] -> d) for X and
+        # each diamond d, which is closed, so X's walk is the whole walk
         for x, diamonds in theory._diamond_memo:
             x_names, x_instances = fm.instance_table(x)
             for d in diamonds:
-                d_names, d_instances = fm.instance_table(d)
+                assert fm.instance_table(d) == ((), (d,))
                 got = fm.conj(
-                    imp(phi_a, imp(x_instances[j], d_instances[c]))
-                    for phi_a, j, c in theory._assignment_pairs(x_names,
-                                                                d_names))
+                    imp(phi_a, imp(x_instances[j], d))
+                    for phi_a, j in theory._assignment_pairs(x_names))
                 assert got is fm.pre_interpolant(imp(theory.phi, imp(x, d))),\
                     (fm.to_text(x), fm.to_text(d))
                 checked += 1
@@ -975,6 +974,15 @@ def test_each_witness_diamond_is_built_once_per_model(monkeypatch):
     assert len(model.e_family) == 14
     assert built == list(model.e_family)
     assert model._diamonds == tuple(map(original, model.e_family))
+    # the generated theories test each diamond once, on one reach mask
+    for d in model._diamonds:
+        assert fm.instance_table(d) == ((), (d,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RHD_QUERIES)
+def test_witness_diamonds_have_no_free_atoms(e):
+    assert fm.instance_table(rdiamond(e)) == ((), (rdiamond(e),))
 
 
 _BITSET_FAMILIES = (_RHD_FAMILY, pipeline_family_rhd(["p", "q"], 4))
@@ -1006,6 +1014,27 @@ def test_generated_theories_read_phi_only_on_their_own_cone():
     for w, theory in model.theories.items():
         assert not any(mask & ~theory._cone
                        for mask in theory._phi_masks.values()), w
+
+
+def test_five_world_seeds_force_as_the_reference_does():
+    # on 5-world forests a phi mask not cut to its theory's cone can hold
+    # worlds outside it, and witness bitsets that read them answer the rhd
+    # probes wrongly at some seeds of this slice; no 4-world seed shows it
+    import support
+
+    axiom_sets = _seed_axiom_sets(RHD)
+    family = pipeline_family_rhd(["p", "q"], 4)
+    probes = [parse(t, RHD) for t in ("<>top |> bot", "<>p |> bot",
+                                      "<>top |> p", "p |> q", "<>p |> <>top")]
+    for shape in support.tree_seeds(5, axiom_sets)[1900:2030]:
+        seed = support.seed_premodel(*shape, axiom_sets, RHD)
+        model = generate_ilm(seed, e_family=family)
+        reference = support.reference_generate(generate_ilm, seed,
+                                               e_family=family)
+        for f in probes:
+            for w in sorted(model.worlds):
+                assert pm_forces(model, w, f) == pm_forces(reference, w, f), \
+                    (shape, fm.to_text(f), w)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1336,6 +1365,18 @@ def test_soundness_suite_refuses_a_logic_it_does_not_know():
     for logic in ("K4", "t4", "kk"):
         with pytest.raises(PreModelError, match=f"^unknown logic '{logic}'$"):
             soundness_suite(lifted, logic, ["p"], 1)
+
+
+def test_box_axiom_instances_refuse_a_logic_without_box_schemes():
+    # the same refusal as the suite's for a misspelt logic, and ilm, whose
+    # schemes are rhd formulas, named rather than failing on its record
+    from provmod.provability import box_axiom_instances
+
+    assert len(box_axiom_instances("k", ["p"], 1)) == 98
+    with pytest.raises(PreModelError, match="^unknown logic 'K4'$"):
+        box_axiom_instances("K4", ["p"], 1)
+    with pytest.raises(PreModelError, match="^ilm has no box schemes"):
+        box_axiom_instances("ilm", ["p"], 1)
 
 
 def test_certify_modal_completeness_keeps_the_witness_family():
